@@ -1,17 +1,19 @@
 """Ergodic measures are dense in entropy.
 
-Take a non-ergodic target: half the golden-mean maximal measure, half a
-Bernoulli measure on an ambient 3-symbol graph.  The construction builds
-a single ergodic Markov measure that is
+Take a non-ergodic target: half the golden-mean maximal measure, half the
+fair-coin Bernoulli measure on the ambient full 2-shift.  The construction
+builds a single ergodic Markov measure that is
 
   * close to the target in the cylinder metric rho (weighted sum of
     cylinder-mass differences), and
   * nearly as entropic as the target's average.
 
-It works by concatenation: long blocks sampled from each component in
-proportion to the mixture weights, glued along connector paths, with the
-block length n controlling both errors.  The demo shows the rho-distance
-falling as n grows while the entropy gap stays small.
+It works by concatenation: M = 4 slots cycle through golden-mean and
+full-shift blocks, each slot holding every admissible length-n word from
+the anchor symbol (no sampling), and the built measure is the maximal
+entropy chain of that block system.  The block length n controls both
+errors.  The demo shows the rho-distance falling as n grows while the
+entropy gap stays small.
 """
 
 from cmshift import density

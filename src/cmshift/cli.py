@@ -8,8 +8,6 @@ report plus tidy CSV tables into the directory.  Exit codes: 0 success,
 """
 
 import argparse
-import contextlib
-import io
 import json
 import math
 import os
@@ -337,8 +335,16 @@ def _emit(report, tables, out_dir, stdout=True):
 # argument parsing
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
+class _EntryParser(argparse.ArgumentParser):
+    """Parser for manifest entries: errors raise instead of printing and
+    exiting, so entries running on worker threads leave sys.stderr alone."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _build_parser(parser_class=argparse.ArgumentParser):
+    parser = parser_class(
         prog="cmshift",
         description="Entropy, escape of mass, and verification for countable Markov shifts.",
     )
@@ -437,13 +443,10 @@ def _run_entry(index, entry, base_dir, out_root, defaults=None):
             value = os.path.join(base_dir, str(value))
         argv.extend([flag, str(value)])
     try:
-        with contextlib.redirect_stderr(io.StringIO()) as captured:
-            args = _build_parser().parse_args(argv)
-    except (SystemExit, argparse.ArgumentError) as exc:
-        detail = captured.getvalue().strip().splitlines()
+        args = _build_parser(_EntryParser).parse_args(argv)
+    except ValidationError as exc:
         raise ValidationError(
-            f"manifest entry {index}: {detail[-1] if detail else exc}",
-            field=f"commands[{index}].args",
+            f"manifest entry {index}: {exc.message}", field=f"commands[{index}].args"
         ) from exc
     result, tables = _COMMANDS[command](args)
     report = {

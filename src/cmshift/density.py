@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measures, thermo
+from . import measures
 from .counting import _log_big
 from .errors import ConnectorNotFound, SamplingExhausted, ValidationError
 from .families import full_shift, golden_mean

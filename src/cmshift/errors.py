@@ -69,6 +69,6 @@ class ConnectorNotFound(CmshiftError):
 
 
 class NonConvergent(CmshiftError):
-    """A limit computation failed its Cauchy check."""
+    """A numerical computation failed its convergence or accuracy check."""
 
     code = "non_convergent"

@@ -3,10 +3,11 @@
 Loop-system families fix the loop counts a_l (number of first-return loops
 of length l at the base vertex):
 
-* `renewal_shift`: a_l = 1 for every l. Entropy log 2, and the escape rate
-  at infinity is also log 2 (long loops carry full entropy).
-* `power_loops`: a_l = 2**l (parallel loops; a multigraph). Entropy log x
-  with sum 2**l x**l = 1, and again full entropy at infinity.
+* `renewal_shift`: a_l = 1 for every l. Entropy log 2, and escape rate 0
+  at infinity (the loop counts do not grow).
+* `power_loops`: a_l = 2**l (parallel loops; a multigraph). Entropy log 4
+  (sum 2**l x**l = 1 at x = 1/4), and delta_inf = log 2 from the growth of
+  the loop counts.
 * `subexponential_loops`: a_l = floor(2**l / (4 l**2)). The loop series at
   its radius 1/2 stays below 1, so the system is transient.
 * `greedy_null_loops`: a_l chosen greedily so the loop series at radius 1/2

@@ -272,11 +272,7 @@ class LoopSystem:
         """Largest loop length, or None when the tail is infinite."""
         if self.is_infinite:
             return None
-        best = max((l for l, m in self._explicit.items() if m > 0), default=0)
-        if self.tail is not None and not self.tail.effective:
-            # a vanishing tail contributes nothing
-            pass
-        return best
+        return max((l for l, m in self._explicit.items() if m > 0), default=0)
 
     def enumeration(self, max_id):
         return Enumeration(self, max_id)
@@ -476,45 +472,56 @@ def canonical_cylinders(graph, depth, symbol_cap=32):
 
 
 # ---------------------------------------------------------------------------
-# connectivity helpers
+# connectivity
+
+
+def strongly_connected_components(graph):
+    """Strongly connected components as vertex lists, iterative Tarjan."""
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    out = []
+    for root in range(1, graph.symbols + 1):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(graph.out_neighbors(root)))]
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for u in it:
+                if u not in index:
+                    index[u] = low[u] = len(index)
+                    stack.append(u)
+                    on_stack.add(u)
+                    work.append((u, iter(graph.out_neighbors(u))))
+                    advanced = True
+                    break
+                if u in on_stack:
+                    low[v] = min(low[v], index[u])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(comp)
+    return out
 
 
 def is_strongly_connected(graph):
-    if graph.symbols == 1:
-        return graph.is_edge(1, 1) or True
-    seen = _reach(graph, 1, graph.out_neighbors)
-    if len(seen) != graph.symbols:
-        return False
-    seen = _reach(graph, 1, graph.in_neighbors)
-    return len(seen) == graph.symbols
-
-
-def _reach(graph, root, step):
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for u in step(v):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
-
-
-def graph_period(graph):
-    """gcd of cycle lengths through vertex 1 (graph assumed strongly connected)."""
-    level = {1: 0}
-    queue = [1]
-    g = 0
-    while queue:
-        v = queue.pop(0)
-        for u in graph.out_neighbors(v):
-            if u not in level:
-                level[u] = level[v] + 1
-                queue.append(u)
-            else:
-                g = math.gcd(g, level[v] + 1 - level[u])
-    return max(g, 1)
+    return len(strongly_connected_components(graph)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -46,22 +46,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def _finite_pressure(graph, t, q):
     """log of the Perron root of the transfer matrix with weight e^-t on
     every edge entering a symbol <= q."""
-    size = graph.symbols
-    mat = np.zeros((size, size))
-    weight = math.exp(-t)
-    for (i, j), m in graph.edge_multiplicities().items():
-        mat[i - 1, j - 1] = m * (weight if j <= q else 1.0)
-    # Collatz-Wielandt brackets on mat + I (aperiodic for connected graphs)
-    vec = np.ones(size)
-    lo, hi = 0.0, math.inf
-    for _ in range(100000):
-        nxt = mat @ vec + vec
-        ratios = nxt / vec
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-        vec = nxt / nxt.max()
-    return math.log(0.5 * (lo + hi) - 1.0)
+    mat = thermo.adjacency_matrix(graph)
+    mat[:, :q] *= math.exp(-t)
+    lam = thermo._max_block_root(graph, mat)
+    return math.log(lam) if lam > 0 else float("-inf")
 
 
 def _visit_corrections(system, t, q):

@@ -23,15 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .counting import _log_big
 from .errors import NotStronglyConnected, ValidationError
 from .graphs import FiniteGraph, LoopSystem, canonical_cylinders, is_strongly_connected
-
-
-def _log_int(c):
-    if c.bit_length() <= 900:
-        return math.log(c)
-    shift = c.bit_length() - 900
-    return math.log(c >> shift) + shift * math.log(2)
+from .thermo import adjacency_matrix, loop_gf, perron
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +72,8 @@ class MarkovMeasure:
 def markov_measure(graph, transitions, pi=None):
     """Markov measure from a transition dict {(i, j): prob}.
 
-    When pi is omitted the stationary vector is computed from P.
+    When pi is omitted the stationary vector is the left Perron vector of P,
+    which needs a strongly connected support.
     """
     n = graph.symbols
     P = np.zeros((n, n))
@@ -91,14 +87,11 @@ def markov_measure(graph, transitions, pi=None):
     if np.max(np.abs(rows - 1.0)) > 1e-9:
         raise ValidationError("transition rows must sum to 1")
     if pi is None:
-        v = np.ones(n) / n
-        for _ in range(200000):
-            w = 0.5 * (v + v @ P)  # lazy chain: aperiodic for irreducible P
-            if np.max(np.abs(w - v)) < 1e-15:
-                v = w
-                break
-            v = w
-        pi = v / v.sum()
+        support = FiniteGraph(n, [(i + 1, j + 1) for i, j in np.argwhere(P > 0).tolist()])
+        if not is_strongly_connected(support):
+            raise NotStronglyConnected("pi is unique only on a strongly connected support")
+        left = perron(P)[1]
+        pi = left / left.sum()
     return MarkovMeasure(graph, pi, P)
 
 
@@ -108,32 +101,13 @@ def parry_measure(graph):
         raise ValidationError("parry_measure needs a finite graph")
     if not is_strongly_connected(graph):
         raise NotStronglyConnected("the Parry chain needs a strongly connected graph")
-    n = graph.symbols
-    a = np.zeros((n, n))
-    for (i, j), m in graph.edge_multiplicities().items():
-        a[i - 1, j - 1] = m
-    b = a + np.eye(n)  # primitive for strongly connected graphs
-    v = np.ones(n)
-    u = np.ones(n)
-    lam = 1.0
-    for _ in range(100000):
-        w = b @ v
-        ratios = w / v
-        lam = 0.5 * (ratios.min() + ratios.max())
-        v = w / w.max()
-        z = u @ b
-        left_ratios = z / u
-        u = z / z.max()
-        if (
-            ratios.max() - ratios.min() < 1e-14
-            and left_ratios.max() - left_ratios.min() < 1e-14
-        ):
-            break
-    lam -= 1.0
-    P = a * v[None, :] / (lam * v[:, None])
+    a = adjacency_matrix(graph)
+    _, u, v = perron(a)
+    # P(i, j) = a_ij v_j / (Av)_i: rows sum to 1 whatever the bracket width
+    P = a * v[None, :]
+    P /= P.sum(axis=1)[:, None]
     pi = u * v
-    pi = pi / pi.sum()
-    return MarkovMeasure(graph, pi, P, label="parry")
+    return MarkovMeasure(graph, pi / pi.sum(), P, label="parry")
 
 
 def bernoulli_measure(graph, probs):
@@ -177,7 +151,7 @@ class LoopMarkovMeasure:
             a = system.multiplicity(l)
             if a < 1:
                 raise ValidationError(f"no loops of length {l}")
-            self._log_counts[l] = _log_int(a)
+            self._log_counts[l] = _log_big(a)
         self.expected_length = math.fsum(l * w for l, w in self.weights.items())
         if entropy is None:
             entropy = (
@@ -248,8 +222,6 @@ class LoopMarkovMeasure:
 
 def loop_mme(system, tol=1e-14, weight_cutoff=1e-13):
     """The maximal-entropy loop chain: weights a_l x*^l."""
-    from .thermo import loop_gf
-
     gf = loop_gf(system)
     root = gf.x_star(tol=tol)
     if root is None:
@@ -264,7 +236,7 @@ def loop_mme(system, tol=1e-14, weight_cutoff=1e-13):
     while l < 100000:
         a = system.multiplicity(l)
         if a:
-            w = math.exp(_log_int(a) + l * log_root)
+            w = math.exp(_log_big(a) + l * log_root)
             weights[l] = w
         if l >= 8 and gf._tail_bounds(l, root)[1] < weight_cutoff:
             break
@@ -294,7 +266,7 @@ def _window_value(counts, x):
     logx = math.log(x)
     total = 0.0
     for l, a in counts.items():
-        e = _log_int(a) + l * logx
+        e = _log_big(a) + l * logx
         total += math.exp(e) if e < 700 else math.inf
     return total
 
@@ -317,7 +289,7 @@ def _window_root(counts, tol=1e-15):
 
 def _window_measure(system, counts, y, label):
     logy = math.log(y)
-    weights = {l: math.exp(_log_int(a) + l * logy) for l, a in counts.items()}
+    weights = {l: math.exp(_log_big(a) + l * logy) for l, a in counts.items()}
     return LoopMarkovMeasure(system, weights, label=label)
 
 
@@ -326,14 +298,6 @@ def tail_parry_measure(system, lo, hi):
     counts = _window_counts(system, lo, hi)
     x0 = _window_root(counts)
     return _window_measure(system, counts, x0, label=f"window-mme[{lo},{hi}]")
-
-
-def tilted_loop_measure(system, y, lo, hi):
-    """Loop chain with weights proportional to a_l y**l on [lo, hi]."""
-    if y <= 0:
-        raise ValidationError("y must be positive")
-    counts = _window_counts(system, lo, hi)
-    return _window_measure(system, counts, y, label=f"tilted[{lo},{hi}]")
 
 
 def entropy_targeted_measure(system, target, lo, hi, iters=200):

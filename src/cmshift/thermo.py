@@ -23,100 +23,92 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import GrowthEstimate, escape_count, growth_rate, loop_count
-from .errors import NotStronglyConnected, ValidationError
-from .graphs import FiniteGraph, GeometricTail, LoopSystem
+from .counting import GrowthEstimate, _log_big, escape_count, growth_rate, loop_count
+from .errors import NonConvergent, NotStronglyConnected, ValidationError
+from .graphs import (
+    FiniteGraph,
+    GeometricTail,
+    LoopSystem,
+    is_strongly_connected,
+    strongly_connected_components,
+)
 
 # ---------------------------------------------------------------------------
-# Perron roots of finite graphs
+# Perron data of finite graphs
+
+# widest accepted Collatz-Wielandt bracket, relative to the Perron root
+PERRON_BRACKET = 1e-9
+# eig passes before NonConvergent; each rescaling recovers vector entries
+# that the previous pass had only to absolute accuracy
+PERRON_PASSES = 4
 
 
-def _sccs(graph):
-    """Strongly connected components, iterative Tarjan."""
-    n = graph.symbols
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    out = []
-    counter = [0]
-    for root in range(1, n + 1):
-        if root in index:
-            continue
-        work = [(root, iter(graph.out_neighbors(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for u in it:
-                if u not in index:
-                    index[u] = low[u] = counter[0]
-                    counter[0] += 1
-                    stack.append(u)
-                    on_stack.add(u)
-                    work.append((u, iter(graph.out_neighbors(u))))
-                    advanced = True
-                    break
-                if u in on_stack:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-    return out
+def _top_eigenpair(b):
+    vals, vecs = np.linalg.eig(b)
+    k = np.argmax(vals.real)
+    return float(vals[k].real), np.abs(vecs[:, k])
 
 
-def perron_root(graph, tol=1e-13, max_iter=20000):
-    """Spectral radius of the adjacency (multiplicity) matrix.
+def perron(a):
+    """Perron root and positive left and right eigenvectors of an
+    irreducible nonnegative matrix: (lam, left, right).
 
-    Certified Collatz brackets on A+I per strongly connected component;
-    the shift by the identity removes periodicity.
+    The eigenpairs of largest real part come from numpy.linalg.eig of a and
+    of a.T; their moduli drop any complex phase. Two matvecs then check lam
+    against the Collatz-Wielandt brackets [min (Av)_i/v_i, max (Av)_i/v_i]
+    of both vectors, which contain the Perron root for every positive v.
+
+    eig gets entries far below the largest only to absolute accuracy, so a
+    bracket wider than PERRON_BRACKET * lam is retried on the similar matrix
+    D^-1 a D, D = diag(sqrt(right / left)), whose left and right Perron
+    vectors are both sqrt(left * right). Raises NonConvergent on a zero
+    vector entry (a reducible matrix) or a bracket still too wide after
+    PERRON_PASSES passes.
     """
-    mult = graph.edge_multiplicities()
+    scale = np.ones(len(a))
+    for _ in range(PERRON_PASSES):
+        b = a * scale / scale[:, None]
+        lam, right = _top_eigenpair(b)
+        right = right * scale
+        left = _top_eigenpair(b.T)[1] / scale
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratios = np.concatenate([(a @ right) / right, (left @ a) / left])
+            scale = np.sqrt(right / left)
+        if not (np.isfinite(scale).all() and scale.min() > 0):
+            raise NonConvergent("a Perron vector entry is zero or out of float range")
+        width = max(ratios.max(), lam) - min(ratios.min(), lam)
+        if width <= PERRON_BRACKET * lam:
+            return lam, left, right
+    raise NonConvergent(
+        f"Collatz-Wielandt bracket [{ratios.min()}, {ratios.max()}] around the "
+        f"root {lam} is wider than {PERRON_BRACKET} relative after {PERRON_PASSES} passes"
+    )
+
+
+def _max_block_root(graph, mat):
+    """Largest Perron root over the strongly connected blocks of mat, a
+    matrix indexed by the symbols of graph; 0.0 when graph has no cycle."""
     best = 0.0
-    for comp in _sccs(graph):
-        comp = sorted(comp)
-        pos = {v: i for i, v in enumerate(comp)}
-        k = len(comp)
-        a = np.zeros((k, k))
-        has_edge = False
-        for v in comp:
-            for u in graph.out_neighbors(v):
-                if u in pos:
-                    a[pos[v], pos[u]] = mult[(v, u)]
-                    has_edge = True
-        if not has_edge:
-            continue
-        if k == 1:
-            best = max(best, a[0, 0])
-            continue
-        b = a + np.eye(k)
-        v = np.ones(k)
-        lam = 1.0
-        for _ in range(max_iter):
-            w = b @ v
-            ratios = w / v
-            lo, hi = ratios.min(), ratios.max()
-            lam = 0.5 * (lo + hi)
-            v = w / w.max()
-            if hi - lo < tol:
-                break
-        best = max(best, lam - 1.0)
+    for comp in strongly_connected_components(graph):
+        idx = np.array(comp) - 1
+        block = mat[np.ix_(idx, idx)]
+        if block.any():
+            best = max(best, perron(block)[0])
     return best
+
+
+def adjacency_matrix(graph):
+    """Dense matrix of edge multiplicities, indexed by symbol - 1."""
+    a = np.zeros((graph.symbols, graph.symbols))
+    for (i, j), m in graph.edge_multiplicities().items():
+        a[i - 1, j - 1] = m
+    return a
+
+
+def perron_root(graph):
+    """Spectral radius of the adjacency (multiplicity) matrix: the largest
+    eig-checked Perron root over the strongly connected components."""
+    return _max_block_root(graph, adjacency_matrix(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +148,7 @@ class LoopGF:
             if not a:
                 continue
             if a.bit_length() > 500:
-                terms.append(math.exp(_log_int(a) + l * logx))
+                terms.append(math.exp(_log_big(a) + l * logx))
             else:
                 terms.append(a * x ** l)
         return math.fsum(terms), upto
@@ -246,13 +238,6 @@ def loop_gf(system):
     return LoopGF(system)
 
 
-def _log_int(c):
-    if c.bit_length() <= 900:
-        return math.log(c)
-    shift = c.bit_length() - 900
-    return math.log(c >> shift) + shift * math.log(2)
-
-
 # ---------------------------------------------------------------------------
 # entropy
 
@@ -269,7 +254,8 @@ class EntropyReport:
 def gurevich_entropy(graph, n_max=40, trace_qs=(4, 8, 16, 32, 64)):
     """Exponential growth rate of loop counts at a vertex.
 
-    Finite graphs use certified Perron brackets. Loop systems solve
+    Finite graphs use Perron roots from eig, checked by a Collatz-Wielandt
+    bracket of relative width PERRON_BRACKET. Loop systems solve
     f(x_c) = 1 on the first-return series (x_c capped at the radius) and
     corroborate with a truncation trace of Perron roots and, when n_max
     allows, a direct growth fit on exact loop counts.
@@ -309,8 +295,6 @@ class Classification:
 def classify(graph):
     """Vere-Jones recurrence classification of an irreducible presentation."""
     if isinstance(graph, FiniteGraph):
-        from .graphs import is_strongly_connected
-
         if not is_strongly_connected(graph):
             raise NotStronglyConnected("classification needs a strongly connected graph")
         h = gurevich_entropy(graph).value
@@ -435,7 +419,7 @@ def is_spr(graph, threshold=0.02):
     """Entropy gap at infinity: SPR when h - Delta_inf exceeds the threshold."""
     h = gurevich_entropy(graph).value
     d = big_delta_inf(graph)
+    if h == float("-inf"):
+        raise NotStronglyConnected("the SPR verdict needs a graph with a cycle")
     margin = h - d
-    if math.isnan(margin):
-        margin = 0.0
     return SprVerdict(margin > threshold, h, d, margin, threshold)

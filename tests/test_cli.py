@@ -404,11 +404,19 @@ def test_run_manifest_bad_entry_flag_exits_2(tmp_path, capsys):
         "commands": [
             {"command": "classify",
              "args": {"graph": "golden.json", "no-such-flag": 1}},
+            {"command": "spr",
+             "args": {"graph": "golden.json", "no-such-flag": 2}},
         ],
     }))
-    code, doc = run_cli(
-        capsys, ["run", str(manifest), "--out", str(tmp_path / "out")]
-    )
-    assert code == 2
-    assert doc["error"]["code"] == "validation"
-    assert doc["error"]["field"] == "commands[0].args"
+    stderr = sys.stderr
+    for jobs in ("1", "2"):
+        code, doc = run_cli(
+            capsys,
+            ["run", str(manifest), "--out", str(tmp_path / "out"), "--jobs", jobs],
+        )
+        assert code == 2
+        assert doc["error"]["code"] == "validation"
+        assert doc["error"]["field"] == "commands[0].args"
+        assert "--no-such-flag" in doc["error"]["message"]
+        # entries parse on worker threads without swapping the process stderr
+        assert sys.stderr is stderr

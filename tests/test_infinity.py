@@ -6,7 +6,10 @@ Oracles used here, independent of the implementation under test:
     the base exactly once, so the weighted series is e^-t f(x) and the
     pressure is log(1 + e^-t); the a_l = 2^l system adds log 2,
   - on the full 2-shift with weight e^-t on symbol 1 the transfer matrix
-    has rank one with row sum e^-t + 1,
+    has rank one with row sum e^-t + 1; on the golden mean shift its root
+    solves lam^2 = w lam + w with w = e^-t,
+  - on a block system of period p whose cycles all pass one state once per
+    period, lam^p is the weight of the length-p walks from that state back,
   - the dual bound min_t [P(-t 1_F) + t lam] has the closed-form minimizer
     e^-t = lam/(1-lam) for P(t) = log(1+e^-t),
   - escape counts in the budget-2 regime are single loops, making the
@@ -16,9 +19,10 @@ Oracles used here, independent of the implementation under test:
 
 import math
 
+import numpy as np
 import pytest
 
-from cmshift import infinity, measures, thermo
+from cmshift import density, infinity, measures, thermo
 from cmshift.errors import ValidationError
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
 
@@ -44,6 +48,35 @@ def test_pressure_indicator_finite_closed_form():
     for t in (0.0, 1.0, 3.0):
         want = math.log(1 + math.exp(-t))
         assert abs(infinity.pressure_indicator(g, t, q=1) - want) < 1e-9
+
+
+def test_pressure_indicator_golden_mean_at_large_t():
+    # weight w = e^-t on edges entering symbol 1: lam^2 = w lam + w
+    t = 20.0
+    w = math.exp(-t)
+    want = math.log((w + math.sqrt(w * w + 4 * w)) / 2)
+    assert abs(infinity.pressure_indicator(golden_mean(), t, q=1) - want) < 1e-12
+
+
+def test_pressure_indicator_block_system_first_returns():
+    # every cycle of the block system meets the first slot start once per
+    # period p = M*n, so lam^p is the weight of the walks of length p from
+    # that state back to itself. numpy.linalg.eigvals misses this root by
+    # 3.5e-6: the eigenvalue is ill-conditioned, its Perron vectors span
+    # 17 orders of magnitude.
+    n, M, t, q = 14, 4, 3.6, 26
+    system = density.concatenated_system(full_shift(2), [golden_mean(), full_shift(2)], n=n, M=M)
+    g = system.graph
+    mat = np.zeros((g.symbols, g.symbols))
+    for (i, j), m in g.edge_multiplicities().items():
+        mat[i - 1, j - 1] = m * (math.exp(-t) if j <= q else 1.0)
+    start = system.slot_starts[0] - 1
+    x = np.zeros(g.symbols)
+    x[start] = 1.0
+    for _ in range(M * n):
+        x = x @ mat
+    want = math.log(x[start]) / (M * n)
+    assert abs(infinity.pressure_indicator(g, t, q=q) - want) < 1e-10
 
 
 def test_pressure_at_zero_is_entropy():

@@ -67,6 +67,23 @@ def test_parry_requires_strong_connectivity():
         measures.parry_measure(FiniteGraph(2, [(1, 1), (1, 2)]))
 
 
+def test_markov_measure_needs_strongly_connected_support():
+    # 1 -> 2 -> 2: every stationary vector sits on {2}, but P has no
+    # strongly connected support to make it unique
+    g = FiniteGraph(2, [(1, 1), (1, 2), (2, 2)])
+    with pytest.raises(NotStronglyConnected):
+        measures.markov_measure(g, {(1, 1): 0.5, (1, 2): 0.5, (2, 2): 1.0})
+
+
+def test_markov_measure_stationary_vector():
+    # golden-mean chain with P(1,1) = p: pi = (1, 1 - p) / (2 - p)
+    p = 0.3
+    mu = measures.markov_measure(golden_mean(), {(1, 1): p, (1, 2): 1 - p, (2, 1): 1.0})
+    assert mu.is_stationary
+    assert abs(mu.pi[0] - 1 / (2 - p)) < 1e-14
+    assert abs(mu.pi[1] - (1 - p) / (2 - p)) < 1e-14
+
+
 def test_parry_local_maximality():
     # the Parry chain maximizes entropy among Markov chains on the graph
     g = golden_mean()

@@ -8,9 +8,11 @@ tolerance, except where floating point enters (stationarity, entropy).
 import math
 import random
 
+import numpy as np
 import pytest
 
-from cmshift import counting, katok, measures
+from cmshift import counting, density, katok, measures, thermo
+from cmshift.families import full_shift, golden_mean
 from cmshift.graphs import enumerate_words
 
 from properties import (
@@ -110,6 +112,32 @@ def test_escape_counts_invariant_under_marked_relabeling():
         a = counting.escape_count(g, M=2, q=q, n_max=7).counts
         b = counting.escape_count(h, M=2, q=q, n_max=7).counts
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Perron roots
+
+
+def test_perron_root_matches_eigvals():
+    # extra inputs: concatenated block systems over the full 2-shift, with
+    # golden-mean and full blocks in M = 4 slots, of period M*n, n = 6..15.
+    # Every cycle there meets the first slot start once per period, so the
+    # entropy is also the growth rate of the block-count products.
+    ambient = full_shift(2)
+    systems = [
+        density.concatenated_system(ambient, [golden_mean(), ambient], n=n, M=4)
+        for n in range(6, 16)
+    ]
+    graphs = graphs_under_test(118, max_symbols=5) + [s.graph for s in systems]
+    for g in graphs:
+        a = np.zeros((g.symbols, g.symbols))
+        for (i, j), m in g.edge_multiplicities().items():
+            a[i - 1, j - 1] = m
+        want = float(np.max(np.abs(np.linalg.eigvals(a))))
+        assert abs(math.log(thermo.perron_root(g)) - math.log(want)) < 1e-10
+    for s in systems:
+        rate = math.fsum(math.log(c) for c in s.block_counts) / (s.M * s.n)
+        assert abs(math.log(thermo.perron_root(s.graph)) - rate) < 1e-12
 
 
 # ---------------------------------------------------------------------------

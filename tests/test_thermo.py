@@ -15,9 +15,11 @@ Oracles used here, independent of the implementation under test:
 
 import math
 
+import numpy as np
 import pytest
 
 from cmshift import thermo
+from cmshift.errors import NonConvergent, NotStronglyConnected
 from cmshift.families import (
     full_shift,
     golden_mean,
@@ -26,6 +28,7 @@ from cmshift.families import (
     renewal_shift,
     subexponential_loops,
 )
+from cmshift.graphs import FiniteGraph
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -172,3 +175,22 @@ def test_is_spr():
     assert thermo.is_spr(power_loops()).spr
     assert thermo.is_spr(full_shift(2)).spr
     assert thermo.is_spr(full_shift(2)).margin == math.inf
+
+
+def test_is_spr_rejects_graph_without_cycle():
+    # no cycle: entropy and delta_inf are both -inf, so there is no margin
+    with pytest.raises(NotStronglyConnected):
+        thermo.is_spr(FiniteGraph(3, [(1, 2), (2, 3)]))
+
+
+def test_perron_golden_mean_vectors():
+    lam, left, right = thermo.perron(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    assert abs(lam - PHI) < 1e-14
+    assert abs(right[0] / right[1] - PHI) < 1e-14
+    assert abs(left[0] / left[1] - PHI) < 1e-14
+
+
+def test_perron_rejects_reducible_matrix():
+    # the Perron vector of a Jordan block has a zero entry
+    with pytest.raises(NonConvergent):
+        thermo.perron(np.array([[1.0, 1.0], [0.0, 1.0]]))
