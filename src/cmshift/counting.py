@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import FiniteGraph, LoopSystem, walk_view
+from .graphs import FiniteGraph, LoopSystem, _log_big, walk_view
 
 
 @dataclass
@@ -130,8 +130,7 @@ def loop_count(graph, vertex, n_max):
         counts = _finite_loop_counts(graph, vertex, n_max)
         return CountSeries("loop_count", 1, counts, {"vertex": vertex})
     system = graph
-    a = [0] + [system.multiplicity(k) for k in range(1, n_max + 1)]
-    base = _renewal_sequence(a, n_max)
+    base = _renewal_sequence(system.counts(n_max), n_max)
     if vertex == 1:
         counts = base[1:]
     else:
@@ -150,15 +149,14 @@ def first_return_count(graph, vertex, n_max):
         counts = _finite_first_returns(graph, vertex, n_max)
         return CountSeries("first_return", 1, counts, {"vertex": vertex})
     system = graph
+    a = system.counts(n_max)
     if vertex == 1:
-        counts = [system.multiplicity(n) for n in range(1, n_max + 1)]
+        counts = a[1:]
     else:
         length, _ = _locate_interior(system, vertex)
         # base walks that avoid the one loop through `vertex`
-        a = [0] + [
-            system.multiplicity(k) - (1 if k == length else 0)
-            for k in range(1, n_max + 1)
-        ]
+        if length <= n_max:
+            a[length] -= 1
         w = _renewal_sequence(a, n_max)
         counts = [w[n - length] if n >= length else 0 for n in range(1, n_max + 1)]
     return CountSeries("first_return", 1, counts, {"vertex": vertex})
@@ -271,11 +269,3 @@ def growth_rate(series, method="affine-fit", window=None):
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
     return GrowthEstimate("affine-fit", float(slope), resid, (lo, hi), len(pts))
-
-
-def _log_big(c):
-    """log of a positive integer of any size."""
-    if c.bit_length() <= 900:
-        return math.log(c)
-    shift = c.bit_length() - 900
-    return math.log(c >> shift) + shift * math.log(2)

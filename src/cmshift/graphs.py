@@ -21,7 +21,24 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapacityError, SchemaError, TruncationInsufficient, ValidationError
+
+
+# longest prefix of loop counts a LoopSystem caches; the loop series sums at
+# most this many terms
+SERIES_TERMS = 4096
+# counts longer than this many bits enter float sums through their logarithm
+BIG_BITS = 500
+
+
+def _log_big(c):
+    """log of a positive integer of any size."""
+    if c.bit_length() <= 900:
+        return math.log(c)
+    shift = c.bit_length() - 900
+    return math.log(c >> shift) + shift * math.log(2)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +74,36 @@ class GeometricTail:
             gn, gd = self.growth.as_integer_ratio()
             return num * gn ** length // (den * gd ** length)
 
+    def multiplicities(self, lo, hi):
+        """[multiplicity(l) for l in lo..hi], past the float range from one
+        running power gn**l instead of a fresh one per length."""
+        out = [0] * max(0, min(hi + 1, self.from_length) - lo)
+        l = max(lo, self.from_length)
+        if float(self.growth).is_integer() and float(self.coeff).is_integer():
+            c, g = int(self.coeff), int(self.growth)
+            power = c * g ** l
+            for _ in range(l, hi + 1):
+                out.append(power)
+                power *= g
+            return out
+        while l <= hi:
+            try:
+                out.append(int(math.floor(self.coeff * self.growth ** l)))
+            except OverflowError:
+                break
+            l += 1
+        if l <= hi:
+            num, den = self.coeff.as_integer_ratio()
+            gn, gd = self.growth.as_integer_ratio()
+            # the denominators of float ratios are powers of two, so the
+            # floor of num gn**l / (den gd**l) is a right shift
+            s0, s1 = den.bit_length() - 1, gd.bit_length() - 1
+            power = num * gn ** l
+            for length in range(l, hi + 1):
+                out.append(power >> (s0 + length * s1))
+                power *= gn
+        return out
+
     @property
     def effective(self):
         """True when the tail contributes infinitely many loops."""
@@ -64,13 +111,20 @@ class GeometricTail:
             return self.coeff > 0
         return self.coeff >= 1
 
-    def upper_sum(self, beyond, x):
-        """Certified upper bound for sum_{l > beyond} a_l x**l, for 0 < x < 1/growth."""
+    def envelope(self, beyond, x, toward=math.inf):
+        """coeff * sum_{l > beyond} y**l for y = growth * x rounded toward
+        `toward` (exact when growth is a power of two); inf once y >= 1."""
         y = self.growth * x
+        if math.frexp(self.growth)[0] != 0.5:
+            y = math.nextafter(y, toward)
         if y >= 1:
             return math.inf
         start = max(beyond + 1, self.from_length)
         return self.coeff * y ** start / (1 - y)
+
+    def upper_sum(self, beyond, x):
+        """Certified upper bound for sum_{l > beyond} a_l x**l, for 0 < x < 1/growth."""
+        return self.envelope(beyond, x)
 
 
 @dataclass(frozen=True)
@@ -94,6 +148,9 @@ class FormulaTail:
 
     def multiplicity(self, length):
         return int(self.fn(length))
+
+    def multiplicities(self, lo, hi):
+        return [int(self.fn(l)) for l in range(lo, hi + 1)]
 
     @property
     def from_length(self):
@@ -233,8 +290,54 @@ class Enumeration:
         return self.per_length.get(length, 0)
 
 
+@dataclass(frozen=True)
+class CountTable:
+    """Loop counts a_l of a LoopSystem for the lengths 1..upto.
+
+    `exact[l]` is a_l (exact[0] = 0). The arrays cover the nonzero lengths
+    only, ascending: `lengths`, `logs` = log a_l, `big` marking the counts
+    of more than BIG_BITS bits, and `floats` = float(a_l) for the others
+    (0.0 where `big`).
+    """
+
+    upto: int
+    exact: tuple
+    lengths: np.ndarray
+    logs: np.ndarray
+    floats: np.ndarray
+    big: np.ndarray
+
+    def extended(self, counts):
+        """The table for lengths 1..upto + len(counts), given those counts."""
+        rows = [(l, a) for l, a in enumerate(counts, self.upto + 1) if a]
+        big = [a.bit_length() > BIG_BITS for _, a in rows]
+        floats = [0.0 if b else float(a) for (_, a), b in zip(rows, big)]
+        return CountTable(
+            self.upto + len(counts),
+            self.exact + tuple(counts),
+            np.concatenate([self.lengths, np.array([l for l, _ in rows], dtype=np.int64)]),
+            np.concatenate([self.logs, np.array([_log_big(a) for _, a in rows], dtype=float)]),
+            np.concatenate([self.floats, np.array(floats, dtype=float)]),
+            np.concatenate([self.big, np.array(big, dtype=bool)]),
+        )
+
+    def prefix(self, upto):
+        """Number of nonzero lengths <= upto."""
+        return int(np.searchsorted(self.lengths, upto, side="right"))
+
+
+_EMPTY_TABLE = CountTable(
+    0, (0,), np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)
+)
+
+
 class LoopSystem:
-    """Loops at a common base vertex: explicit list plus optional tail rule."""
+    """Loops at a common base vertex: explicit list plus optional tail rule.
+
+    Loop counts are computed once: the system keeps a CountTable of a_l for
+    the lengths 1..n, extended as far as a query asks up to SERIES_TERMS (or
+    the longest loop); longer lengths are counted afresh on every query.
+    """
 
     def __init__(self, loops, tail=None):
         loops = [(int(l), int(m)) for l, m in loops]
@@ -250,6 +353,9 @@ class LoopSystem:
             self._explicit[l] = self._explicit.get(l, 0) + m
         if not self.is_infinite and not any(m > 0 for m in self._explicit.values()):
             raise ValidationError("loop system needs at least one loop")
+        lim = self.max_loop_length()
+        self._cap = SERIES_TERMS if lim is None else min(SERIES_TERMS, lim)
+        self._table = _EMPTY_TABLE
 
     @property
     def symbols(self):
@@ -259,11 +365,52 @@ class LoopSystem:
     def is_infinite(self):
         return self.tail is not None and self.tail.effective
 
+    def _fresh_counts(self, lo, hi):
+        """a_l for l = lo..hi, counted without the table."""
+        if hi < lo:
+            return []
+        tail = self.tail.multiplicities(lo, hi) if self.tail is not None else [0] * (hi - lo + 1)
+        return [self._explicit.get(l, 0) + a for l, a in zip(range(lo, hi + 1), tail)]
+
+    def count_table(self, upto):
+        """The cached table, extended to cover min(upto, SERIES_TERMS, the
+        longest loop). An extension is built whole and swapped in with one
+        assignment, so threads sharing the system never see half a table."""
+        table = self._table
+        upto = min(upto, self._cap)
+        if upto > table.upto:
+            table = table.extended(self._fresh_counts(table.upto + 1, upto))
+            self._table = table
+        return table
+
     def multiplicity(self, length):
-        a = self._explicit.get(length, 0)
-        if self.tail is not None:
-            a += self.tail.multiplicity(length)
-        return a
+        if length < 1:
+            return 0
+        if length > self._cap:
+            return self._fresh_counts(length, length)[0]
+        table = self._table
+        if length > table.upto:
+            # single lookups extend the table by doubling
+            table = self.count_table(max(length, 2 * table.upto))
+        return table.exact[length]
+
+    def counts(self, upto):
+        """[a_0, a_1, ..., a_upto] with a_0 = 0."""
+        out = list(self.count_table(upto).exact[: upto + 1])
+        return out + self._fresh_counts(len(out), upto)
+
+    def log_counts(self, lo, hi):
+        """(lengths, log a_l) of the nonzero lengths in [lo, hi], as arrays."""
+        table = self.count_table(hi)
+        i = int(np.searchsorted(table.lengths, lo, side="left"))
+        j = table.prefix(hi)
+        lengths, logs = table.lengths[i:j], table.logs[i:j]
+        start = max(lo, table.upto + 1)
+        rest = [(l, a) for l, a in enumerate(self._fresh_counts(start, hi), start) if a]
+        if rest:
+            lengths = np.concatenate([lengths, np.array([l for l, _ in rest], dtype=np.int64)])
+            logs = np.concatenate([logs, np.array([_log_big(a) for _, a in rest])])
+        return lengths, logs
 
     def explicit_multiplicity(self, length):
         return self._explicit.get(length, 0)

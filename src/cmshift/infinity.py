@@ -33,7 +33,7 @@ import numpy as np
 from . import counting, measures, thermo
 from .counting import _log_big
 from .errors import NotDrifting, ValidationError
-from .graphs import FiniteGraph, LoopSystem
+from .graphs import FiniteGraph, LoopSystem, strongly_connected_components
 
 _LOG2 = math.log(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -135,12 +135,34 @@ class BInfReport:
     pressure_at_opt: float
 
 
+def _pressure_bounded_below(graph, q):
+    """Whether P(-t 1_F), F = symbols <= q, stays bounded below as t grows:
+    on an infinite loop system by log growth (measures on ever longer loops),
+    on a finite graph when some cycle avoids F. Every cycle of a finite loop
+    system passes through the base."""
+    if isinstance(graph, LoopSystem):
+        return graph.is_infinite
+    if q >= graph.symbols:
+        return False
+    outside = {
+        (i - q, j - q): m for (i, j), m in graph.edge_multiplicities().items() if i > q and j > q
+    }
+    rest = FiniteGraph(graph.symbols - q, outside)
+    return any(
+        len(comp) > 1 or rest.is_edge(comp[0], comp[0])
+        for comp in strongly_connected_components(rest)
+    )
+
+
 def b_inf_estimate(graph, lam=1e-3, q=1, t_max=None):
     """min over t >= 0 of pressure_indicator(t) + t * lam.
 
     Any invariant measure giving the symbols <= q total mass at most lam
     has entropy below this value, so as lam shrinks and q grows the
-    minimum squeezes down onto the entropy at infinity from above.
+    minimum squeezes down onto the entropy at infinity from above. When
+    every cycle meets the symbols <= q and the objective is still
+    decreasing at t_max, it is taken as unbounded below: value and
+    pressure_at_opt -inf, t_opt inf.
     """
     if lam <= 0:
         raise ValidationError("lam must be > 0")
@@ -167,6 +189,11 @@ def b_inf_estimate(graph, lam=1e-3, q=1, t_max=None):
             f2 = objective(x2)
     t_opt = 0.5 * (lo + hi)
     f_opt = objective(t_opt)
+    if hi == top and not _pressure_bounded_below(graph, q):
+        # still decreasing at the end of the search on a system whose
+        # pressure falls without bound: no minimum, the bound is -inf
+        if objective(top) < objective(top * (1 - 1e-6)):
+            return BInfReport(float("-inf"), math.inf, lam, q, float("-inf"))
     return BInfReport(
         value=f_opt,
         t_opt=t_opt,

@@ -55,6 +55,12 @@ class MarkovMeasure:
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.where(self.P > 0, np.log(np.where(self.P > 0, self.P, 1.0)), 0.0)
         self.entropy = float(-np.sum(self.pi[:, None] * self.P * logs))
+        # P(i, j) spreads evenly over the m_ij parallel edges from i to j
+        parallel = [(i, j, m) for (i, j), m in graph.edge_multiplicities().items() if m > 1]
+        if parallel:
+            self.entropy += math.fsum(
+                self.pi[i - 1] * self.P[i - 1, j - 1] * math.log(m) for i, j, m in parallel
+            )
 
     @property
     def is_stationary(self):
@@ -230,45 +236,41 @@ def loop_mme(system, tol=1e-14, weight_cutoff=1e-13):
         diverges = getattr(system.tail, "mean_diverges", None)
         if diverges:
             raise ValidationError("null recurrent system: no maximal measure")
-    weights = {}
-    log_root = math.log(root)
-    l = 1
-    while l < 100000:
-        a = system.multiplicity(l)
-        if a:
-            w = math.exp(_log_big(a) + l * log_root)
-            weights[l] = w
-        if l >= 8 and gf._tail_bounds(l, root)[1] < weight_cutoff:
+    # the weights run to the first length >= 8 beyond which the series'
+    # tail is below weight_cutoff, or to the longest loop
+    lim = system.max_loop_length()
+    stop = 1
+    while stop < 99999 and not (stop >= 8 and gf._tail_bounds(stop, root)[1] < weight_cutoff):
+        if lim is not None and stop >= lim:
             break
-        lim = system.max_loop_length()
-        if lim is not None and l >= lim:
-            break
-        l += 1
+        stop += 1
+    weights = _weights(*system.log_counts(1, stop), root)
     return LoopMarkovMeasure(
         system, weights, entropy=math.log(1.0 / root), label="loop-mme"
     )
 
 
+def _weights(lengths, logs, y):
+    """{l: a_l y**l} from the lengths and log-counts of a loop system."""
+    exps = (logs + lengths * math.log(y)).tolist()
+    return dict(zip(lengths.tolist(), map(math.exp, exps)))
+
+
 def _window_counts(system, lo, hi):
-    counts = {}
-    for l in range(lo, hi + 1):
-        a = system.multiplicity(l)
-        if a:
-            counts[l] = a
-    if not counts:
+    lengths, logs = system.log_counts(lo, hi)
+    if not len(lengths):
         raise ValidationError(f"no loops with length in [{lo}, {hi}]")
-    return counts
+    return lengths, logs
 
 
 def _window_value(counts, x):
     if x <= 0:
         return 0.0
-    logx = math.log(x)
-    total = 0.0
-    for l, a in counts.items():
-        e = _log_big(a) + l * logx
-        total += math.exp(e) if e < 700 else math.inf
-    return total
+    lengths, logs = counts
+    exps = logs + lengths * math.log(x)
+    if exps.max() >= 700:
+        return math.inf
+    return math.fsum(np.exp(exps).tolist())
 
 
 def _window_root(counts, tol=1e-15):
@@ -288,9 +290,7 @@ def _window_root(counts, tol=1e-15):
 
 
 def _window_measure(system, counts, y, label):
-    logy = math.log(y)
-    weights = {l: math.exp(_log_big(a) + l * logy) for l, a in counts.items()}
-    return LoopMarkovMeasure(system, weights, label=label)
+    return LoopMarkovMeasure(system, _weights(*counts, y), label=label)
 
 
 def tail_parry_measure(system, lo, hi):

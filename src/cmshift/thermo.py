@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import GrowthEstimate, _log_big, escape_count, growth_rate, loop_count
+from .counting import GrowthEstimate, escape_count, growth_rate, loop_count
 from .errors import NonConvergent, NotStronglyConnected, ValidationError
 from .graphs import (
+    SERIES_TERMS,
     FiniteGraph,
     GeometricTail,
     LoopSystem,
@@ -114,9 +115,17 @@ def perron_root(graph):
 # ---------------------------------------------------------------------------
 # loop generating functions
 
+# widening of LoopGF.value_bounds relative to the bounded value
+RELATIVE_SLACK = 1e-13
+_ULP = 2.0 ** -52
+
 
 class LoopGF:
-    """The first-return series f(x) = sum a_l x**l with certified bounds."""
+    """The first-return series f(x) = sum a_l x**l with certified bounds.
+
+    The counts come from the system's cached CountTable, so a fresh LoopGF
+    per query costs nothing beyond the sums themselves.
+    """
 
     def __init__(self, system):
         if not isinstance(system, LoopSystem):
@@ -130,28 +139,26 @@ class LoopGF:
                 self.radius = 1.0
         else:
             self.radius = math.inf
-        self._a = [0]
-
-    def _count(self, length):
-        while len(self._a) <= length:
-            self._a.append(self.system.multiplicity(len(self._a)))
-        return self._a[length]
 
     def _partial(self, x, upto):
+        """(sum of a_l x**l over l <= upto, upto clipped to the longest
+        loop, bound on the rounding error of the big-count terms)."""
         lim = self.system.max_loop_length()
         if lim is not None:
             upto = min(upto, lim)
-        logx = math.log(x)
-        terms = []
-        for l in range(1, upto + 1):
-            a = self._count(l)
-            if not a:
-                continue
-            if a.bit_length() > 500:
-                terms.append(math.exp(_log_big(a) + l * logx))
-            else:
-                terms.append(a * x ** l)
-        return math.fsum(terms), upto
+        table = self.system.count_table(upto)
+        k = table.prefix(upto)
+        lengths = table.lengths[:k]
+        terms = table.floats[:k] * np.power(x, lengths)
+        big = table.big[:k]
+        err = 0.0
+        if big.any():
+            # counts of more than BIG_BITS bits: exp(log a_l + l log x), whose
+            # exponent carries rounding errors of a few ulps of its parts
+            logs, exps = table.logs[:k][big], lengths[big] * math.log(x)
+            terms[big] = np.exp(logs + exps)
+            err = 4 * _ULP * float(np.dot(terms[big], 2.0 + logs + np.abs(exps)))
+        return math.fsum(terms.tolist()), upto, err
 
     def _tail_bounds(self, beyond, x):
         """Certified (lower, upper) for the sum of terms with length > beyond."""
@@ -160,15 +167,15 @@ class LoopGF:
             return (0.0, 0.0)
         tail = self.system.tail
         if isinstance(tail, GeometricTail):
-            hi = tail.upper_sum(beyond, x)
+            lo, hi = tail.envelope(beyond, x, -math.inf), tail.envelope(beyond, x)
             # multiplicities floor(coeff * growth^l) undershoot the geometric
             # envelope by less than 1 per term; with integer parameters they
             # match it exactly
             if float(tail.coeff).is_integer() and float(tail.growth).is_integer():
-                return (hi, hi)
+                return (lo, hi)
             if x < 1.0 and math.isfinite(hi):
-                loss = x ** (beyond + 1) / (1.0 - x)
-                return (max(hi - loss, 0.0), hi)
+                loss = x ** (beyond + 1) / (1.0 - x) * (1 + 4 * _ULP)
+                return (max(lo - loss, 0.0), hi)
             return (0.0, hi)
         if tail.upper_sum is None:
             return (0.0, math.inf)
@@ -184,14 +191,19 @@ class LoopGF:
             return (math.inf, math.inf)
         upto = min_terms
         while True:
-            partial, used = self._partial(x, upto)
+            partial, used, err = self._partial(x, upto)
             tail_lo, tail_hi = self._tail_bounds(used, x)
-            gap = tail_hi - tail_lo
-            if gap <= max(1e-13, 1e-10 * partial) or upto >= 4096 or used < upto:
+            # more terms cannot help an infinite tail bound
+            if tail_hi == math.inf or tail_hi - tail_lo <= max(1e-13, 1e-10 * partial):
+                break
+            if upto >= SERIES_TERMS or used < upto:
                 break
             upto *= 2
-        slack = 1e-13 * max(partial, 1.0)
-        return (max(partial + tail_lo - slack, 0.0), partial + tail_hi + slack)
+        # the float terms, their sum and the tail envelope are each good to a
+        # few ulps of the whole value; the big-count terms to err
+        lo = (partial + tail_lo) * (1.0 - RELATIVE_SLACK) - err
+        hi = (partial + tail_hi) * (1.0 + RELATIVE_SLACK) + err
+        return (max(math.nextafter(lo, -math.inf), 0.0), math.nextafter(hi, math.inf))
 
     def series_at_radius(self):
         """Certified bounds for f(R); (inf, inf) when R is infinite."""

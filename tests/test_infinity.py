@@ -12,6 +12,8 @@ Oracles used here, independent of the implementation under test:
     period, lam^p is the weight of the length-p walks from that state back,
   - the dual bound min_t [P(-t 1_F) + t lam] has the closed-form minimizer
     e^-t = lam/(1-lam) for P(t) = log(1+e^-t),
+  - a system of one loop of length l, which passes the base once, has
+    P(-t 1_F) = -t/l, so the dual bound is unbounded below for lam < 1/l,
   - escape counts in the budget-2 regime are single loops, making the
     dimension series terms explicit powers,
   - the mass bound (c - d_inf)/(h - d_inf) at c = h/2 and d_inf = 0 is 1/2.
@@ -25,6 +27,7 @@ import pytest
 from cmshift import density, infinity, measures, thermo
 from cmshift.errors import ValidationError
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
+from cmshift.graphs import LoopSystem
 
 LOG2 = math.log(2)
 
@@ -104,6 +107,26 @@ def test_b_inf_powers():
     want = LOG2 + math.log(1 + 1 / 999) + 0.001 * math.log(999)
     assert abs(rep.value - want) < 1e-5
     assert abs(rep.value - LOG2) < 0.1
+
+
+def test_b_inf_unbounded_below_on_compact_loop_systems():
+    # P(-t 1_F) = -t/l on a single l-loop, so P + t lam falls without bound
+    for length in (2, 3):
+        g = LoopSystem([(length, 1)])
+        for t_max in (None, 40.0):
+            rep = infinity.b_inf_estimate(g, lam=0.001, t_max=t_max)
+            assert rep.value == -math.inf
+            assert rep.t_opt == math.inf
+            assert rep.pressure_at_opt == -math.inf
+
+
+def test_b_inf_stays_finite_where_the_pressure_is_bounded():
+    lam = 0.001
+    closed = math.log(1 + 1 / 999) + lam * math.log(999)
+    assert abs(infinity.b_inf_estimate(renewal_shift(), lam=lam).value - closed) < 1e-12
+    assert abs(infinity.b_inf_estimate(power_loops(), lam=lam).value - (LOG2 + closed)) < 1e-12
+    # on the full 2-shift the fixed point at symbol 2 avoids F = {1}: P >= 0
+    assert infinity.b_inf_estimate(full_shift(2), lam=lam).value > 0
 
 
 def test_b_inf_shrinks_with_lam():

@@ -6,6 +6,8 @@ Oracles used here, independent of the implementation under test:
   - golden mean Parry data from the Perron eigenvector (phi, 1) of
     [[1,1],[1,0]]: pi = (phi^2, 1)/(1+phi^2), P11 = 1/phi, P12 = 1/phi^2,
     entropy log phi,
+  - two parallel loops on one symbol are the full 2-shift, entropy log 2;
+    on multigraphs the Parry entropy is the Gurevich entropy log(rho),
   - loop-chain masses from the renewal structure: the base is visited once
     per loop, so mu([1]) = 1/E[length]; a loop of length l with choice
     weight w contributes w/E to each of its interior cylinders,
@@ -21,8 +23,9 @@ import pytest
 
 from cmshift import measures
 from cmshift.errors import NotStronglyConnected, ValidationError
-from cmshift.families import full_shift, golden_mean, renewal_shift, subexponential_loops
+from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift, subexponential_loops
 from cmshift.graphs import FiniteGraph
+from cmshift.thermo import gurevich_entropy
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -60,6 +63,14 @@ def test_parry_full_shift_uniform():
     for i in range(1, 4):
         for j in range(1, 4):
             assert abs(mu.cylinder_mass((i, j)) - 1 / 9) < 1e-9
+
+
+def test_parry_entropy_counts_parallel_edges():
+    # two parallel loops on one symbol: the 2-shift, entropy log 2
+    assert abs(measures.parry_measure(FiniteGraph(1, {(1, 1): 2})).entropy - math.log(2)) < 1e-12
+    g = power_loops(2).truncate(15).as_graph()
+    assert not g.is_simple
+    assert abs(measures.parry_measure(g).entropy - gurevich_entropy(g).value) < 1e-9
 
 
 def test_parry_requires_strong_connectivity():
