@@ -47,7 +47,16 @@ def _log_big(c):
 
 @dataclass(frozen=True)
 class GeometricTail:
-    """a_l = floor(coeff * growth**l) for l >= from_length."""
+    """a_l loops of each length l >= from_length, about coeff * growth**l.
+
+    When coeff and growth are both integers, a_l is the exact product
+    coeff * growth**l.  Otherwise a_l is the floor of the float product
+    `coeff * growth**l` as long as that stays in the float range, and past
+    the float overflow point the exact floor of the rational product of the
+    two floats' exact values.  The two rules can disagree from about the
+    16th digit on, so a_l is deterministic but not floor(coeff * growth**l)
+    of the real numbers below the overflow point.
+    """
 
     from_length: int
     coeff: float
@@ -681,7 +690,8 @@ def _require(doc, key, field, kind=dict):
     if key not in doc:
         raise SchemaError(f"missing field {field!r}", field=field)
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true/false load as bool, a subclass of int: never a number here
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise SchemaError(f"field {field!r} has the wrong type", field=field)
     return value
 
@@ -696,7 +706,7 @@ def load_graph(doc):
     if kind == "finite":
         body = _require(doc, "finite", "finite")
         symbols = _require(body, "symbols", "finite.symbols", int)
-        if isinstance(symbols, bool) or symbols < 1:
+        if symbols < 1:
             raise ValidationError("symbols must be >= 1", field="finite.symbols")
         edges = _require(body, "edges", "finite.edges", list)
         seen = set()

@@ -2,11 +2,12 @@
 
 The oracles here enumerate walks explicitly (word-by-word recursion over
 out-edges), independent of the transfer-matrix and renewal recursions under
-test.  Instances stay tiny — at most 5 symbols and words of length <= 9 —
+test.  Instances stay tiny — at most 5 symbols and words of length <= 10 —
 so exhaustive enumeration is exact and fast.
 """
 
 import itertools
+import math
 import random
 
 from cmshift.graphs import FiniteGraph, is_strongly_connected
@@ -69,13 +70,36 @@ def brute_escape_count(graph, M, q, n, a=None, b=None):
     return total
 
 
+def brute_markov_masses(measure, graph, n):
+    """All positive-mass n-cylinder masses of a stationary chain, one word at
+    a time by graph DFS, each the left-to-right product pi(x_0) P(x_0, x_1) ..."""
+    out = []
+    stack = [
+        ((v,), float(measure.pi[v - 1]))
+        for v in range(graph.symbols, 0, -1)
+        if measure.pi[v - 1] > 0.0
+    ]
+    while stack:
+        word, mass = stack.pop()
+        if len(word) == n:
+            out.append(mass)
+            continue
+        a = word[-1]
+        for b in reversed(graph.out_neighbors(a)):
+            p = float(measure.P[a - 1, b - 1])
+            if p > 0.0:
+                stack.append((word + (b,), mass * p))
+    return out
+
+
 def brute_min_cover(masses, delta):
     """Smallest number of cylinders whose total mass exceeds 1 - delta,
-    checked over every subset."""
+    checked over every subset on correctly rounded sums (`math.fsum`, which
+    is monotone, so the heaviest k always reach the largest k-sum)."""
     best = None
     for k in range(1, len(masses) + 1):
         for combo in itertools.combinations(masses, k):
-            if sum(combo) > 1 - delta:
+            if math.fsum(combo) > 1 - delta:
                 best = k
                 break
         if best is not None:

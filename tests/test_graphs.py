@@ -234,3 +234,27 @@ def test_canonical_cylinders_loop_system_cap():
     assert (1, 1) in cyls and (1, 2) in cyls and (2, 2) not in cyls
     # (3,4) is an interior edge of the length-3 loop but 4 > cap
     assert (3, 4) not in cyls
+
+
+def _loop_doc(loop=None, tail=None):
+    item = {"length": 2, "multiplicity": 1, **(loop or {})}
+    tail_doc = {"from_length": 3, "coeff": 1.0, "growth": 2, **(tail or {})}
+    return {"kind": "loop_system", "loop_system": {"loops": [item], "tail": tail_doc}}
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (_loop_doc(loop={"length": True}), "loop_system.loops[0].length"),
+        (_loop_doc(loop={"multiplicity": True}), "loop_system.loops[0].multiplicity"),
+        (_loop_doc(tail={"from_length": True}), "loop_system.tail.from_length"),
+        (_loop_doc(tail={"coeff": True}), "loop_system.tail.coeff"),
+        (_loop_doc(tail={"growth": True}), "loop_system.tail.growth"),
+        ({"kind": "finite", "finite": {"symbols": True, "edges": [[1, 1]]}}, "finite.symbols"),
+    ],
+)
+def test_load_graph_rejects_booleans(doc, field):
+    with pytest.raises(SchemaError) as exc:
+        graphs.load_graph(doc)
+    assert exc.value.field == field
+

@@ -11,10 +11,12 @@ Oracles:
   - small golden-mean counts are computed by hand from the stationary
     chain pi = (phi^2, 1)/(1 + phi^2), P(1,.) = (1/phi, 1/phi^2),
   - the fitted rates must recover the entropies log 2 and log phi and be
-    insensitive to delta.
+    insensitive to delta,
+  - more than `cap` cylinders raise before any level array is allocated.
 """
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -59,8 +61,21 @@ def test_covering_number_monotone_in_delta():
 
 
 def test_covering_number_cap():
+    # raised before allocating: level 21 would hold 2^21 masses (16 MB),
+    # level 20 half that
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            katok.covering_number(_bern(), full_shift(2), 21, 0.1, cap=2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_katok_estimate_cap():
     with pytest.raises(CapacityError):
-        katok.covering_number(_bern(), full_shift(2), 21, 0.1, cap=2**20)
+        katok.katok_estimate(_bern(), full_shift(2), delta=0.1, n_max=21, cap=2**20)
 
 
 def test_katok_estimate_bernoulli():

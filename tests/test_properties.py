@@ -7,18 +7,20 @@ tolerance, except where floating point enters (stationarity, entropy).
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cmshift import counting, density, katok, measures, thermo
 from cmshift.families import full_shift, golden_mean
-from cmshift.graphs import enumerate_words
+from cmshift.graphs import FiniteGraph, enumerate_words
 
 from properties import (
     brute_escape_count,
     brute_first_return_count,
     brute_loop_count,
+    brute_markov_masses,
     brute_min_cover,
     marked_preserving_permutation,
     random_strongly_connected_graph,
@@ -199,6 +201,62 @@ def test_greedy_cover_matches_exhaustive_search():
                 )
                 checked += 1
     assert checked >= 12
+
+
+def _chains_under_test():
+    chains = [(g, measures.parry_measure(g)) for g in graphs_under_test(118, count=8, max_symbols=4)]
+    full3 = full_shift(3)
+    chains.append((full3, measures.bernoulli_measure(full3, (0.2, 0.3, 0.5))))
+    chains.append((golden_mean(), measures.parry_measure(golden_mean())))
+    return chains
+
+
+def test_level_masses_match_dfs_bit_for_bit():
+    for g, mu in _chains_under_test():
+        for n, level in enumerate(katok._markov_levels(mu, g, 10, cap=2**20), start=1):
+            assert sorted(level.tolist()) == sorted(brute_markov_masses(mu, g, n))
+
+
+def test_katok_counts_match_covering_numbers():
+    for g, mu in _chains_under_test():
+        for delta in (0.1, 0.25, 0.5):
+            rep = katok.katok_estimate(mu, g, delta=delta, n_max=10, n_min=2)
+            want = [katok.covering_number(mu, g, n, delta) for n in range(2, 11)]
+            assert list(rep.counts.counts) == want
+
+
+def test_cover_ties_decided_on_correctly_rounded_sums():
+    # the 2-regular 3-symbol graph whose twelve 3-cylinders all have mass
+    # about 1/12: at delta = 0.5, six of them sum to about 1/2, and a float
+    # sum in sorted order (as in a running-sum greedy) or in combination
+    # order (as in a naive exhaustive search) decides six or seven by
+    # rounding; chains whose pi and P are off 1/3 and 1/2 by a few ulps
+    # make such near ties (seed 103: six of them fool the combination
+    # order, three the sorted order)
+    g = FiniteGraph(3, [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (3, 3)])
+    rng = random.Random(103)
+    ulp = 2.0**-53
+    chains = [
+        measures.parry_measure(g),
+        measures.markov_measure(g, {e: 0.5 for e in g.edge_multiplicities()}, pi=[1 / 3] * 3),
+    ]
+    for _ in range(100):
+        pi = [1 / 3 + rng.randint(-3, 3) * ulp for _ in range(3)]
+        e = [rng.randint(-3, 3) * ulp for _ in range(3)]
+        transitions = {
+            (1, 1): 0.5 + e[0], (1, 3): 0.5 - e[0],
+            (2, 1): 0.5 + e[1], (2, 2): 0.5 - e[1],
+            (3, 2): 0.5 + e[2], (3, 3): 0.5 - e[2],
+        }
+        chains.append(measures.markov_measure(g, transitions, pi=pi))
+    for mu in chains:
+        masses = [mu.cylinder_mass(w) for w in enumerate_words(g, 3)]
+        top = sorted(masses, reverse=True)
+        exact = next(
+            k for k in range(1, 13) if float(sum(map(Fraction, top[:k]))) > 0.5
+        )
+        assert katok.covering_number(mu, g, 3, 0.5) == exact
+        assert brute_min_cover(masses, 0.5) == exact
 
 
 def test_covering_number_monotone_in_delta():
