@@ -9,11 +9,11 @@ Counts are exact (arbitrary precision):
   symbols <= q and at most floor((n+2)/M) positions at symbols <= q.
 * `growth_rate`: exponential growth estimates for any count series.
 
-On a loop system the closed-walk counts use the renewal recurrence
-Z_n = sum_k a_k Z_{n-k} at the base vertex; at an interior vertex of a loop
-of length l the walks factor through the base, giving Z_n = Z_{n-l}(base)
-and Z*_n = W_{n-l} where W uses the loop counts with that one loop removed.
-Escape counts run a marked-visit dynamic program over a certified WalkView.
+The three counts are one kernel, `_walk_counts`, on the rome presentation
+`graphs.walk_view`: walks between given states that visit a set of marked
+states at most a given number of times. Closed walks mark nothing, first
+returns mark the vertex and allow its two endpoint visits, and escape
+counts mark the symbols <= q.
 """
 
 import math
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import FiniteGraph, LoopSystem, _log_big, walk_view
+from .graphs import _log_big, walk_view
 
 
 @dataclass
@@ -73,69 +73,76 @@ class CountSeries:
 
 
 # ---------------------------------------------------------------------------
-# closed walks
+# walk counts
 
 
-def _finite_loop_counts(graph, vertex, n_max):
-    mult = graph.edge_multiplicities()
-    dp = {vertex: 1}
-    out = []
-    for _ in range(n_max):
-        nxt = {}
-        for w, c in dp.items():
-            for u in graph.out_neighbors(w):
-                nxt[u] = nxt.get(u, 0) + c * mult[(w, u)]
-        dp = nxt
-        out.append(dp.get(vertex, 0))
-    return out
+def _walk_counts(view, marked, starts, ends, n_edges, budget):
+    """[W_1, ..., W_{n_edges}]: W_e counts the walks of e edges on `view`
+    from a state in `starts` to a state in `ends` whose positions (both
+    endpoints included) fall on `marked` states at most budget(e) times.
+
+    One time-indexed DP over (edges so far, marked positions, state): an
+    edge of length l reads the layer l steps back. A layer is one flat list
+    of rows, the walks with m marked positions at state s at index
+    m * size + s.
+    """
+    size = view.state_count
+    hits = [1 if i in marked else 0 for i in range(size)]
+    cap = max(budget(e) for e in range(1, n_edges + 1))
+    total = (cap + 1) * size
+    # a walk that has used the whole budget can only be counted where it
+    # stands when every end is marked
+    live = (cap if all(hits[s] for s in ends) else cap + 1) * size
+    # an edge into a marked state also moves its walks one row up
+    by_length = {}
+    for src, dst, mult, length in view.edges:
+        if length <= n_edges:
+            by_length.setdefault(length, []).append((src, dst + hits[dst] * size, mult))
+    by_length = sorted(by_length.items())
+    first = [0] * total
+    for s in starts:
+        if hits[s] <= cap:
+            first[hits[s] * size + s] += 1
+
+    def rows(layer):
+        # offsets of the nonzero rows that walks may still leave from
+        return [row for row in range(0, live, size) if any(layer[row:row + size])]
+
+    layers = [(first, rows(first))]
+    counts = []
+    for e in range(1, n_edges + 1):
+        layer = [0] * total
+        for length, edges in by_length:
+            if length > e:
+                break
+            prev, prev_rows = layers[e - length]
+            for row in prev_rows:
+                for src, dst, mult in edges:
+                    c = prev[row + src]
+                    if c:
+                        j = row + dst
+                        if j < total:
+                            layer[j] += c * mult
+        layers.append((layer, rows(layer)))
+        top = min(budget(e), cap)
+        counts.append(sum(layer[m * size + s] for m in range(top + 1) for s in ends))
+    return counts
 
 
-def _finite_first_returns(graph, vertex, n_max):
-    mult = graph.edge_multiplicities()
-    out = [mult.get((vertex, vertex), 0)]
-    # dp over walks from `vertex` that have not revisited it
-    dp = {u: mult[(vertex, u)] for u in graph.out_neighbors(vertex) if u != vertex}
-    for _ in range(2, n_max + 1):
-        out.append(sum(c * mult.get((w, vertex), 0) for w, c in dp.items()))
-        nxt = {}
-        for w, c in dp.items():
-            for u in graph.out_neighbors(w):
-                if u != vertex:
-                    nxt[u] = nxt.get(u, 0) + c * mult[(w, u)]
-        dp = nxt
-    return out[:n_max]
-
-
-def _renewal_sequence(loop_counts, n_max):
-    """Z_1..Z_n from Z_n = sum_{k<=n} a_k Z_{n-k}, Z_0 = 1."""
-    z = [1]
-    for n in range(1, n_max + 1):
-        z.append(sum(loop_counts[k] * z[n - k] for k in range(1, n + 1)))
-    return z
-
-
-def _locate_interior(system, vertex):
-    enum = system.enumeration(vertex)
-    length, pos = enum.locate(vertex)
-    return length, pos
+def _state(view, vertex):
+    state = view.concrete.get(vertex)
+    if state is None:
+        raise ValidationError(f"vertex {vertex} does not exist in this graph")
+    return state
 
 
 def loop_count(graph, vertex, n_max):
     """Closed walks of n edges at `vertex`, n = 1..n_max."""
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    if isinstance(graph, FiniteGraph):
-        if not (1 <= vertex <= graph.symbols):
-            raise ValidationError(f"vertex {vertex} out of range")
-        counts = _finite_loop_counts(graph, vertex, n_max)
-        return CountSeries("loop_count", 1, counts, {"vertex": vertex})
-    system = graph
-    base = _renewal_sequence(system.counts(n_max), n_max)
-    if vertex == 1:
-        counts = base[1:]
-    else:
-        length, _ = _locate_interior(system, vertex)
-        counts = [base[n - length] if n >= length else 0 for n in range(1, n_max + 1)]
+    view = walk_view(graph, n_max, [vertex])
+    v = _state(view, vertex)
+    counts = _walk_counts(view, (), [v], [v], n_max, lambda e: 0)
     return CountSeries("loop_count", 1, counts, {"vertex": vertex})
 
 
@@ -143,89 +150,39 @@ def first_return_count(graph, vertex, n_max):
     """First-return walks of n edges at `vertex`, n = 1..n_max."""
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
-    if isinstance(graph, FiniteGraph):
-        if not (1 <= vertex <= graph.symbols):
-            raise ValidationError(f"vertex {vertex} out of range")
-        counts = _finite_first_returns(graph, vertex, n_max)
-        return CountSeries("first_return", 1, counts, {"vertex": vertex})
-    system = graph
-    a = system.counts(n_max)
-    if vertex == 1:
-        counts = a[1:]
-    else:
-        length, _ = _locate_interior(system, vertex)
-        # base walks that avoid the one loop through `vertex`
-        if length <= n_max:
-            a[length] -= 1
-        w = _renewal_sequence(a, n_max)
-        counts = [w[n - length] if n >= length else 0 for n in range(1, n_max + 1)]
+    view = walk_view(graph, n_max, [vertex])
+    v = _state(view, vertex)
+    counts = _walk_counts(view, {v}, [v], [v], n_max, lambda e: 2)
     return CountSeries("first_return", 1, counts, {"vertex": vertex})
 
 
-# ---------------------------------------------------------------------------
-# escape counts
-
-
-def _escape_series(graph, M, q, n_max, a=None, b=None, max_states=None):
+def _escape_series(graph, M, q, n_max, a=None, b=None):
     if M < 1 or q < 1 or n_max < 0:
         raise ValidationError("need M >= 1, q >= 1, n_max >= 0")
-    cover = max(q, a or 1, b or 1)
-    view = walk_view(graph, n_max + 1, cover_id=cover, max_states=max_states)
-    marked = [
-        view.state_id(i) is not None and view.state_id(i) <= q
-        for i in range(view.state_count)
-    ]
-    for pin in (a, b):
-        if pin is not None and pin not in view.concrete:
-            raise ValidationError(f"vertex {pin} does not exist in this graph")
-
-    budget_cap = (n_max + 2) // M
-    # dp[m][state] = walks from an allowed start, m marked positions so far
-    dp = [[0] * view.state_count for _ in range(budget_cap + 1)]
-    if a is not None:
-        s0 = view.concrete[a]
-        m0 = 1 if marked[s0] else 0
-        if m0 <= budget_cap:
-            dp[m0][s0] = 1
+    pins = [p for p in (a, b) if p is not None]
+    view = walk_view(graph, n_max + 1, list(range(1, q + 1)) + pins)
+    marked = {i for i, v in enumerate(view.ids) if v <= q}
+    if a is None:
+        starts = ends = sorted(marked)
     else:
-        if budget_cap >= 1:
-            for i in range(view.state_count):
-                if marked[i]:
-                    dp[1][i] = 1
-
-    ends = [view.concrete[b]] if b is not None else [
-        i for i in range(view.state_count) if marked[i]
-    ]
-    counts = []
-    for e in range(1, n_max + 2):
-        nxt = [[0] * view.state_count for _ in range(budget_cap + 1)]
-        for m in range(budget_cap + 1):
-            row = dp[m]
-            for src, dst, mult in view.edges:
-                c = row[src]
-                if c:
-                    m2 = m + (1 if marked[dst] else 0)
-                    if m2 <= budget_cap:
-                        nxt[m2][dst] += c * mult
-        dp = nxt
-        n = e - 1
-        budget = (n + 2) // M
-        counts.append(sum(dp[m][s] for m in range(min(budget, budget_cap) + 1) for s in ends))
+        starts, ends = [_state(view, a)], [_state(view, b)]
+    # a word x_0..x_{n+1} is a walk of e = n + 1 edges
+    counts = _walk_counts(view, marked, starts, ends, n_max + 1, lambda e: (e + 1) // M)
     meta = {"M": M, "q": q, "states": view.state_count}
     if a is not None:
         meta["pinned"] = [a, b]
     return CountSeries("escape_count", 0, counts, meta)
 
 
-def escape_count(graph, M, q, n_max, max_states=None):
+def escape_count(graph, M, q, n_max):
     """z_n(M, q) for n = 0..n_max: words x_0..x_{n+1} with x_0, x_{n+1} <= q
     and at most floor((n+2)/M) positions at symbols <= q."""
-    return _escape_series(graph, M, q, n_max, max_states=max_states)
+    return _escape_series(graph, M, q, n_max)
 
 
-def escape_count_pinned(graph, M, q, a, b, n_max, max_states=None):
+def escape_count_pinned(graph, M, q, a, b, n_max):
     """Like escape_count but with x_0 = a and x_{n+1} = b exactly."""
-    return _escape_series(graph, M, q, n_max, a=a, b=b, max_states=max_states)
+    return _escape_series(graph, M, q, n_max, a=a, b=b)
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,6 @@ class CapacityError(CmshiftError):
     code = "capacity"
 
 
-class TruncationInsufficient(CmshiftError):
-    """No certified-complete finite truncation fits the state budget."""
-
-    code = "truncation_insufficient"
-
-
 class NotStronglyConnected(CmshiftError):
     """The operation needs a strongly connected support graph."""
 

@@ -18,12 +18,12 @@ insertion order). Truncating at q keeps the induced subgraph on ids <= q.
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, SchemaError, TruncationInsufficient, ValidationError
+from .errors import CapacityError, SchemaError, ValidationError
 
 
 # longest prefix of loop counts a LoopSystem caches; the loop series sums at
@@ -237,14 +237,6 @@ class FiniteGraph:
 # loop systems
 
 
-@dataclass(frozen=True)
-class LoopRef:
-    """Identity of a single loop: its length and rank among that length."""
-
-    length: int
-    ordinal: int
-
-
 class Enumeration:
     """Materialized prefix of the canonical vertex numbering of a LoopSystem.
 
@@ -257,7 +249,6 @@ class Enumeration:
         self.max_id = max_id
         rows = []
         next_id = 2
-        per_length = {}
         length = 2
         limit = system.max_loop_length()
         while next_id <= max_id:
@@ -269,34 +260,20 @@ class Enumeration:
                 rows.append((length, taken, next_id))
                 next_id += length - 1
                 taken += 1
-            if taken:
-                per_length[length] = taken
             length += 1
         self.rows = rows
-        self.per_length = per_length
         self.next_free_id = next_id
         self._firsts = [r[2] for r in rows]
 
-    def _row_for(self, vid):
+    def locate(self, vid):
+        """(loop length, position 1..length-1) of an interior id."""
         k = bisect_right(self._firsts, vid) - 1
         if k < 0:
             raise ValidationError(f"id {vid} is not an interior vertex")
-        length, ordinal, first = self.rows[k]
+        length, _, first = self.rows[k]
         if vid > first + length - 2:
             raise ValidationError(f"id {vid} is beyond the materialized enumeration")
-        return length, ordinal, first
-
-    def locate(self, vid):
-        """(loop length, position 1..length-1) of an interior id."""
-        length, _, first = self._row_for(vid)
         return length, vid - first + 1
-
-    def loop_of(self, vid):
-        length, ordinal, _ = self._row_for(vid)
-        return LoopRef(length, ordinal)
-
-    def materialized_count(self, length):
-        return self.per_length.get(length, 0)
 
 
 @dataclass(frozen=True)
@@ -474,105 +451,76 @@ class Truncation:
 
 
 # ---------------------------------------------------------------------------
-# walk views: the certified finite substrate for ambient counting
-
-CLASS_STATE = "c"
-VERTEX_STATE = "v"
+# walk views: the rome presentation for ambient counting
 
 
 class WalkView:
-    """Finite state graph whose walks biject with ambient walks.
+    """Lengthed-edge graph on the concrete vertices of a presentation.
 
-    Vertices of tail loops beyond the materialized region are collapsed into
-    (length, position) classes with multiplicities: all loops of a given
-    length are isomorphic, so walks that only pass through them can be
-    counted per class. Valid for walks of at most `n_edges` edges whose
-    endpoints (and every marked symbol) are concrete states.
+    A rome presentation (Block, Guckenheimer, Misiurewicz and Young, 1980):
+    the states are a set of concrete vertices that every cycle meets, and an
+    edge (src, dst, multiplicity, length) stands for `multiplicity` paths of
+    `length` edges from src to dst whose interior vertices are not states.
+    Walks of at most meta["certified_edges"] edges between states are in
+    bijection with the ambient walks of the same length and endpoints, and
+    the positions inside an edge are never states.
     """
 
-    def __init__(self, states, edges, concrete, meta):
-        self.states = states            # list of ("v", id) | ("c", length, pos)
-        self.edges = edges              # list of (src_index, dst_index, multiplicity)
-        self.concrete = concrete        # id -> state index
+    def __init__(self, ids, edges, meta):
+        self.ids = ids                  # state index -> vertex id
+        self.concrete = {v: i for i, v in enumerate(ids)}
+        self.edges = edges              # list of (src, dst, multiplicity, length)
         self.meta = meta
 
     @property
     def state_count(self):
-        return len(self.states)
-
-    def state_id(self, index):
-        s = self.states[index]
-        return s[1] if s[0] == VERTEX_STATE else None
+        return len(self.ids)
 
 
-def walk_view(graph, n_edges, cover_id=1, max_states=None):
-    """Build a WalkView certified for walks of <= n_edges edges.
+def walk_view(graph, n_edges, ids):
+    """The rome presentation certified for walks of <= n_edges edges.
 
-    For a loop system, every interior id <= cover_id is materialized as a
-    concrete state (whole loops at a time), and the remaining tail loops of
-    each length l <= n_edges become one multiplicity-weighted class chain.
-    Walks of at most n_edges edges that start and end at concrete states
-    cannot use longer loops, so the view counts them exactly.
+    A finite graph is its own presentation, with edges of length 1. For a
+    loop system the states are the base and the interiors of the loops that
+    hold one of `ids` (whole loops, joined by length-1 edges); the other
+    loops of each length l <= n_edges become one base -> base edge of length
+    l carrying their number. A walk whose endpoints and marked symbols are
+    states is counted exactly, since it cannot stop inside those loops.
     """
     if isinstance(graph, FiniteGraph):
-        states = [(VERTEX_STATE, v) for v in range(1, graph.symbols + 1)]
-        index = {v: i for i, v in enumerate(range(1, graph.symbols + 1))}
-        edges = [(index[i], index[j], m) for (i, j), m in graph.edge_multiplicities().items()]
-        meta = {"kind": "finite", "certified_edges": n_edges}
-        return WalkView(states, edges, index, meta)
+        states = list(range(1, graph.symbols + 1))
+        edges = [(i - 1, j - 1, m, 1) for (i, j), m in graph.edge_multiplicities().items()]
+        return WalkView(states, edges, {"kind": "finite", "certified_edges": n_edges})
 
     system = graph
-    enum = system.enumeration(cover_id)
-    limit = system.max_loop_length()
-    class_max = n_edges if limit is None else min(n_edges, limit)
-
-    states = [(VERTEX_STATE, 1)]
-    concrete = {1: 0}
+    wanted = sorted(ids)
+    states = [1]
     edges = []
-
-    def check_budget():
-        if max_states is not None and len(states) > max_states:
-            raise TruncationInsufficient(
-                f"certified view for n_edges={n_edges} needs more than "
-                f"{max_states} states"
-            )
-
-    a1 = system.multiplicity(1)
-    if a1:
-        edges.append((0, 0, a1))
-
-    for length, _, first in enum.rows:
-        prev = 0
-        for pos in range(1, length):
-            vid = first + pos - 1
-            states.append((VERTEX_STATE, vid))
-            idx = len(states) - 1
-            concrete[vid] = idx
-            edges.append((prev, idx, 1))
-            prev = idx
-        edges.append((prev, 0, 1))
-        check_budget()
-
-    for length in range(2, class_max + 1):
-        extra = system.multiplicity(length) - enum.materialized_count(length)
-        if extra <= 0:
+    taken = {}
+    for length, _, first in system.enumeration(wanted[-1]).rows:
+        k = bisect_left(wanted, first)
+        if k == len(wanted) or wanted[k] > first + length - 2:
             continue
+        taken[length] = taken.get(length, 0) + 1
         prev = 0
-        for pos in range(1, length):
-            states.append((CLASS_STATE, length, pos))
-            idx = len(states) - 1
-            edges.append((prev, idx, extra if pos == 1 else 1))
-            prev = idx
-        edges.append((prev, 0, 1))
-        check_budget()
-
+        for vid in range(first, first + length - 1):
+            states.append(vid)
+            edges.append((prev, len(states) - 1, 1, 1))
+            prev = len(states) - 1
+        edges.append((prev, 0, 1, 1))
+    limit = system.max_loop_length()
+    longest = n_edges if limit is None else min(n_edges, limit)
+    for length, a in enumerate(system.counts(longest)):
+        extra = a - taken.get(length, 0)
+        if extra > 0:
+            edges.append((0, 0, extra, length))
     meta = {
         "kind": "loop_system",
         "certified_edges": n_edges,
-        "materialized_loops": len(enum.rows),
-        "class_lengths_to": class_max,
+        "materialized_loops": sum(taken.values()),
+        "loop_lengths_to": longest,
     }
-    return WalkView(states, edges, concrete, meta)
+    return WalkView(states, edges, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -418,7 +418,7 @@ class DimensionReport:
     tail_slope: float | None
 
 
-def dimension_series(graph, t, m=16, q=1, l_max=60, max_states=None):
+def dimension_series(graph, t, m=16, q=1, l_max=60):
     """Terms e^(-s l) z_(l-2)(m, q) with s = t * log 2, and their verdict.
 
     The series controls (via a covering argument) the Hausdorff dimension,
@@ -431,7 +431,7 @@ def dimension_series(graph, t, m=16, q=1, l_max=60, max_states=None):
     if l_max < 10:
         raise ValidationError("l_max must be >= 10")
     s = t * _LOG2
-    series = counting.escape_count(graph, m, q, n_max=l_max - 2, max_states=max_states)
+    series = counting.escape_count(graph, m, q, n_max=l_max - 2)
     terms = []
     for length in range(2, l_max + 1):
         z = series.value(length - 2)

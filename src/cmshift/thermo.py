@@ -269,8 +269,10 @@ def gurevich_entropy(graph, n_max=40, trace_qs=(4, 8, 16, 32, 64)):
     Finite graphs use Perron roots from eig, checked by a Collatz-Wielandt
     bracket of relative width PERRON_BRACKET. Loop systems solve
     f(x_c) = 1 on the first-return series (x_c capped at the radius) and
-    corroborate with a truncation trace of Perron roots and, when n_max
-    allows, a direct growth fit on exact loop counts.
+    corroborate with a truncation trace and, when n_max allows, a direct
+    growth fit on exact loop counts. Every cycle of a truncation is a whole
+    loop through the base, so its entropy is that of the finite loop system
+    of its whole loops.
     """
     if isinstance(graph, FiniteGraph):
         lam = perron_root(graph)
@@ -282,8 +284,12 @@ def gurevich_entropy(graph, n_max=40, trace_qs=(4, 8, 16, 32, 64)):
     value = math.log(1.0 / x_c)
     trace = []
     for q in trace_qs:
-        lam = perron_root(graph.truncate(q).as_graph())
-        trace.append((q, math.log(lam) if lam > 0 else float("-inf")))
+        loops = [(1, graph.multiplicity(1))]
+        loops += [(l, 1) for l, _, first in graph.enumeration(q).rows if first + l - 2 <= q]
+        if any(m for _, m in loops):
+            trace.append((q, math.log(1.0 / loop_gf(LoopSystem(loops)).x_star())))
+        else:
+            trace.append((q, float("-inf")))
     count_rate = None
     if n_max and n_max >= 8:
         count_rate = growth_rate(loop_count(graph, 1, n_max)).rate
@@ -396,7 +402,7 @@ class DeltaInfGrid:
 
 
 def delta_inf(graph, Ms=(8, 16), qs=(1, 2, 4), n_max=40,
-              method="affine-fit", window=None, max_states=None):
+              method="affine-fit", window=None):
     """Escape-rate grid: fit the growth of z_n(M, q) per cell.
 
     The headline is the smallest fitted rate over the non-empty cells
@@ -405,7 +411,7 @@ def delta_inf(graph, Ms=(8, 16), qs=(1, 2, 4), n_max=40,
     cells = {}
     for M in Ms:
         for q in qs:
-            series = escape_count(graph, M=M, q=q, n_max=n_max, max_states=max_states)
+            series = escape_count(graph, M=M, q=q, n_max=n_max)
             nonzero = sum(1 for c in series.counts if c)
             est = growth_rate(series, method=method, window=window)
             cells[(M, q)] = DeltaCell(M, q, est.rate, nonzero == 0, nonzero, est)

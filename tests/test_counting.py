@@ -14,7 +14,7 @@ import math
 import pytest
 
 from cmshift import counting, graphs
-from cmshift.errors import TruncationInsufficient
+from cmshift.errors import ValidationError
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
 
 
@@ -189,9 +189,29 @@ def test_escape_count_powers_single_loop_regime():
     assert s.value(30) == 2 ** 31
 
 
-def test_escape_count_state_budget():
-    with pytest.raises(TruncationInsufficient):
-        counting.escape_count(renewal_shift(), M=8, q=1, n_max=100, max_states=50)
+def test_loop_count_missing_vertex_raises_validation_error():
+    # the finite loop system has ids 1..5 only
+    g = graphs.LoopSystem(loops=[(1, 1), (2, 1), (4, 1)], tail=None)
+    with pytest.raises(ValidationError):
+        counting.loop_count(g, 6, 5)
+    with pytest.raises(ValidationError):
+        counting.loop_count(full_shift(2), 3, 5)
+
+
+def test_first_return_count_missing_vertex_raises_validation_error():
+    g = graphs.LoopSystem(loops=[(1, 1), (2, 1), (4, 1)], tail=None)
+    with pytest.raises(ValidationError):
+        counting.first_return_count(g, 6, 5)
+    with pytest.raises(ValidationError):
+        counting.first_return_count(full_shift(2), 0, 5)
+
+
+def test_escape_count_pinned_missing_pin_raises_validation_error():
+    g = graphs.LoopSystem(loops=[(1, 1), (2, 1), (4, 1)], tail=None)
+    with pytest.raises(ValidationError):
+        counting.escape_count_pinned(g, M=2, q=1, a=1, b=6, n_max=5)
+    with pytest.raises(ValidationError):
+        counting.escape_count_pinned(full_shift(2), M=2, q=1, a=0, b=1, n_max=5)
 
 
 def test_growth_rate_affine_exact_line():

@@ -74,9 +74,10 @@ def test_canonical_enumeration_powers():
     assert enum.locate(6) == (3, 1)
     assert enum.locate(7) == (3, 2)
     assert enum.locate(21) == (3, 2)
-    # distinct loops of the same length are distinct
-    assert enum.loop_of(6) != enum.loop_of(8)
-    assert enum.loop_of(6) == enum.loop_of(7)
+    # distinct loops of the same length are distinct: a loop's first id is
+    # v - pos + 1
+    assert 6 - enum.locate(6)[1] + 1 != 8 - enum.locate(8)[1] + 1
+    assert 6 - enum.locate(6)[1] + 1 == 7 - enum.locate(7)[1] + 1
 
 
 def test_canonical_enumeration_explicit_before_tail():
@@ -87,7 +88,7 @@ def test_canonical_enumeration_explicit_before_tail():
     assert enum.locate(2) == (2, 1)
     assert enum.locate(3) == (3, 1)
     assert enum.locate(5) == (3, 1)
-    assert enum.loop_of(3) != enum.loop_of(5)
+    assert 3 - enum.locate(3)[1] + 1 != 5 - enum.locate(5)[1] + 1
 
 
 def test_truncation_renewal():

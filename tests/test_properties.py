@@ -14,7 +14,7 @@ import pytest
 
 from cmshift import counting, density, katok, measures, thermo
 from cmshift.families import full_shift, golden_mean
-from cmshift.graphs import FiniteGraph, enumerate_words
+from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem, enumerate_words
 
 from properties import (
     brute_escape_count,
@@ -114,6 +114,50 @@ def test_escape_counts_invariant_under_marked_relabeling():
         a = counting.escape_count(g, M=2, q=q, n_max=7).counts
         b = counting.escape_count(h, M=2, q=q, n_max=7).counts
         assert a == b
+
+
+def random_simple_loop_systems(seed, count):
+    """Random loop systems with at most one self-loop at the base (so that
+    their truncations are simple graphs): explicit loops plus a tail."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        loops = [(1, rng.randint(0, 1))]
+        loops += [(rng.randint(2, 5), rng.randint(0, 2)) for _ in range(rng.randint(0, 3))]
+        tail = GeometricTail(rng.randint(2, 4), 1.0, rng.choice([1.0, 1.2, 1.3]))
+        out.append(LoopSystem(loops, tail))
+    return out
+
+
+def test_lengthed_edges_match_brute_force_on_loop_systems():
+    # the walk view folds the loops of each length that hold no queried id
+    # into one base -> base edge of that length, with multiplicity > 1 on
+    # the tail; compare all four counts at the vertices 1..6 with walk
+    # enumeration on a truncation holding every loop of length <= n_max + 1
+    # and the loops of ids 1..6
+    n_max = 6
+    rng = random.Random(113)
+    for system in random_simple_loop_systems(112, 8):
+        a = system.counts(n_max + 1)
+        size = 1 + sum(a[l] * (l - 1) for l in range(2, n_max + 2))
+        size = max(size, system.enumeration(6).next_free_id - 1)
+        g = system.truncate(size).as_graph()
+        assert g.is_simple
+        for v in range(1, 7):
+            loops = counting.loop_count(system, v, n_max)
+            firsts = counting.first_return_count(system, v, n_max)
+            for n in range(1, n_max + 1):
+                assert loops.value(n) == brute_loop_count(g, v, n)
+                assert firsts.value(n) == brute_first_return_count(g, v, n)
+        for q in range(1, 7):
+            M = rng.randint(1, 4)
+            series = counting.escape_count(system, M=M, q=q, n_max=n_max - 1)
+            for n in range(n_max):
+                assert series.value(n) == brute_escape_count(g, M, q, n)
+            x, y = rng.randint(1, 6), rng.randint(1, 6)
+            pinned = counting.escape_count_pinned(system, M=M, q=q, a=x, b=y, n_max=n_max - 1)
+            for n in range(n_max):
+                assert pinned.value(n) == brute_escape_count(g, M, q, n, a=x, b=y)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from cmshift.families import (
     renewal_shift,
     subexponential_loops,
 )
-from cmshift.graphs import FiniteGraph
+from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -73,6 +73,47 @@ def test_entropy_truncation_trace_increases_to_value():
     assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
     assert all(v <= rep.value + 1e-9 for v in vals)
     assert rep.value - vals[-1] < 0.05
+
+
+def _truncation_loop_lengths(graph):
+    """Lengths of the cycles of a loop-system truncation, found by walking
+    from each out-neighbour of the base along the unique successors."""
+    lengths = [1] * graph.multiplicity_of(1, 1)
+    for u in graph.out_neighbors(1):
+        length = 1
+        while u != 1 and graph.out_neighbors(u):
+            u = graph.out_neighbors(u)[0]
+            length += 1
+        if u == 1 and length > 1:
+            lengths.append(length)
+    return lengths
+
+
+def test_entropy_truncation_trace_with_parallel_base_loops():
+    # three self-loops at the base make the Perron vector of a long
+    # truncation decay like 3^-k along each loop, beyond what an eig
+    # bracket certifies at q = 32 and 64; the trace reads the whole loops
+    system = LoopSystem([(6, 1), (1, 2), (1, 1)], GeometricTail(3, 0.6, 1.03))
+    rep = thermo.gurevich_entropy(system)
+    assert [q for q, _ in rep.truncations] == [4, 8, 16, 32, 64]
+    for q, v in rep.truncations:
+        lengths = _truncation_loop_lengths(system.truncate(q).as_graph())
+        x = math.exp(-v)
+        assert abs(math.fsum(x ** l for l in lengths) - 1.0) < 1e-12, q
+        if q <= 16:
+            assert abs(v - math.log(thermo.perron_root(system.truncate(q).as_graph()))) < 1e-12
+    vals = [v for _, v in rep.truncations]
+    assert vals[0] == pytest.approx(math.log(3), abs=1e-12)
+    assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
+    assert all(v <= rep.value + 1e-9 for v in vals)
+
+
+def test_entropy_truncation_without_cycles_is_minus_infinity():
+    # ids 2, 3 are the 3-loop: truncating at 2 leaves no cycle
+    system = LoopSystem([(3, 1)], GeometricTail(4, 1.0, 1.0))
+    rep = thermo.gurevich_entropy(system, trace_qs=(2, 3))
+    assert rep.truncations[0] == (2, float("-inf"))
+    assert rep.truncations[1][1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_loop_gf_renewal():
