@@ -8,6 +8,7 @@ report plus tidy CSV tables into the directory.  Exit codes: 0 success,
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -104,60 +105,26 @@ def _cmd_delta_inf(args):
 
 
 def _cmd_classify(args):
-    rep = thermo.classify(_graph(args))
-    result = {
-        "verdict": rep.verdict,
-        "entropy": rep.entropy,
-        "x_star": rep.x_star,
-        "radius": rep.radius,
-        "reason": rep.reason,
-    }
-    return result, {}
+    return dataclasses.asdict(thermo.classify(_graph(args))), {}
 
 
 def _cmd_spr(args):
-    rep = thermo.is_spr(_graph(args))
-    return (
-        {
-            "spr": rep.spr,
-            "entropy": rep.entropy,
-            "delta_inf": rep.delta_inf,
-            "margin": rep.margin,
-            "threshold": rep.threshold,
-        },
-        {},
-    )
+    return dataclasses.asdict(thermo.is_spr(_graph(args))), {}
 
 
 def _cmd_b_inf(args):
     q = _int_list(args.q)[0] if args.q else 1
     lam = args.delta if args.delta is not None else 1e-3
     rep = infinity.b_inf_estimate(_graph(args), lam=lam, q=q)
-    return (
-        {
-            "value": rep.value,
-            "t_opt": rep.t_opt,
-            "lam": rep.lam,
-            "q": rep.q,
-            "pressure_at_opt": rep.pressure_at_opt,
-        },
-        {},
-    )
+    return dataclasses.asdict(rep), {}
 
 
 def _cmd_h_inf(args):
     rep = infinity.h_inf_lower_bound(_graph(args), count=args.steps or 4)
-    result = {
-        "value": rep.value,
-        "entropies": list(rep.entropies),
-        "windows": [list(w) for w in rep.windows],
-        "escaping": rep.escaping,
-        "base_masses": list(rep.base_masses),
-    }
     rows = [["lo", "hi", "entropy", "base_mass"]]
     for (lo, hi), h, b in zip(rep.windows, rep.entropies, rep.base_masses):
         rows.append([lo, hi, repr(h), repr(b)])
-    return result, {"windows.csv": rows}
+    return dataclasses.asdict(rep), {"windows.csv": rows}
 
 
 def _cmd_katok(args):
@@ -222,18 +189,7 @@ def _cmd_mass_bound(args):
     if c is None:
         c = 0.5 * thermo.gurevich_entropy(g).value
     rep = infinity.mass_bound_check(g, c=c)
-    return (
-        {
-            "bound": rep.bound,
-            "measured": rep.measured,
-            "c": rep.c,
-            "delta_inf": rep.delta_inf,
-            "entropy_top": rep.entropy_top,
-            "entropies_ok": rep.entropies_ok,
-            "satisfied": rep.satisfied,
-        },
-        {},
-    )
+    return dataclasses.asdict(rep), {}
 
 
 def _cmd_dim_series(args):
@@ -242,38 +198,15 @@ def _cmd_dim_series(args):
     q = _int_list(args.q)[0] if args.q else 1
     t = args.t if args.t is not None else 0.5
     rep = infinity.dimension_series(g, t=t, m=m, q=q, l_max=args.n_max or 60)
-    result = {
-        "verdict": rep.verdict,
-        "s": rep.s,
-        "t": rep.t,
-        "m": rep.m,
-        "q": rep.q,
-        "partial_sum": rep.partial_sum,
-        "tail_slope": rep.tail_slope,
-        "terms": [[l, term] for l, term in rep.terms],
-    }
     rows = [["l", "term"]] + [[l, repr(term)] for l, term in rep.terms]
-    return result, {"terms.csv": rows}
+    return dataclasses.asdict(rep), {"terms.csv": rows}
 
 
 def _cmd_density_demo(args):
     rep = density.two_component_demo(
         n=args.n_max or 64, M=_int_list(args.M)[0] if args.M else 4, depth=args.depth or 6
     )
-    return (
-        {
-            "rho": rep.rho,
-            "depth": rep.depth,
-            "entropy_target": rep.entropy_target,
-            "entropy_built": rep.entropy_built,
-            "gap": rep.gap,
-            "n": rep.n,
-            "M": rep.M,
-            "block_counts": list(rep.block_counts),
-            "states": rep.states,
-        },
-        {},
-    )
+    return dataclasses.asdict(rep), {}
 
 
 _COMMANDS = {
@@ -293,9 +226,7 @@ _COMMANDS = {
 
 def _strict_verdict(command, result):
     """The verdict --strict turns into exit code 3 when inconclusive."""
-    if command == "classify":
-        return result.get("verdict")
-    if command == "dim-series":
+    if command in ("classify", "dim-series"):
         return result.get("verdict")
     return None
 

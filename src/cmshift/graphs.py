@@ -218,10 +218,6 @@ class FiniteGraph:
     def is_simple(self):
         return all(m == 1 for m in self._mult.values())
 
-    @property
-    def edge_count(self):
-        return sum(self._mult.values())
-
     def truncate(self, q):
         size = min(q, self.symbols)
         if size < 1:
@@ -245,7 +241,6 @@ class Enumeration:
     """
 
     def __init__(self, system, max_id):
-        self.system = system
         self.max_id = max_id
         rows = []
         next_id = 2
@@ -309,7 +304,7 @@ class CountTable:
 
     def prefix(self, upto):
         """Number of nonzero lengths <= upto."""
-        return int(np.searchsorted(self.lengths, upto, side="right"))
+        return int(self.lengths.searchsorted(upto, side="right"))
 
 
 _EMPTY_TABLE = CountTable(
@@ -322,7 +317,8 @@ class LoopSystem:
 
     Loop counts are computed once: the system keeps a CountTable of a_l for
     the lengths 1..n, extended as far as a query asks up to SERIES_TERMS (or
-    the longest loop); longer lengths are counted afresh on every query.
+    the longest loop); longer lengths are counted afresh on every query. The
+    canonical enumeration is kept the same way.
     """
 
     def __init__(self, loops, tail=None):
@@ -342,6 +338,7 @@ class LoopSystem:
         lim = self.max_loop_length()
         self._cap = SERIES_TERMS if lim is None else min(SERIES_TERMS, lim)
         self._table = _EMPTY_TABLE
+        self._enum = None
 
     @property
     def symbols(self):
@@ -408,7 +405,17 @@ class LoopSystem:
         return max((l for l, m in self._explicit.items() if m > 0), default=0)
 
     def enumeration(self, max_id):
-        return Enumeration(self, max_id)
+        """The system's one Enumeration, covering at least the ids <= max_id.
+
+        Its rows can run past max_id. An extension doubles the covered ids
+        and is swapped in with one assignment, so threads sharing the system
+        never see half an enumeration.
+        """
+        enum = self._enum
+        if enum is None or enum.max_id < max_id:
+            enum = Enumeration(self, max(max_id, 2 * enum.max_id if enum else 0))
+            self._enum = enum
+        return enum
 
     def truncate(self, q):
         if q < 1:
@@ -498,6 +505,8 @@ def walk_view(graph, n_edges, ids):
     edges = []
     taken = {}
     for length, _, first in system.enumeration(wanted[-1]).rows:
+        if first > wanted[-1]:
+            break
         k = bisect_left(wanted, first)
         if k == len(wanted) or wanted[k] > first + length - 2:
             continue

@@ -5,8 +5,10 @@ every finite part of the symbol set, and uses those estimates to verify,
 at desk scale, the statements that tie everything together:
 
   - ``pressure_indicator``: the Gurevich pressure of the potential
-    -t * (indicator of the symbols <= q), computed exactly from a weighted
-    loop series (or a weighted transfer matrix on finite graphs),
+    -t * (indicator of the symbols <= q): -log of the root of the loop
+    series with each loop weighted by e^(-t * its visits to those symbols),
+    every weight nonnegative, bisected by ``thermo.bisect_root`` on
+    certified bounds (or a weighted transfer matrix on finite graphs),
   - ``b_inf_estimate``: the dual bound min_t [P(-t 1_F) + t*lam] on the
     entropy of measures giving the finite part F mass at most lam,
   - ``h_inf_lower_bound``: entropy carried by explicitly constructed
@@ -52,59 +54,57 @@ def _finite_pressure(graph, t, q):
     return math.log(lam) if lam > 0 else float("-inf")
 
 
-def _visit_corrections(system, t, q):
-    """Finite list of (length, weight adjustment) for loops whose interior
-    passes through symbols <= q; every other loop meets them exactly once."""
+def _visit_weights(system, t, q):
+    """(longest, [(l, c_l)]): longest is the longest loop with an interior
+    symbol <= q (0 when none has one), and c_l sums the weights
+    e^(-t * visits to the symbols <= q) of the loops of length l <= longest.
+    Such a loop weighs e^(-t(1 + inside)); the other loops of its length,
+    and every longer loop, visit only the base among those symbols."""
+    inner = {}
+    for length, _, first in system.enumeration(q).rows:
+        if first > q:
+            break
+        inside = min(first + length - 2, q) - first + 1
+        inner.setdefault(length, []).append(math.exp(-t * (1 + inside)))
+    longest = max(inner, default=0)
     base_weight = math.exp(-t)
-    corr = []
-    if q >= 2:
-        for length, _, first in system.enumeration(q).rows:
-            last = first + length - 2
-            inside = min(last, q) - first + 1
-            if inside > 0:
-                corr.append((length, math.exp(-t * (1 + inside)) - base_weight))
-    return corr
+    weights = []
+    for length, a in enumerate(system.counts(longest)):
+        ws = inner.get(length, [])
+        rest = a - len(ws)
+        if rest or ws:
+            weights.append((length, math.fsum(ws + [rest * base_weight])))
+    return longest, weights
 
 
 def _loop_pressure(system, t, q):
+    """-log of the root of the visit-weighted loop series: the loops up to
+    the longest one with an interior symbol <= q summed with their own
+    nonnegative weights, every longer loop from the certified bounds of the
+    loop series past it at weight e^-t."""
     gf = thermo.loop_gf(system)
-    radius = gf.radius
     base_weight = math.exp(-t)
-    corr = _visit_corrections(system, t, q)
+    longest, head = _visit_weights(system, t, q)
 
-    def bounds(x):
-        lo, hi = gf.value_bounds(x)
-        shift = 0.0
-        for length, w in corr:
-            shift += w * x**length
-        return base_weight * lo + shift, base_weight * hi + shift
+    def side(x):
+        try:
+            near = math.fsum([w * x**length for length, w in head])
+        except OverflowError:
+            # x**l left the float range: the series is certainly above 1
+            return 1
+        lo, hi = gf.value_bounds(x, beyond=longest)
+        # the nonnegative head terms are each good to a few ulps
+        return thermo.side_of_one(
+            near * (1.0 - thermo.RELATIVE_SLACK) + base_weight * lo,
+            near * (1.0 + thermo.RELATIVE_SLACK) + base_weight * hi,
+        )
 
-    hi_x = radius if math.isfinite(radius) else 1.0
-    if math.isfinite(radius):
-        _, top = bounds(radius)
-        if top < 1.0:
-            # the weighted series never reaches 1: the critical point is the
-            # convergence radius itself
-            return -math.log(radius)
-    else:
-        while bounds(hi_x)[0] < 1.0:
-            hi_x *= 2.0
-    lo_x = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo_x + hi_x)
-        if mid <= 0.0 or mid == lo_x or mid == hi_x:
-            break
-        b_lo, b_hi = bounds(mid)
-        if b_hi < 1.0:
-            lo_x = mid
-        elif b_lo > 1.0:
-            hi_x = mid
-        else:
-            lo_x = hi_x = mid
-            break
-        if hi_x - lo_x <= 1e-15 * max(1.0, hi_x):
-            break
-    return -math.log(0.5 * (lo_x + hi_x))
+    if math.isfinite(gf.radius) and side(gf.radius) < 0:
+        # the weighted series never reaches 1: the critical point is the
+        # convergence radius itself
+        return -math.log(gf.radius)
+    lo, hi = thermo.bisect_root(side, 0.0, gf.radius)
+    return -math.log(0.5 * (lo + hi))
 
 
 def pressure_indicator(graph, t, q=1):
@@ -272,7 +272,8 @@ def drift_schedule(system, count=6, base_length=4, ratio=2):
     out = []
     for j in range(count):
         length = _length_with_loops(system, base_length * ratio**j)
-        out.append(measures.tail_parry_measure(system, length, length))
+        label = f"window-mme[{length},{length}]"
+        out.append(measures.LoopMarkovMeasure(system, {length: 1.0}, label=label))
     return out
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .counting import _log_big
 from .errors import NotStronglyConnected, ValidationError
 from .graphs import FiniteGraph, LoopSystem, canonical_cylinders, is_strongly_connected
-from .thermo import adjacency_matrix, loop_gf, perron
+from .thermo import adjacency_matrix, bisect_root, loop_gf, perron
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +169,6 @@ class LoopMarkovMeasure:
             )
         self.entropy = float(entropy)
         self.mass = 1.0
-        self._enum = None
-
-    def _enumeration(self, max_id):
-        if self._enum is None or self._enum.max_id < max_id:
-            self._enum = self.system.enumeration(max_id)
-        return self._enum
 
     def _per_loop(self, length):
         """Choice probability of one individual loop of this length."""
@@ -186,7 +180,7 @@ class LoopMarkovMeasure:
     def _states(self, word):
         out = []
         top = max(word)
-        enum = self._enumeration(top) if top > 1 else None
+        enum = self.system.enumeration(top) if top > 1 else None
         for vid in word:
             if vid == 1:
                 out.append(_BASE)
@@ -226,10 +220,11 @@ class LoopMarkovMeasure:
         return p
 
 
-def loop_mme(system, tol=1e-14, weight_cutoff=1e-13):
-    """The maximal-entropy loop chain: weights a_l x*^l."""
+def loop_mme(system, weight_cutoff=1e-13):
+    """The maximal-entropy loop chain: weights a_l x*^l, with x* from
+    LoopGF.x_star."""
     gf = loop_gf(system)
-    root = gf.x_star(tol=tol)
+    root = gf.x_star()
     if root is None:
         raise ValidationError("transient system: the loop series stays below 1")
     if gf.radius < math.inf and root >= gf.radius * (1 - 1e-12):
@@ -263,29 +258,17 @@ def _window_counts(system, lo, hi):
     return lengths, logs
 
 
-def _window_value(counts, x):
-    if x <= 0:
-        return 0.0
+def _window_side(counts, x):
+    """The window series at x > 0, minus 1."""
     lengths, logs = counts
     exps = logs + lengths * math.log(x)
     if exps.max() >= 700:
         return math.inf
-    return math.fsum(np.exp(exps).tolist())
+    return math.fsum(np.exp(exps).tolist()) - 1.0
 
 
-def _window_root(counts, tol=1e-15):
-    hi = 1e-6
-    while _window_value(counts, hi) < 1.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ValidationError("window series never reaches 1")
-    lo = 0.0
-    while hi - lo > tol * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if _window_value(counts, mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
+def _window_root(counts):
+    lo, hi = bisect_root(lambda x: _window_side(counts, x), 0.0)
     return 0.5 * (lo + hi)
 
 
@@ -300,7 +283,7 @@ def tail_parry_measure(system, lo, hi):
     return _window_measure(system, counts, x0, label=f"window-mme[{lo},{hi}]")
 
 
-def entropy_targeted_measure(system, target, lo, hi, iters=200):
+def entropy_targeted_measure(system, target, lo, hi):
     """Window chain with entropy at most `target`, as close as bisection gets.
 
     The tilt parameter y moves the window entropy monotonically from 0
@@ -316,16 +299,13 @@ def entropy_targeted_measure(system, target, lo, hi, iters=200):
         raise ValidationError(
             f"target {target} above the window ceiling {ceiling}"
         )
-    y_lo, y_hi = x0 * 1e-12, x0
-    for _ in range(iters):
-        mid = 0.5 * (y_lo + y_hi)
-        h = _window_measure(system, counts, mid, "probe").entropy
-        if h <= target:
-            y_lo = mid
-        else:
-            y_hi = mid
+    y, _ = bisect_root(
+        lambda y: _window_measure(system, counts, y, "probe").entropy - target,
+        x0 * 1e-12,
+        x0,
+    )
     return _window_measure(
-        system, counts, y_lo, label=f"targeted[{lo},{hi}]@{target:.4g}"
+        system, counts, y, label=f"targeted[{lo},{hi}]@{target:.4g}"
     )
 
 

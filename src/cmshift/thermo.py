@@ -12,6 +12,11 @@ exists. The classification follows the shape of f at its radius:
 * root exactly at the radius: null recurrent when the mean loop length
   diverges there, positive recurrent when it converges.
 
+Every root of an increasing loop equation (x* here, the pressures of
+`infinity`, the window chains of `measures`) comes from one bisection,
+`bisect_root`, which stops where the certified bounds can no longer tell
+the value from 1 or the bracket closes to adjacent floats.
+
 The entropy at infinity is approached from two sides: `big_delta_inf` reads
 the certified loop growth of the presentation, and `delta_inf` fits escape
 count series z_n(M, q) on a grid of budgets M and thresholds q, taking the
@@ -113,6 +118,48 @@ def perron_root(graph):
 
 
 # ---------------------------------------------------------------------------
+# roots of increasing loop equations
+
+
+def side_of_one(lo, hi):
+    """-1, 1 or 0 as certified bounds (lo, hi) of a value lie below 1,
+    above 1, or around it."""
+    if hi < 1.0:
+        return -1
+    if lo > 1.0:
+        return 1
+    return 0
+
+
+def bisect_root(side, lo, hi=math.inf):
+    """The last certified bracket (lo, hi) of the crossing of an increasing
+    test.
+
+    side(x) is negative below the crossing, positive above it, and 0 where
+    the bounds behind it cannot tell. hi = inf is doubled from 1.0 until
+    side(hi) > 0; a bracket that leaves the float range raises
+    NonConvergent. The bracket is halved until side returns 0 at its
+    midpoint or lo and hi are adjacent floats, so the midpoint of the
+    returned bracket is the point at which the bisection stopped.
+    """
+    if hi == math.inf:
+        hi = 1.0
+        while side(hi) <= 0:
+            hi *= 2.0
+            if hi == math.inf:
+                raise NonConvergent("no root bracket inside the float range")
+    while True:
+        mid = 0.5 * (lo + hi)
+        s = side(mid) if lo < mid < hi else 0
+        if s == 0:
+            return lo, hi
+        if s < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+# ---------------------------------------------------------------------------
 # loop generating functions
 
 # widening of LoopGF.value_bounds relative to the bounded value
@@ -140,22 +187,20 @@ class LoopGF:
         else:
             self.radius = math.inf
 
-    def _partial(self, x, upto):
-        """(sum of a_l x**l over l <= upto, upto clipped to the longest
-        loop, bound on the rounding error of the big-count terms)."""
-        lim = self.system.max_loop_length()
-        if lim is not None:
-            upto = min(upto, lim)
+    def _partial(self, x, upto, beyond=0):
+        """(sum of a_l x**l over beyond < l <= upto, upto clipped to the
+        count table, bound on the rounding error of the big-count terms)."""
         table = self.system.count_table(upto)
-        k = table.prefix(upto)
-        lengths = table.lengths[:k]
-        terms = table.floats[:k] * np.power(x, lengths)
-        big = table.big[:k]
+        upto = min(upto, table.upto)
+        i, k = table.prefix(beyond) if beyond else 0, table.prefix(upto)
+        lengths = table.lengths[i:k]
+        terms = table.floats[i:k] * np.power(x, lengths)
+        big = table.big[i:k]
         err = 0.0
         if big.any():
             # counts of more than BIG_BITS bits: exp(log a_l + l log x), whose
             # exponent carries rounding errors of a few ulps of its parts
-            logs, exps = table.logs[:k][big], lengths[big] * math.log(x)
+            logs, exps = table.logs[i:k][big], lengths[big] * math.log(x)
             terms[big] = np.exp(logs + exps)
             err = 4 * _ULP * float(np.dot(terms[big], 2.0 + logs + np.abs(exps)))
         return math.fsum(terms.tolist()), upto, err
@@ -181,18 +226,19 @@ class LoopGF:
             return (0.0, math.inf)
         return (0.0, tail.upper_sum(beyond, x))
 
-    def value_bounds(self, x, min_terms=256):
-        """Certified (lower, upper) for f(x)."""
+    def value_bounds(self, x, beyond=0):
+        """Certified (lower, upper) for f(x), or for the terms of f(x) with
+        length > beyond."""
         if x < 0:
             raise ValidationError("x must be >= 0")
         if x == 0:
             return (0.0, 0.0)
         if x > self.radius * (1 + 1e-15):
             return (math.inf, math.inf)
-        upto = min_terms
+        upto = max(256, beyond)
         while True:
-            partial, used, err = self._partial(x, upto)
-            tail_lo, tail_hi = self._tail_bounds(used, x)
+            partial, used, err = self._partial(x, upto, beyond)
+            tail_lo, tail_hi = self._tail_bounds(max(used, beyond), x)
             # more terms cannot help an infinite tail bound
             if tail_hi == math.inf or tail_hi - tail_lo <= max(1e-13, 1e-10 * partial):
                 break
@@ -211,9 +257,14 @@ class LoopGF:
             return (math.inf, math.inf)
         return self.value_bounds(self.radius)
 
-    def x_star(self, tol=1e-14):
-        """The root of f(x) = 1 in (0, R], or None when f(R) < 1."""
-        hi = None
+    def x_star(self):
+        """The root of f(x) = 1 in (0, R], or None when f(R) < 1.
+
+        The midpoint of the bracket from bisect_root: bisection stops where
+        the certified bounds of f no longer tell f(x) from 1, or where the
+        bracket closes to adjacent floats.
+        """
+        hi = math.inf
         if self.radius < math.inf:
             lo_r, hi_r = self.series_at_radius()
             if hi_r < 1.0:
@@ -225,24 +276,10 @@ class LoopGF:
                         return None
                     if declared == 1.0:
                         return self.radius
-                # fall through: bisect, the root is within tol of R anyway
+                # fall through: bisection stops next to R, where the bounds
+                # cannot tell f from 1
             hi = self.radius
-        if hi is None:
-            hi = 1.0
-            while self.value_bounds(hi)[0] <= 1.0:
-                hi *= 2.0
-                if hi > 1e9:
-                    raise ValidationError("no finite root bracket")
-        lo = 0.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            f_lo, f_hi = self.value_bounds(mid)
-            if f_hi < 1.0:
-                lo = mid
-            elif f_lo > 1.0:
-                hi = mid
-            else:
-                return mid
+        lo, hi = bisect_root(lambda x: side_of_one(*self.value_bounds(x)), 0.0, hi)
         return 0.5 * (lo + hi)
 
 

@@ -20,7 +20,7 @@ import sys
 import pytest
 
 from cmshift import cli, families
-from cmshift.graphs import graph_spec
+from cmshift.graphs import LoopSystem, graph_spec
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -113,6 +113,15 @@ def test_b_inf_renewal_closed_form(tmp_path, capsys):
     exact = math.log(1 + 1 / 999) + 0.001 * math.log(999)
     assert abs(doc["result"]["value"] - exact) < 1e-5
     assert doc["result"]["lam"] == 0.001
+
+
+@pytest.mark.parametrize("q,delta", [("6", "1e-9"), ("4", "1e-3")])
+def test_b_inf_finite_loop_system_is_minus_inf(tmp_path, capsys, q, delta):
+    # every loop meets F = {1..q}, so P(-t 1_F) falls without bound
+    g = write_graph(tmp_path, "loops.json", LoopSystem([(1, 1), (3, 2)]))
+    code, doc = run_cli(capsys, ["b-inf", "--graph", g, "--q", q, "--delta", delta])
+    assert code == 0
+    assert doc["result"]["value"] == "-inf"
 
 
 def test_h_inf_finite_graph_is_minus_inf(tmp_path, capsys):

@@ -6,6 +6,8 @@ loop's interior vertices get consecutive ids.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -89,6 +91,36 @@ def test_canonical_enumeration_explicit_before_tail():
     assert enum.locate(3) == (3, 1)
     assert enum.locate(5) == (3, 1)
     assert 3 - enum.locate(3)[1] + 1 != 5 - enum.locate(5)[1] + 1
+
+
+def test_threads_sharing_a_system_see_whole_enumerations():
+    # the enumeration is shared and extended by doubling; each reader gets
+    # one that covers its ids, whole and in canonical order
+    system = power_loops()
+    ref = graphs.Enumeration(power_loops(), 8000)
+    bad = []
+
+    def work(seed):
+        for k in range(40):
+            n = 2 + (seed * 97 + k * 131) % 3000
+            enum = system.enumeration(n)
+            if enum.next_free_id <= n or enum.rows != ref.rows[: len(enum.rows)]:
+                bad.append(n)
+            if enum.locate(n) != ref.locate(n):
+                bad.append(n)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 def test_truncation_renewal():

@@ -14,6 +14,9 @@ Oracles used here, independent of the implementation under test:
     e^-t = lam/(1-lam) for P(t) = log(1+e^-t),
   - a system of one loop of length l, which passes the base once, has
     P(-t 1_F) = -t/l, so the dual bound is unbounded below for lam < 1/l,
+  - a base self-loop and two 3-loops inside F = {1..6} weigh
+    e^-t x + 2 e^-3t x^3, which is y + 2 y^3 in y = e^-t x, so
+    P(-t 1_F) = -t - log y* with y* the real root of 2y^3 + y - 1,
   - escape counts in the budget-2 regime are single loops, making the
     dimension series terms explicit powers,
   - the mass bound (c - d_inf)/(h - d_inf) at c = h/2 and d_inf = 0 is 1/2.
@@ -37,6 +40,32 @@ def test_pressure_indicator_renewal_closed_form():
     for t in (0.0, 0.5, 1.0, 2.0):
         want = math.log(1 + math.exp(-t))
         assert abs(infinity.pressure_indicator(g, t, q=1) - want) < 1e-9
+
+
+def test_pressure_indicator_renewal_to_float_resolution():
+    # the bisection stops where the certified bounds cannot tell, not at a
+    # fixed width, so the pressure is good to about an ulp of 1
+    g = renewal_shift()
+    for t in range(8, 16):
+        assert abs(infinity.pressure_indicator(g, t, q=1) - math.log1p(math.exp(-t))) <= 2.0**-52
+
+
+def _real_root_of_2y3_plus_y_minus_1():
+    y = 0.59
+    for _ in range(8):
+        y -= (2 * y**3 + y - 1) / (6 * y**2 + 1)
+    return y
+
+
+def test_pressure_indicator_finite_loop_system_without_cancellation():
+    # one self-loop at the base and two 3-loops with interiors 2, 3 and 4, 5,
+    # all inside F = {1..6}: the weighted series e^-t x + 2 e^-3t x^3 = 1 is
+    # y + 2 y^3 = 1 in y = e^-t x, so P(-t 1_F) = -t - log y*; the loop
+    # weights are large once x* > 1 and must not cancel
+    g = LoopSystem([(1, 1), (3, 2)])
+    log_y = math.log(_real_root_of_2y3_plus_y_minus_1())
+    for t in (5.0, 10.0, 15.0, 18.0, 30.0):
+        assert infinity.pressure_indicator(g, t, q=6) == pytest.approx(-t - log_y, abs=1e-12)
 
 
 def test_pressure_indicator_powers_closed_form():

@@ -10,7 +10,8 @@ Oracles used here, independent of the implementation under test:
   - the subexponential family has f(1/2) ~ 0.0313 < 1 (partial sums plus
     an integral tail bound, computed by hand),
   - escape counts in the single-loop regime are loop counts: z_n = a_{n+1},
-    so the fitted escape rate equals the loop growth exactly.
+    so the fitted escape rate equals the loop growth exactly,
+  - a_1 x + a_2 x^2 = 1 has the root 2 / (a_1 + sqrt(a_1^2 + 4 a_2)).
 """
 
 import math
@@ -142,6 +143,26 @@ def test_loop_gf_subexponential_below_one_at_radius():
 def test_loop_gf_greedy_null_root_at_radius():
     gf = thermo.loop_gf(greedy_null_loops())
     assert gf.x_star() == gf.radius == 0.5
+
+
+@pytest.mark.parametrize("a1,a2", [(10**6, 5), (1000, 1)])
+def test_x_star_relative_precision_on_small_roots(a1, a2):
+    # a1 x + a2 x^2 = 1 has the root 2 / (a1 + sqrt(a1^2 + 4 a2)), a form
+    # without cancellation; a stopping rule absolute in x would leave a
+    # relative error of its width over x*
+    root = thermo.loop_gf(LoopSystem([(1, a1), (2, a2)])).x_star()
+    exact = 2.0 / (a1 + math.sqrt(a1 * a1 + 4 * a2))
+    assert abs(root - exact) <= 1e-12 * exact
+
+
+def test_bisect_root_closes_to_adjacent_floats():
+    lo, hi = thermo.bisect_root(lambda x: -1 if x < 0.3 else 1, 0.0)
+    assert lo < 0.3 <= hi == math.nextafter(lo, 1.0)
+
+
+def test_bisect_root_raises_when_the_bracket_leaves_the_float_range():
+    with pytest.raises(NonConvergent):
+        thermo.bisect_root(lambda x: -1, 0.0)
 
 
 @pytest.mark.parametrize(
