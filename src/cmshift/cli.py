@@ -9,6 +9,7 @@ report plus tidy CSV tables into the directory.  Exit codes: 0 success,
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -274,7 +275,10 @@ class _EntryParser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache
 def _build_parser(parser_class=argparse.ArgumentParser):
+    """The argument tree, built on first use and shared by every later call
+    and thread: parsing writes only into a fresh Namespace."""
     parser = parser_class(
         prog="cmshift",
         description="Entropy, escape of mass, and verification for countable Markov shifts.",

@@ -31,6 +31,9 @@ from .errors import CapacityError, SchemaError, ValidationError
 SERIES_TERMS = 4096
 # counts longer than this many bits enter float sums through their logarithm
 BIG_BITS = 500
+# most symbols a FiniteGraph may have: its kernels hold dense symbols x
+# symbols float matrices, 128 MiB at this size
+MAX_SYMBOLS = 4096
 
 
 def _log_big(c):
@@ -180,6 +183,10 @@ class FiniteGraph:
     def __init__(self, symbols, edges):
         if not isinstance(symbols, int) or symbols < 1:
             raise ValidationError("symbols must be a positive integer")
+        if symbols > MAX_SYMBOLS:
+            raise CapacityError(
+                f"{symbols} symbols exceed the cap of {MAX_SYMBOLS}", field="finite.symbols"
+            )
         self.symbols = symbols
         mult = {}
         items = edges.items() if isinstance(edges, dict) else ((e, 1) for e in edges)
@@ -333,7 +340,10 @@ class LoopSystem:
         self._explicit = {}
         for l, m in loops:
             self._explicit[l] = self._explicit.get(l, 0) + m
-        if not self.is_infinite and not any(m > 0 for m in self._explicit.values()):
+        # (l, a) of the explicit lengths with loops, shortest first
+        self.explicit_loops = tuple(sorted((l, m) for l, m in self._explicit.items() if m > 0))
+        self.longest_explicit = self.explicit_loops[-1][0] if self.explicit_loops else 0
+        if not self.is_infinite and not self.explicit_loops:
             raise ValidationError("loop system needs at least one loop")
         lim = self.max_loop_length()
         self._cap = SERIES_TERMS if lim is None else min(SERIES_TERMS, lim)
@@ -402,7 +412,7 @@ class LoopSystem:
         """Largest loop length, or None when the tail is infinite."""
         if self.is_infinite:
             return None
-        return max((l for l, m in self._explicit.items() if m > 0), default=0)
+        return self.longest_explicit
 
     def enumeration(self, max_id):
         """The system's one Enumeration, covering at least the ids <= max_id.

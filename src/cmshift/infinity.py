@@ -83,7 +83,8 @@ def _loop_pressure(system, t, q):
     nonnegative weights, every longer loop from the certified bounds of the
     loop series past it at weight e^-t."""
     gf = thermo.loop_gf(system)
-    base_weight = math.exp(-t)
+    # the base is a symbol <= q unless F is empty
+    base_weight = math.exp(-t) if q >= 1 else 1.0
     longest, head = _visit_weights(system, t, q)
 
     def side(x):

@@ -206,25 +206,34 @@ class LoopGF:
         return math.fsum(terms.tolist()), upto, err
 
     def _tail_bounds(self, beyond, x):
-        """Certified (lower, upper) for the sum of terms with length > beyond."""
-        lim = self.system.max_loop_length()
-        if lim is not None and beyond >= lim:
-            return (0.0, 0.0)
-        tail = self.system.tail
-        if isinstance(tail, GeometricTail):
+        """Certified (lower, upper) for the sum of terms with length > beyond:
+        the tail rule's bounds plus the explicit loops longer than beyond."""
+        system = self.system
+        tail = system.tail
+        if not system.is_infinite:
+            lo = hi = 0.0
+        elif isinstance(tail, GeometricTail):
             lo, hi = tail.envelope(beyond, x, -math.inf), tail.envelope(beyond, x)
             # multiplicities floor(coeff * growth^l) undershoot the geometric
             # envelope by less than 1 per term; with integer parameters they
             # match it exactly
-            if float(tail.coeff).is_integer() and float(tail.growth).is_integer():
-                return (lo, hi)
-            if x < 1.0 and math.isfinite(hi):
-                loss = x ** (beyond + 1) / (1.0 - x) * (1 + 4 * _ULP)
-                return (max(lo - loss, 0.0), hi)
-            return (0.0, hi)
-        if tail.upper_sum is None:
-            return (0.0, math.inf)
-        return (0.0, tail.upper_sum(beyond, x))
+            if not (float(tail.coeff).is_integer() and float(tail.growth).is_integer()):
+                if x < 1.0 and math.isfinite(hi):
+                    loss = x ** (beyond + 1) / (1.0 - x) * (1 + 4 * _ULP)
+                    lo = max(lo - loss, 0.0)
+                else:
+                    lo = 0.0
+        elif tail.upper_sum is None:
+            lo, hi = 0.0, math.inf
+        else:
+            lo, hi = 0.0, tail.upper_sum(beyond, x)
+        if beyond < system.longest_explicit:
+            try:
+                past = math.fsum(m * x**l for l, m in system.explicit_loops if l > beyond)
+            except OverflowError:
+                past = math.inf
+            lo, hi = lo + past, hi + past
+        return (lo, hi)
 
     def value_bounds(self, x, beyond=0):
         """Certified (lower, upper) for f(x), or for the terms of f(x) with

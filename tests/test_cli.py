@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -113,6 +114,15 @@ def test_b_inf_renewal_closed_form(tmp_path, capsys):
     exact = math.log(1 + 1 / 999) + 0.001 * math.log(999)
     assert abs(doc["result"]["value"] - exact) < 1e-5
     assert doc["result"]["lam"] == 0.001
+
+
+def test_b_inf_empty_finite_part_is_the_entropy(tmp_path, capsys):
+    # q = 0: no symbol is weighted, so min_t P(0) + t*lam = log 2 at t = 0
+    g = write_graph(tmp_path, "renewal.json", families.renewal_shift())
+    code, doc = run_cli(capsys, ["b-inf", "--graph", g, "--q", "0"])
+    assert code == 0
+    assert doc["result"]["pressure_at_opt"] == pytest.approx(math.log(2), abs=1e-15)
+    assert doc["result"]["value"] == pytest.approx(math.log(2), abs=1e-12)
 
 
 @pytest.mark.parametrize("q,delta", [("6", "1e-9"), ("4", "1e-3")])
@@ -429,3 +439,68 @@ def test_run_manifest_bad_entry_flag_exits_2(tmp_path, capsys):
         assert "--no-such-flag" in doc["error"]["message"]
         # entries parse on worker threads without swapping the process stderr
         assert sys.stderr is stderr
+
+
+# ---------------------------------------------------------------------------
+# the shared parsers
+
+
+def test_parsers_are_built_once_per_class():
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    entry = cli._build_parser(cli._EntryParser)
+    assert entry is not parser
+    assert cli._build_parser(cli._EntryParser) is entry
+    with pytest.raises(cli.ValidationError):
+        entry.parse_args(["classify", "--no-such-flag"])
+
+
+def test_shared_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    g = write_graph(tmp_path, "golden.json", families.golden_mean())
+    code, first = run_cli(capsys, ["entropy", "--graph", g, "--vertex", "1"])
+    assert code == 0
+    assert first["params"]["vertex"] == 1
+    assert first["result"]["count_vertex"] == 1
+    code, second = run_cli(capsys, ["entropy", "--graph", g])
+    assert code == 0
+    assert "vertex" not in second["params"]
+    assert "count_vertex" not in second["result"]
+
+
+def test_shared_entry_parser_is_safe_under_threads():
+    parser = cli._build_parser(cli._EntryParser)
+    argvs = [
+        ["entropy", "--graph", "a.json", "--n-max", "12", "--vertex", "2"],
+        ["entropy", "--graph", "b.json"],
+        ["b-inf", "--graph", "c.json", "--q", "3", "--delta", "0.01"],
+        ["dim-series", "--graph", "d.json", "--t", "0.25", "--strict"],
+        ["classify", "--graph", "e.json", "--no-such-flag", "1"],
+    ]
+
+    def parse(argv):
+        try:
+            return vars(parser.parse_args(argv))
+        except cli.ValidationError as exc:
+            return exc.message
+
+    want = [parse(argv) for argv in argvs]
+    bad = []
+
+    def work(seed):
+        for k in range(300):
+            i = (seed + k) % len(argvs)
+            if parse(argvs[i]) != want[i]:
+                bad.append(i)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad

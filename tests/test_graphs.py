@@ -8,6 +8,7 @@ loop's interior vertices get consecutive ids.
 import json
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -32,6 +33,28 @@ def test_finite_graph_rejects_bad_edges():
         graphs.FiniteGraph(2, [(1, 3)])
     with pytest.raises(ValidationError):
         graphs.FiniteGraph(0, [])
+
+
+def test_finite_graph_symbol_cap_raises_before_allocating():
+    def edges():
+        # a constructor that reads its edges has passed the cap check
+        raise AssertionError("edges read before the symbol cap")
+        yield
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as direct:
+            graphs.FiniteGraph(10**9, edges())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert direct.value.field == "finite.symbols"
+    doc = {"kind": "finite", "finite": {"symbols": graphs.MAX_SYMBOLS + 1, "edges": [[1, 1]]}}
+    with pytest.raises(CapacityError) as loaded:
+        graphs.load_graph(doc)
+    assert loaded.value.field == "finite.symbols"
+    assert graphs.FiniteGraph(graphs.MAX_SYMBOLS, [(1, 1)]).symbols == graphs.MAX_SYMBOLS
 
 
 def test_loop_multiplicities_renewal():

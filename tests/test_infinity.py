@@ -117,6 +117,13 @@ def test_pressure_at_zero_is_entropy():
         assert abs(infinity.pressure_indicator(g, 0.0, q=1) - want) < 1e-9
 
 
+@pytest.mark.parametrize("t", [0.5, 2.0, 8.0, 30.0])
+def test_pressure_with_empty_finite_part_is_entropy(t):
+    # q = 0: F is empty, the potential vanishes and P(0) is the entropy
+    assert infinity.pressure_indicator(renewal_shift(), t, q=0) == pytest.approx(math.log(2), abs=1e-15)
+    assert infinity.pressure_indicator(golden_mean(), t, q=0) == pytest.approx(math.log((1 + math.sqrt(5)) / 2), abs=1e-12)
+
+
 def test_pressure_decreases_in_t():
     g = renewal_shift()
     vals = [infinity.pressure_indicator(g, t, q=1) for t in (0.0, 0.5, 1.0, 2.0)]

@@ -148,6 +148,33 @@ def test_value_bounds_contain_the_exact_series_near_the_radius(system, radius, c
         assert hi - lo <= (1e-12 + (4 * 2.0**-52 * 10.0**k if rounded else 0.0)) * hi
 
 
+@pytest.mark.parametrize(
+    "system, closed",
+    [
+        (LoopSystem([(300, 1)], GeometricTail(2, 1, 1.0)), lambda x: x**2 / (1 - x) + x**300),
+        (LoopSystem([(1, 1), (300, 1)]), lambda x: x + x**300),
+        (LoopSystem([(1, 1), (SERIES_TERMS + 7, 2)]), lambda x: x + 2 * x ** (SERIES_TERMS + 7)),
+    ],
+    ids=["past-the-prefix-plus-tail", "finite-past-the-prefix", "finite-past-the-cap"],
+)
+def test_value_bounds_count_explicit_loops_past_the_summed_prefix(system, closed):
+    gf = thermo.loop_gf(system)
+    for x in (0.5, 0.99, 0.9999):
+        lo, hi = gf.value_bounds(x)
+        exact = closed(Fraction(x))
+        assert Fraction(lo) <= exact <= Fraction(hi), (x, lo, hi, float(exact))
+        assert hi - lo <= 1e-12 * hi
+
+
+def test_loop_mme_counts_explicit_loops_past_its_cutoff():
+    # x + x**10 = 1: the chain picks the loop of length 10 with mass x**10
+    chain = measures.loop_mme(LoopSystem([(1, 1), (10, 1)]))
+    x = math.exp(-chain.entropy)
+    assert sorted(chain.weights) == [1, 10]
+    assert abs(chain.weights[10] - x**10) < 1e-12
+    assert abs(x + x**10 - 1) < 1e-12
+
+
 def test_threads_sharing_a_system_see_whole_tables():
     system = LoopSystem([(2, 1)], GeometricTail(3, 1.5, 1.3))
     want = [0] + [_reference(system, l) for l in range(1, 1201)]
