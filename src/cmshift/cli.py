@@ -91,8 +91,7 @@ def _cmd_entropy(args):
 
 def _cmd_delta_inf(args):
     g = _graph(args)
-    Ms = _int_list(args.M) if args.M else (8, 16)
-    qs = _int_list(args.q) if args.q else (1, 2, 4)
+    Ms, qs = _int_list(args.M), _int_list(args.q)
     grid = thermo.delta_inf(g, Ms=tuple(Ms), qs=tuple(qs), n_max=args.n_max)
     result = grid.to_json()
     rows = [["M\\q"] + [str(q) for q in qs]]
@@ -114,14 +113,12 @@ def _cmd_spr(args):
 
 
 def _cmd_b_inf(args):
-    q = _int_list(args.q)[0] if args.q else 1
-    lam = args.delta if args.delta is not None else 1e-3
-    rep = infinity.b_inf_estimate(_graph(args), lam=lam, q=q)
+    rep = infinity.b_inf_estimate(_graph(args), lam=args.delta, q=args.q)
     return dataclasses.asdict(rep), {}
 
 
 def _cmd_h_inf(args):
-    rep = infinity.h_inf_lower_bound(_graph(args), count=args.steps or 4)
+    rep = infinity.h_inf_lower_bound(_graph(args), count=args.steps)
     rows = [["lo", "hi", "entropy", "base_mass"]]
     for (lo, hi), h, b in zip(rep.windows, rep.entropies, rep.base_masses):
         rows.append([lo, hi, repr(h), repr(b)])
@@ -136,8 +133,7 @@ def _cmd_katok(args):
             field="graph",
         )
     mu = measures.parry_measure(g)
-    delta = args.delta if args.delta is not None else 0.1
-    rep = katok.katok_estimate(mu, g, delta=delta, n_max=args.n_max or 16)
+    rep = katok.katok_estimate(mu, g, delta=args.delta, n_max=args.n_max)
     result = {
         "rate": rep.rate,
         "delta": rep.delta,
@@ -149,21 +145,19 @@ def _cmd_katok(args):
 
 def _cmd_verify_main(args):
     g = _graph(args)
-    wanted = args.family or "all"
-    if wanted == "all":
+    if args.family == "all":
         names = list(_FAMILIES)
-    elif wanted in _FAMILIES:
-        names = [wanted]
+    elif args.family in _FAMILIES:
+        names = [args.family]
     else:
         raise ValidationError(
-            f"unknown family {wanted!r}; choose from {sorted(_FAMILIES)} or all",
+            f"unknown family {args.family!r}; choose from {sorted(_FAMILIES)} or all",
             field="family",
         )
-    count = args.steps or 6
     families = []
     ok = True
     for name in names:
-        rep = infinity.verify_main_inequality(g, family=_FAMILIES[name], count=count)
+        rep = infinity.verify_main_inequality(g, family=_FAMILIES[name], count=args.steps)
         ok = ok and rep.slack >= -1e-9
         families.append(
             {
@@ -195,18 +189,13 @@ def _cmd_mass_bound(args):
 
 def _cmd_dim_series(args):
     g = _graph(args)
-    m = _int_list(args.M)[0] if args.M else 16
-    q = _int_list(args.q)[0] if args.q else 1
-    t = args.t if args.t is not None else 0.5
-    rep = infinity.dimension_series(g, t=t, m=m, q=q, l_max=args.n_max or 60)
+    rep = infinity.dimension_series(g, t=args.t, m=args.M, q=args.q, l_max=args.n_max)
     rows = [["l", "term"]] + [[l, repr(term)] for l, term in rep.terms]
     return dataclasses.asdict(rep), {"terms.csv": rows}
 
 
 def _cmd_density_demo(args):
-    rep = density.two_component_demo(
-        n=args.n_max or 64, M=_int_list(args.M)[0] if args.M else 4, depth=args.depth or 6
-    )
+    rep = density.two_component_demo(n=args.n_max, M=args.M, depth=args.depth)
     return dataclasses.asdict(rep), {}
 
 
@@ -289,20 +278,21 @@ def _build_parser(parser_class=argparse.ArgumentParser):
         if graph:
             p.add_argument("--graph", help="path to a graph spec JSON document")
         p.add_argument("--out", help="directory for report.json and CSV tables")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--strict", action="store_true",
                        help="exit 3 when the verdict is inconclusive")
 
     p = sub.add_parser("entropy", help="Gurevich entropy")
     common(p)
-    p.add_argument("--n-max", type=int, default=40)
+    p.add_argument("--n-max", type=int, default=40, help="longest walk (default %(default)s)")
     p.add_argument("--vertex", type=int, help="also fit the loop-count growth at this vertex")
 
     p = sub.add_parser("delta-inf", help="escape-rate grid and headline")
     common(p)
-    p.add_argument("--M", help="comma-separated visit budgets (default 8,16)")
-    p.add_argument("--q", help="comma-separated finite parts (default 1,2,4)")
-    p.add_argument("--n-max", type=int, default=40)
+    p.add_argument("--M", default="8,16",
+                   help="comma-separated visit budgets (default %(default)s)")
+    p.add_argument("--q", default="1,2,4",
+                   help="comma-separated finite parts (default %(default)s)")
+    p.add_argument("--n-max", type=int, default=40, help="longest walk (default %(default)s)")
 
     p = sub.add_parser("classify", help="recurrence classification")
     common(p)
@@ -312,22 +302,23 @@ def _build_parser(parser_class=argparse.ArgumentParser):
 
     p = sub.add_parser("b-inf", help="dual bound on entropy at infinity")
     common(p)
-    p.add_argument("--delta", type=float, help="mass level lam (default 0.001)")
-    p.add_argument("--q", help="finite part (default 1)")
+    p.add_argument("--delta", type=float, default=1e-3, help="mass level lam (default %(default)s)")
+    p.add_argument("--q", type=int, default=1, help="finite part (default %(default)s)")
 
     p = sub.add_parser("h-inf", help="escaping-measure entropy estimate")
     common(p)
-    p.add_argument("--steps", type=int, help="number of windows (default 4)")
+    p.add_argument("--steps", type=int, default=4, help="number of windows (default %(default)s)")
 
     p = sub.add_parser("katok", help="covering-number entropy of the maximal measure")
     common(p)
-    p.add_argument("--delta", type=float, help="covering level (default 0.1)")
-    p.add_argument("--n-max", type=int, default=16)
+    p.add_argument("--delta", type=float, default=0.1, help="covering level (default %(default)s)")
+    p.add_argument("--n-max", type=int, default=16, help="longest word (default %(default)s)")
 
     p = sub.add_parser("verify-main", help="escape-of-mass inequality harness")
     common(p)
-    p.add_argument("--family", help="constant-mme | pure-drift | half-mme-half-drift | all")
-    p.add_argument("--steps", type=int, help="schedule length (default 6)")
+    p.add_argument("--family", default="all", help="constant-mme | pure-drift | "
+                   "half-mme-half-drift | all (default %(default)s)")
+    p.add_argument("--steps", type=int, default=6, help="schedule length (default %(default)s)")
 
     p = sub.add_parser("mass-bound", help="limit-mass floor at entropy level c")
     common(p)
@@ -335,21 +326,21 @@ def _build_parser(parser_class=argparse.ArgumentParser):
 
     p = sub.add_parser("dim-series", help="weighted escape series verdict")
     common(p)
-    p.add_argument("--t", type=float, help="dimension parameter (default 0.5)")
-    p.add_argument("--M", help="visit budget m (default 16)")
-    p.add_argument("--q", help="finite part (default 1)")
-    p.add_argument("--n-max", type=int, default=60, help="largest term length")
+    p.add_argument("--t", type=float, default=0.5, help="dimension parameter (default %(default)s)")
+    p.add_argument("--M", type=int, default=16, help="visit budget m (default %(default)s)")
+    p.add_argument("--q", type=int, default=1, help="finite part (default %(default)s)")
+    p.add_argument("--n-max", type=int, default=60, help="longest term (default %(default)s)")
 
     p = sub.add_parser("density-demo", help="two-component ergodic approximation")
     common(p, graph=False)
-    p.add_argument("--n-max", type=int, help="block length n (default 64)")
-    p.add_argument("--M", help="number of slots (default 4)")
-    p.add_argument("--depth", type=int, help="cylinder depth for rho (default 6)")
+    p.add_argument("--n-max", type=int, default=64, help="block length n (default %(default)s)")
+    p.add_argument("--M", type=int, default=4, help="number of slots (default %(default)s)")
+    p.add_argument("--depth", type=int, default=6, help="rho cylinder depth (default %(default)s)")
 
     p = sub.add_parser("run", help="run a manifest of commands")
     common(p, graph=False)
     p.add_argument("manifest", help="path to a run-manifest JSON file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker threads (default %(default)s)")
 
     return parser
 
@@ -406,8 +397,6 @@ def _cmd_run(args):
     out_root = args.out or manifest.get("out") or "cmshift-run"
     jobs = max(1, args.jobs or int(manifest.get("jobs", 1)))
     defaults = dict(manifest.get("overrides") or {})
-    if "seed" in manifest:
-        defaults.setdefault("seed", manifest["seed"])
     entries = []
     if jobs == 1:
         for i, entry in enumerate(commands):

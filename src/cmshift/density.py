@@ -102,18 +102,17 @@ def concatenated_system(ambient, supports, n, M, anchor=1):
         state_label[key] = v
         return key
 
+    block_counts = []
     for s, sup in enumerate(slots):
-        layers = [{anchor}]
-        for _ in range(n - 1):
-            nxt = set()
-            for v in layers[-1]:
-                nxt.update(sup.out_neighbors(v))
-            layers.append(nxt)
+        # layers[o][v]: the words of o + 1 symbols from the anchor to v
+        layers = [Counter({anchor: 1})]
         for o in range(n - 1):
-            for v in layers[o]:
+            nxt = Counter()
+            for v, c in layers[o].items():
                 for w in sup.out_neighbors(v):
-                    if w in layers[o + 1]:
-                        edges.append((block(s, o, v), block(s, o + 1, w)))
+                    nxt[w] += c
+                    edges.append((block(s, o, v), block(s, o + 1, w)))
+            layers.append(nxt)
         nxt_start = block((s + 1) % M, 0, anchor)
         joined = 0
         for v in sorted(layers[n - 1]):
@@ -140,6 +139,9 @@ def concatenated_system(ambient, supports, n, M, anchor=1):
             raise ConnectorNotFound(
                 f"slot {s}: no block end can reach the anchor {anchor}"
             )
+        # every state of a word ending at a joined end lies on a cycle
+        # through the slot starts, so pruning keeps all these words
+        block_counts.append(sum(layers[n - 1][v] for v in conn_lengths[s]))
 
     # keep only states on a cycle through the first slot start
     fwd = {}
@@ -175,23 +177,7 @@ def concatenated_system(ambient, supports, n, M, anchor=1):
     graph = FiniteGraph(len(order), mult)
     labels = tuple(state_label[key] for key in order)
 
-    # surviving block counts and the certified entropy floor
-    block_counts = []
-    for s in range(M):
-        counts = {anchor: 1} if ("b", s, 0, anchor) in keep else {}
-        for o in range(n - 1):
-            nxt = Counter()
-            for v, c in counts.items():
-                for tgt in fwd.get(("b", s, o, v), ()):
-                    if tgt in keep and tgt[0] == "b" and tgt[1] == s:
-                        nxt[tgt[3]] += c
-            counts = dict(nxt)
-        total = sum(
-            c
-            for v, c in counts.items()
-            if v in conn_lengths[s] and ("b", s, n - 1, v) in keep
-        )
-        block_counts.append(total)
+    # the certified entropy floor
     period = M * n + sum(max(c.values(), default=0) for c in conn_lengths)
     spread = sum(
         max(c.values(), default=0) - min(c.values(), default=0)

@@ -67,11 +67,17 @@ class GeometricTail:
 
     def __post_init__(self):
         if self.from_length < 1:
-            raise ValidationError("from_length must be >= 1")
-        if not (self.coeff >= 0) or not math.isfinite(self.coeff):
-            raise ValidationError("coeff must be a finite number >= 0")
-        if not (self.growth >= 1) or not math.isfinite(self.growth):
-            raise ValidationError("growth must be a finite number >= 1")
+            raise ValidationError("from_length must be >= 1", field="loop_system.tail.from_length")
+        for name, low in (("coeff", 0), ("growth", 1)):
+            try:
+                value = float(getattr(self, name))
+            except OverflowError:  # an integer past the float range
+                value = math.inf
+            if not low <= value < math.inf:
+                raise ValidationError(
+                    f"{name} must be a finite number >= {low}", field=f"loop_system.tail.{name}"
+                )
+            object.__setattr__(self, name, value)  # frozen: store the float
 
     def multiplicity(self, length):
         if length < self.from_length:
@@ -134,10 +140,6 @@ class GeometricTail:
         start = max(beyond + 1, self.from_length)
         return self.coeff * y ** start / (1 - y)
 
-    def upper_sum(self, beyond, x):
-        """Certified upper bound for sum_{l > beyond} a_l x**l, for 0 < x < 1/growth."""
-        return self.envelope(beyond, x)
-
 
 @dataclass(frozen=True)
 class FormulaTail:
@@ -182,7 +184,7 @@ class FiniteGraph:
 
     def __init__(self, symbols, edges):
         if not isinstance(symbols, int) or symbols < 1:
-            raise ValidationError("symbols must be a positive integer")
+            raise ValidationError("symbols must be a positive integer", field="finite.symbols")
         if symbols > MAX_SYMBOLS:
             raise CapacityError(
                 f"{symbols} symbols exceed the cap of {MAX_SYMBOLS}", field="finite.symbols"
@@ -190,11 +192,15 @@ class FiniteGraph:
         self.symbols = symbols
         mult = {}
         items = edges.items() if isinstance(edges, dict) else ((e, 1) for e in edges)
-        for (i, j), m in items:
+        for k, ((i, j), m) in enumerate(items):
             if not (1 <= i <= symbols and 1 <= j <= symbols):
-                raise ValidationError(f"edge ({i},{j}) out of range 1..{symbols}")
+                raise ValidationError(
+                    f"edge ({i},{j}) out of range 1..{symbols}", field=f"finite.edges[{k}]"
+                )
             if m < 1:
-                raise ValidationError(f"edge ({i},{j}) has multiplicity {m}")
+                raise ValidationError(
+                    f"edge ({i},{j}) has multiplicity {m}", field=f"finite.edges[{k}]"
+                )
             mult[(i, j)] = mult.get((i, j), 0) + m
         self._mult = mult
         self._out = {v: [] for v in range(1, symbols + 1)}
@@ -330,11 +336,14 @@ class LoopSystem:
 
     def __init__(self, loops, tail=None):
         loops = [(int(l), int(m)) for l, m in loops]
-        for l, m in loops:
+        for k, (l, m) in enumerate(loops):
+            field = f"loop_system.loops[{k}]"
             if l < 1:
-                raise ValidationError(f"loop length {l} must be >= 1")
+                raise ValidationError(f"loop length {l} must be >= 1", field=f"{field}.length")
             if m < 0:
-                raise ValidationError(f"loop multiplicity {m} must be >= 0")
+                raise ValidationError(
+                    f"loop multiplicity {m} must be >= 0", field=f"{field}.multiplicity"
+                )
         self.loops = tuple(loops)
         self.tail = tail
         self._explicit = {}
@@ -344,7 +353,7 @@ class LoopSystem:
         self.explicit_loops = tuple(sorted((l, m) for l, m in self._explicit.items() if m > 0))
         self.longest_explicit = self.explicit_loops[-1][0] if self.explicit_loops else 0
         if not self.is_infinite and not self.explicit_loops:
-            raise ValidationError("loop system needs at least one loop")
+            raise ValidationError("loop system needs at least one loop", field="loop_system.loops")
         lim = self.max_loop_length()
         self._cap = SERIES_TERMS if lim is None else min(SERIES_TERMS, lim)
         self._table = _EMPTY_TABLE
@@ -579,6 +588,8 @@ def canonical_cylinders(graph, depth, symbol_cap=32):
     <= symbol_cap, breadth-first by length then lexicographic. The k-th
     cylinder in this global order carries weight 2**-(k+1) in the rho metric.
     """
+    if depth < 1:
+        raise ValidationError("cylinder depth must be >= 1", field="depth")
     if isinstance(graph, FiniteGraph):
         size = min(graph.symbols, symbol_cap)
         mult = {e for e in graph.edge_multiplicities() if e[0] <= size and e[1] <= size}
@@ -664,7 +675,12 @@ def _require(doc, key, field, kind=dict):
 
 
 def load_graph(doc):
-    """Build a graph from its JSON document form."""
+    """Build a graph from its JSON document form.
+
+    This checks the JSON shapes and the two rules of documents alone: no
+    duplicate edge and a non-empty edge list. The constructors check every
+    range and name the document field at fault.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("graph document must be an object", field="")
     kind = doc.get("kind")
@@ -673,11 +689,8 @@ def load_graph(doc):
     if kind == "finite":
         body = _require(doc, "finite", "finite")
         symbols = _require(body, "symbols", "finite.symbols", int)
-        if symbols < 1:
-            raise ValidationError("symbols must be >= 1", field="finite.symbols")
         edges = _require(body, "edges", "finite.edges", list)
-        seen = set()
-        pairs = []
+        pairs = {}
         for k, e in enumerate(edges):
             field = f"finite.edges[{k}]"
             if (
@@ -687,52 +700,33 @@ def load_graph(doc):
             ):
                 raise SchemaError("edge must be a pair of integers", field=field)
             i, j = e
-            if not (1 <= i <= symbols and 1 <= j <= symbols):
-                raise ValidationError(f"edge ({i},{j}) out of range", field=field)
-            if (i, j) in seen:
+            if (i, j) in pairs:
                 raise ValidationError(f"duplicate edge ({i},{j})", field=field)
-            seen.add((i, j))
-            pairs.append((i, j))
+            pairs[(i, j)] = 1
+        graph = FiniteGraph(symbols, pairs)
         if not pairs:
             raise ValidationError("edge list is empty", field="finite.edges")
-        return FiniteGraph(symbols, pairs)
+        return graph
 
     body = _require(doc, "loop_system", "loop_system")
-    loops_doc = _require(body, "loops", "loop_system.loops", list)
     loops = []
-    for k, item in enumerate(loops_doc):
+    for k, item in enumerate(_require(body, "loops", "loop_system.loops", list)):
         base = f"loop_system.loops[{k}]"
         if not isinstance(item, dict):
             raise SchemaError("loop must be an object", field=base)
         length = _require(item, "length", f"{base}.length", int)
-        mult = _require(item, "multiplicity", f"{base}.multiplicity", int)
-        if length < 1:
-            raise ValidationError("length must be >= 1", field=f"{base}.length")
-        if mult < 0:
-            raise ValidationError("multiplicity must be >= 0", field=f"{base}.multiplicity")
-        loops.append((length, mult))
+        loops.append((length, _require(item, "multiplicity", f"{base}.multiplicity", int)))
     tail_doc = _require(body, "tail", "loop_system.tail", None)
     tail = None
     if tail_doc is not None:
         if not isinstance(tail_doc, dict):
             raise SchemaError("tail must be null or an object", field="loop_system.tail")
-        from_length = _require(tail_doc, "from_length", "loop_system.tail.from_length", int)
-        coeff = _require(tail_doc, "coeff", "loop_system.tail.coeff", (int, float))
-        growth = _require(tail_doc, "growth", "loop_system.tail.growth", (int, float))
-        if from_length < 1:
-            raise ValidationError("from_length must be >= 1", field="loop_system.tail.from_length")
-        if not (float(coeff) >= 0) or not math.isfinite(float(coeff)):
-            raise ValidationError("coeff must be finite and >= 0", field="loop_system.tail.coeff")
-        if not (float(growth) >= 1) or not math.isfinite(float(growth)):
-            raise ValidationError(
-                "growth must be finite and >= 1", field="loop_system.tail.growth"
-            )
-        tail = GeometricTail(from_length=from_length, coeff=float(coeff), growth=float(growth))
-    try:
-        system = LoopSystem(loops, tail)
-    except ValidationError as exc:
-        raise ValidationError(exc.message, field="loop_system.loops") from exc
-    return system
+        tail = GeometricTail(
+            _require(tail_doc, "from_length", "loop_system.tail.from_length", int),
+            _require(tail_doc, "coeff", "loop_system.tail.coeff", (int, float)),
+            _require(tail_doc, "growth", "loop_system.tail.growth", (int, float)),
+        )
+    return LoopSystem(loops, tail)
 
 
 def load_graph_file(path):

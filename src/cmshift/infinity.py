@@ -116,6 +116,8 @@ def pressure_indicator(graph, t, q=1):
     """
     if t < 0:
         raise ValidationError("the weight t must be >= 0")
+    if q < 0:
+        raise ValidationError("the finite part q must be >= 0", field="q")
     if isinstance(graph, FiniteGraph):
         return _finite_pressure(graph, t, q)
     if isinstance(graph, LoopSystem):
@@ -227,6 +229,8 @@ def h_inf_lower_bound(graph, windows=None, count=4, k0=30, ratio=2, span=3):
     windows retain a sliver of excess entropy, so the proxy can sit
     slightly above the true limit; it converges as the windows deepen.
     """
+    if windows is None and count < 1:
+        raise ValidationError("count must be >= 1", field="count")
     if isinstance(graph, FiniteGraph):
         return HInfReport(float("-inf"), (), (), False, ())
     if not isinstance(graph, LoopSystem) or not graph.is_infinite:
@@ -323,6 +327,8 @@ def verify_main_inequality(graph, family="mixture", count=6, q_max=64):
     escapes riding loop-length classes whose entropy log(a_L)/L approaches
     the entropy at infinity, which makes the inequality nearly sharp.
     """
+    if count < 3:
+        raise ValidationError("cylinder limits need count >= 3 measures", field="count")
     if not isinstance(graph, LoopSystem) or not graph.is_infinite:
         raise NotDrifting("the escape-of-mass check needs an infinite loop system")
     mme = measures.loop_mme(graph)
@@ -377,6 +383,8 @@ def mass_bound_check(graph, c, count=6, q_max=64, tol=0.02):
     (c - delta_inf) / (h_top - delta_inf); the stock schedule pins the
     measured limit mass against that floor.
     """
+    if count < 3:
+        raise ValidationError("cylinder limits need count >= 3 measures", field="count")
     if not isinstance(graph, LoopSystem) or not graph.is_infinite:
         raise NotDrifting("the mass bound check needs an infinite loop system")
     mme = measures.loop_mme(graph)

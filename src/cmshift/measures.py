@@ -46,11 +46,10 @@ class MarkovMeasure:
         self.P = np.asarray(P, dtype=float)
         if self.pi.shape != (n,) or self.P.shape != (n, n):
             raise ValidationError("pi/P shapes do not match the graph")
-        for (i, j), _ in (
-            ((i, j), None) for i in range(1, n + 1) for j in range(1, n + 1)
-        ):
-            if self.P[i - 1, j - 1] > 0 and not graph.is_edge(i, j):
-                raise ValidationError(f"P({i},{j}) > 0 off the graph")
+        off = np.argwhere((self.P > 0) & (adjacency_matrix(graph) == 0))
+        if len(off):
+            i, j = off[0] + 1
+            raise ValidationError(f"P({i},{j}) > 0 off the graph")
         self.mass = 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.where(self.P > 0, np.log(np.where(self.P > 0, self.P, 1.0)), 0.0)

@@ -11,6 +11,7 @@ Oracles used here, independent of the implementation under test:
   - golden mean covering numbers at depth <= 3 are hand-countable.
 """
 
+import argparse
 import json
 import math
 import os
@@ -273,6 +274,34 @@ def test_bad_int_list_exits_2(tmp_path, capsys):
     assert doc["error"]["code"] == "validation"
 
 
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["h-inf", "--steps", "0", "--graph"], "count"),
+        (["verify-main", "--steps", "0", "--graph"], "count"),
+        (["b-inf", "--q", "-1", "--graph"], "q"),
+        (["density-demo", "--n-max", "8", "--depth", "0"], "depth"),
+    ],
+)
+def test_values_below_their_minimum_exit_2(tmp_path, capsys, argv, field):
+    if argv[-1] == "--graph":
+        argv = argv + [write_graph(tmp_path, "renewal.json", families.renewal_shift())]
+    code, doc = run_cli(capsys, argv)
+    assert code == 2
+    assert doc["error"]["code"] == "validation"
+    assert doc["error"]["field"] == field
+    assert doc["result"] is None
+
+
+def test_tail_past_the_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    tail = {"from_length": 1, "coeff": 10**400, "growth": 1.5}
+    path.write_text(json.dumps({"kind": "loop_system", "loop_system": {"loops": [], "tail": tail}}))
+    code, doc = run_cli(capsys, ["classify", "--graph", str(path)])
+    assert code == 2
+    assert doc["error"]["field"] == "loop_system.tail.coeff"
+
+
 def test_strict_inconclusive_exits_3(tmp_path, capsys):
     # at l_max=40 the final terms sit just above the smallness cutoff,
     # so the verdict stays inconclusive even though the slope is negative
@@ -362,7 +391,6 @@ def test_run_manifest_seed_and_overrides(tmp_path, capsys):
     first = json.loads((out / "00-entropy" / "report.json").read_text())
     second = json.loads((out / "01-entropy" / "report.json").read_text())
     assert first["params"]["n_max"] == 12  # manifest override
-    assert first["params"]["seed"] == 9  # manifest seed
     assert second["params"]["n_max"] == 20  # entry args win
 
 
@@ -504,3 +532,28 @@ def test_shared_entry_parser_is_safe_under_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert not bad
+
+
+def test_help_names_every_default():
+    # "%(default)s" is formatted only when help is rendered
+    sub = next(a for a in cli._build_parser()._actions if a.choices and "run" in a.choices)
+    for name, parser in sub.choices.items():
+        text = " ".join(parser.format_help().split())
+        for action in parser._actions:
+            if action.default not in (None, False, argparse.SUPPRESS):
+                assert f"(default {action.default})" in text, (name, action.dest)
+
+
+@pytest.mark.parametrize(
+    "command,want",
+    [
+        ("katok", {"delta": 0.1, "n_max": 16}),
+        ("b-inf", {"delta": 0.001, "q": 1}),
+        ("dim-series", {"M": 16, "q": 1, "t": 0.5, "n_max": 60}),
+    ],
+)
+def test_params_record_the_defaults_a_run_used(tmp_path, capsys, command, want):
+    g = write_graph(tmp_path, "golden.json", families.golden_mean())
+    code, doc = run_cli(capsys, [command, "--graph", g])
+    assert code == 0
+    assert doc["params"] == {"graph": g, **want}

@@ -226,42 +226,83 @@ def test_load_graph_round_trip_renewal():
     assert g.multiplicity(17) == 1
 
 
+# (document, field at fault, whether the constructors raise it too: the
+# others are JSON shapes and the rules of documents alone)
+_REJECTIONS = [
+    ({"kind": "circle"}, "kind", False),
+    ({"kind": "finite"}, "finite", False),
+    ({"kind": "finite", "finite": {"symbols": 2}}, "finite.edges", False),
+    ({"kind": "finite", "finite": {"symbols": 0, "edges": []}}, "finite.symbols", True),
+    (
+        {"kind": "finite", "finite": {"symbols": 2, "edges": [[1, 2], [3, 1]]}},
+        "finite.edges[1]",
+        True,
+    ),
+    (
+        {"kind": "finite", "finite": {"symbols": 2, "edges": [[1, 2], [1, 2]]}},
+        "finite.edges[1]",
+        False,
+    ),
+    (
+        {
+            "kind": "loop_system",
+            "loop_system": {"loops": [{"length": 2, "multiplicity": -1}], "tail": None},
+        },
+        "loop_system.loops[0].multiplicity",
+        True,
+    ),
+    (
+        {
+            "kind": "loop_system",
+            "loop_system": {"loops": [], "tail": {"from_length": 1, "coeff": 1.0, "growth": 0.5}},
+        },
+        "loop_system.tail.growth",
+        True,
+    ),
+    ({"kind": "loop_system", "loop_system": {"loops": [], "tail": None}}, "loop_system.loops", True),
+]
+
+
+def _construct(doc):
+    """The graph a well-shaped document describes, from the constructors alone."""
+    if doc["kind"] == "finite":
+        body = doc["finite"]
+        return graphs.FiniteGraph(body["symbols"], [tuple(e) for e in body["edges"]])
+    body = doc["loop_system"]
+    tail = body["tail"] and graphs.GeometricTail(**body["tail"])
+    return graphs.LoopSystem([(l["length"], l["multiplicity"]) for l in body["loops"]], tail)
+
+
 @pytest.mark.parametrize(
-    "doc,field",
-    [
-        ({"kind": "circle"}, "kind"),
-        ({"kind": "finite"}, "finite"),
-        ({"kind": "finite", "finite": {"symbols": 2}}, "finite.edges"),
-        ({"kind": "finite", "finite": {"symbols": 0, "edges": []}}, "finite.symbols"),
-        (
-            {"kind": "finite", "finite": {"symbols": 2, "edges": [[1, 2], [3, 1]]}},
-            "finite.edges[1]",
-        ),
-        (
-            {"kind": "finite", "finite": {"symbols": 2, "edges": [[1, 2], [1, 2]]}},
-            "finite.edges[1]",
-        ),
-        (
-            {
-                "kind": "loop_system",
-                "loop_system": {"loops": [{"length": 2, "multiplicity": -1}], "tail": None},
-            },
-            "loop_system.loops[0].multiplicity",
-        ),
-        (
-            {
-                "kind": "loop_system",
-                "loop_system": {"loops": [], "tail": {"from_length": 1, "coeff": 1.0, "growth": 0.5}},
-            },
-            "loop_system.tail.growth",
-        ),
-        ({"kind": "loop_system", "loop_system": {"loops": [], "tail": None}}, "loop_system.loops"),
-    ],
+    "doc,field,constructed",
+    _REJECTIONS,
+    ids=[f"doc{k}-{field}" for k, (_, field, _) in enumerate(_REJECTIONS)],
 )
-def test_load_graph_rejections(doc, field):
+def test_load_graph_rejections(doc, field, constructed):
     with pytest.raises((SchemaError, ValidationError)) as exc:
         graphs.load_graph(doc)
     assert exc.value.field == field
+    if constructed:
+        with pytest.raises(ValidationError) as direct:
+            _construct(doc)
+        assert direct.value.field == field
+
+
+@pytest.mark.parametrize("key", ["coeff", "growth"])
+def test_tail_parameters_past_the_float_range_are_rejected(key):
+    doc = _loop_doc(tail={key: 10**400})
+    with pytest.raises(ValidationError) as loaded:
+        graphs.load_graph(json.loads(json.dumps(doc)))
+    assert loaded.value.field == f"loop_system.tail.{key}"
+    with pytest.raises(ValidationError) as direct:
+        graphs.GeometricTail(**doc["loop_system"]["tail"])
+    assert direct.value.field == f"loop_system.tail.{key}"
+
+
+def test_canonical_cylinders_need_depth_one():
+    with pytest.raises(ValidationError) as exc:
+        graphs.canonical_cylinders(golden_mean(), depth=0)
+    assert exc.value.field == "depth"
 
 
 def test_load_graph_from_file(tmp_path):

@@ -82,6 +82,28 @@ def test_pressure_indicator_finite_closed_form():
         assert abs(infinity.pressure_indicator(g, t, q=1) - want) < 1e-9
 
 
+@pytest.mark.parametrize("make", [golden_mean, renewal_shift])
+def test_pressure_indicator_rejects_negative_finite_part(make):
+    with pytest.raises(ValidationError) as exc:
+        infinity.pressure_indicator(make(), 2.0, q=-1)
+    assert exc.value.field == "q"
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: infinity.h_inf_lower_bound(renewal_shift(), count=0),
+        lambda: infinity.verify_main_inequality(renewal_shift(), family="mme", count=0),
+        lambda: infinity.verify_main_inequality(renewal_shift(), family="drift", count=2),
+        lambda: infinity.mass_bound_check(renewal_shift(), 0.3, count=2),
+    ],
+)
+def test_schedule_counts_below_their_minimum_are_rejected(check):
+    with pytest.raises(ValidationError) as exc:
+        check()
+    assert exc.value.field == "count"
+
+
 def test_pressure_indicator_golden_mean_at_large_t():
     # weight w = e^-t on edges entering symbol 1: lam^2 = w lam + w
     t = 20.0

@@ -86,6 +86,13 @@ def test_markov_measure_needs_strongly_connected_support():
         measures.markov_measure(g, {(1, 1): 0.5, (1, 2): 0.5, (2, 2): 1.0})
 
 
+def test_markov_measure_names_the_first_transition_off_the_graph():
+    # P(1,1) and P(2,2) leave the graph 1 <-> 2; row-major order reports P(1,1)
+    g = FiniteGraph(2, [(1, 2), (2, 1)])
+    with pytest.raises(ValidationError, match=r"P\(1,1\) > 0 off the graph"):
+        measures.MarkovMeasure(g, [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+
+
 def test_markov_measure_stationary_vector():
     # golden-mean chain with P(1,1) = p: pi = (1, 1 - p) / (2 - p)
     p = 0.3
