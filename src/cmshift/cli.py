@@ -388,6 +388,9 @@ def _run_entry(index, entry, base_dir, out_root, defaults=None):
 
 
 def _cmd_run(args):
+    jobs = args.jobs
+    if jobs < 1:
+        raise ValidationError("--jobs must be >= 1", field="jobs")
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     commands = manifest.get("commands")
@@ -395,7 +398,6 @@ def _cmd_run(args):
         raise ValidationError("manifest needs a non-empty commands list", field="commands")
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     out_root = args.out or manifest.get("out") or "cmshift-run"
-    jobs = max(1, args.jobs or int(manifest.get("jobs", 1)))
     defaults = dict(manifest.get("overrides") or {})
     entries = []
     if jobs == 1:

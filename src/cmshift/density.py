@@ -27,7 +27,7 @@ from . import measures
 from .counting import _log_big
 from .errors import ConnectorNotFound, SamplingExhausted, ValidationError
 from .families import full_shift, golden_mean
-from .graphs import FiniteGraph, enumerate_words
+from .graphs import FiniteGraph, enumerate_words, strongly_connected_components
 from .measures import rho_distance
 
 
@@ -143,38 +143,21 @@ def concatenated_system(ambient, supports, n, M, anchor=1):
         # through the slot starts, so pruning keeps all these words
         block_counts.append(sum(layers[n - 1][v] for v in conn_lengths[s]))
 
-    # keep only states on a cycle through the first slot start
-    fwd = {}
-    for a, b in edges:
-        fwd.setdefault(a, []).append(b)
-    bwd = {}
-    for a, b in edges:
-        bwd.setdefault(b, []).append(a)
-    start0 = ("b", 0, 0, anchor)
-
-    def reach(adj, src):
-        seen = {src}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
-    keep = reach(fwd, start0) & reach(bwd, start0)
-    for s in range(M):
-        if ("b", s, 0, anchor) not in keep:
-            raise ConnectorNotFound(f"slot {s} is unreachable after pruning")
-
-    order = sorted(keep, key=repr)
+    # number the states in repr order and keep only the strongly connected
+    # component of the first slot start
+    order = sorted(state_label, key=repr)
     ids = {key: i + 1 for i, key in enumerate(order)}
-    mult = {}
-    for a, b in edges:
-        if a in keep and b in keep:
-            mult[(ids[a], ids[b])] = 1
-    graph = FiniteGraph(len(order), mult)
+    graph = FiniteGraph(len(order), {(ids[a], ids[b]): 1 for a, b in edges})
+    start0 = ids[("b", 0, 0, anchor)]
+    comp = next(c for c in strongly_connected_components(graph) if start0 in c)
+    if len(comp) < len(order):
+        order = [order[i - 1] for i in sorted(comp)]
+        ids = {key: i + 1 for i, key in enumerate(order)}
+        kept = {(ids[a], ids[b]): 1 for a, b in edges if a in ids and b in ids}
+        graph = FiniteGraph(len(order), kept)
+    for s in range(M):
+        if ("b", s, 0, anchor) not in ids:
+            raise ConnectorNotFound(f"slot {s} is unreachable after pruning")
     labels = tuple(state_label[key] for key in order)
 
     # the certified entropy floor

@@ -250,7 +250,9 @@ class Enumeration:
     """Materialized prefix of the canonical vertex numbering of a LoopSystem.
 
     Covers every interior id <= max_id (and the whole loop containing each
-    such id). Rows are (length, ordinal, first_interior_id) in id order.
+    such id). Rows are the loop records (length, first, last) in id order:
+    a loop of length l holds the interior ids first..last, last = first +
+    l - 2, and the lasts rise strictly.
     """
 
     def __init__(self, system, max_id):
@@ -265,23 +267,32 @@ class Enumeration:
             a = system.multiplicity(length)
             taken = 0
             while taken < a and next_id <= max_id:
-                rows.append((length, taken, next_id))
+                rows.append((length, next_id, next_id + length - 2))
                 next_id += length - 1
                 taken += 1
             length += 1
         self.rows = rows
         self.next_free_id = next_id
-        self._firsts = [r[2] for r in rows]
+        self._firsts = [r[1] for r in rows]
 
     def locate(self, vid):
-        """(loop length, position 1..length-1) of an interior id."""
+        """The record (length, first, last) of the loop holding an interior
+        id."""
         k = bisect_right(self._firsts, vid) - 1
         if k < 0:
             raise ValidationError(f"id {vid} is not an interior vertex")
-        length, _, first = self.rows[k]
-        if vid > first + length - 2:
+        record = self.rows[k]
+        if vid > record[2]:
             raise ValidationError(f"id {vid} is beyond the materialized enumeration")
-        return length, vid - first + 1
+        return record
+
+
+def loop_record(system, length, ordinal):
+    """The record (length, first, last) of the ordinal-th loop of a length
+    >= 2, from the counts of the shorter loops without enumerating them."""
+    first = 2 + ordinal * (length - 1)
+    first += sum((l - 1) * a for l, a in enumerate(system.counts(length - 1)))
+    return length, first, first + length - 2
 
 
 @dataclass(frozen=True)
@@ -444,17 +455,32 @@ class LoopSystem:
         a1 = self.multiplicity(1)
         if a1:
             mult[(1, 1)] = a1
-        for length, _, first in enum.rows:
-            last = first + length - 2
-            if first <= q:
-                mult[(1, first)] = 1
+        for _, first, last in enum.rows:
+            if first > q:
+                break
+            mult[(1, first)] = 1
             for vid in range(first, min(last, q)):
-                if vid + 1 <= q:
-                    mult[(vid, vid + 1)] = 1
+                mult[(vid, vid + 1)] = 1
             if last <= q:
                 mult[(last, 1)] = 1
         size = min(q, enum.next_free_id - 1)
         return Truncation(self, size, FiniteGraph(max(size, 1), mult))
+
+    def whole_loops(self, q):
+        """(boundary, loops): the loops lying entirely at ids <= q, as
+        (length, multiplicity) pairs of positive multiplicity with the base
+        self-loops first, and the largest id <= q at which one of them closes
+        (1 when none does). The truncation at the boundary is the finite loop
+        system of these loops, with the same numbering."""
+        a1 = self.multiplicity(1)
+        loops = [(1, a1)] if a1 else []
+        boundary = 1
+        for length, _, last in self.enumeration(q).rows:
+            if last > q:
+                break
+            loops.append((length, 1))
+            boundary = last
+        return boundary, loops
 
     def __repr__(self):
         tail = type(self.tail).__name__ if self.tail is not None else None
@@ -523,15 +549,15 @@ def walk_view(graph, n_edges, ids):
     states = [1]
     edges = []
     taken = {}
-    for length, _, first in system.enumeration(wanted[-1]).rows:
+    for length, first, last in system.enumeration(wanted[-1]).rows:
         if first > wanted[-1]:
             break
         k = bisect_left(wanted, first)
-        if k == len(wanted) or wanted[k] > first + length - 2:
+        if k == len(wanted) or wanted[k] > last:
             continue
         taken[length] = taken.get(length, 0) + 1
         prev = 0
-        for vid in range(first, first + length - 1):
+        for vid in range(first, last + 1):
             states.append(vid)
             edges.append((prev, len(states) - 1, 1, 1))
             prev = len(states) - 1

@@ -61,10 +61,10 @@ def _visit_weights(system, t, q):
     Such a loop weighs e^(-t(1 + inside)); the other loops of its length,
     and every longer loop, visit only the base among those symbols."""
     inner = {}
-    for length, _, first in system.enumeration(q).rows:
+    for length, first, last in system.enumeration(q).rows:
         if first > q:
             break
-        inside = min(first + length - 2, q) - first + 1
+        inside = min(last, q) - first + 1
         inner.setdefault(length, []).append(math.exp(-t * (1 + inside)))
     longest = max(inner, default=0)
     base_weight = math.exp(-t)
@@ -82,7 +82,7 @@ def _loop_pressure(system, t, q):
     the longest one with an interior symbol <= q summed with their own
     nonnegative weights, every longer loop from the certified bounds of the
     loop series past it at weight e^-t."""
-    gf = thermo.loop_gf(system)
+    gf = thermo.LoopGF(system)
     # the base is a symbol <= q unless F is empty
     base_weight = math.exp(-t) if q >= 1 else 1.0
     longest, head = _visit_weights(system, t, q)
@@ -242,9 +242,8 @@ def h_inf_lower_bound(graph, windows=None, count=4, k0=30, ratio=2, span=3):
     entropies = [m.entropy for m in seq]
     base = [m.cylinder_mass((1,)) for m in seq]
     escaping = all(a > b for a, b in zip(base, base[1:])) and base[-1] < base[0]
-    tail = entropies[-max(1, len(entropies) // 3):]
     return HInfReport(
-        value=max(tail),
+        value=_limsup_proxy(entropies),
         entropies=tuple(entropies),
         windows=tuple(windows),
         escaping=escaping,
@@ -485,33 +484,24 @@ class StabilityReport:
     mme_entropy: float
 
 
-def _complete_boundary(system, q):
-    """Largest id <= q at which the enumeration closes a whole loop."""
-    best = 1
-    for length, _, first in system.enumeration(q).rows:
-        last = first + length - 2
-        if last <= q:
-            best = max(best, last)
-    return best
-
-
 def mme_stability(system, qs=(8, 16, 32, 64), probe_ids=(1, 2, 3, 4)):
     """Compare truncated maximal-entropy measures against the full one.
 
-    Truncations are snapped down to complete-loop boundaries (a partially
-    kept loop would dead-end).  For a strongly positive recurrent system
-    the sup distance over the probe cylinders shrinks as q grows.
+    Each q is snapped down to the last id of a whole loop (a partially kept
+    loop would dead-end), where the truncation is the finite loop system of
+    its whole loops and its Parry chain is that system's loop chain of
+    maximal entropy. For a strongly positive recurrent system the sup
+    distance over the probe cylinders shrinks as q grows.
     """
     if not isinstance(system, LoopSystem) or not system.is_infinite:
         raise ValidationError("truncation stability needs an infinite loop system")
     mme = measures.loop_mme(system)
     rows = []
     for q in qs:
-        q_eff = _complete_boundary(system, q)
-        trunc = system.truncate(q_eff)
-        parry = measures.parry_measure(trunc.as_graph())
+        q_eff, loops = system.whole_loops(q)
+        chain = measures.loop_mme(LoopSystem(loops))
         diff = max(
-            abs(parry.cylinder_mass((a,)) - mme.cylinder_mass((a,)))
+            abs(chain.cylinder_mass((a,)) - mme.cylinder_mass((a,)))
             for a in probe_ids
             if a <= q_eff
         )

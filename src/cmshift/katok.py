@@ -33,7 +33,7 @@ import numpy as np
 
 from . import counting, measures
 from .errors import CapacityError, ValidationError
-from .graphs import FiniteGraph, enumerate_words
+from .graphs import FiniteGraph
 
 
 def _markov_levels(measure, graph, n_max, cap):
@@ -66,11 +66,6 @@ def _markov_levels(measure, graph, n_max, cap):
         yield masses
 
 
-def _generic_masses(measure, graph, n, cap):
-    words = enumerate_words(graph, n, cap=cap)
-    return [m for m in (measure.cylinder_mass(w) for w in words) if m > 0.0]
-
-
 def _fewest(ascending, need):
     """Fewest of the masses, sorted in increasing order, whose correctly
     rounded total exceeds need: the heaviest-first prefix.
@@ -98,9 +93,11 @@ def _fewest(ascending, need):
     return k
 
 
-def _check(graph, delta, n):
+def _check(measure, graph, delta, n):
     if not isinstance(graph, FiniteGraph):
         raise ValidationError("covering numbers need a finite graph; truncate first")
+    if not isinstance(measure, measures.MarkovMeasure):
+        raise ValidationError("covering numbers need a stationary Markov measure")
     if not 0.0 < delta < 1.0:
         raise ValidationError("delta must be in (0, 1)")
     if n < 1:
@@ -115,12 +112,9 @@ def covering_number(measure, graph, n, delta, cap=2**20):
     has mass at most the sum of the k largest masses.  More than `cap`
     positive-mass cylinders raise `CapacityError`.
     """
-    _check(graph, delta, n)
-    if isinstance(measure, measures.MarkovMeasure):
-        for masses in _markov_levels(measure, graph, n, cap):
-            pass
-    else:
-        masses = np.array(_generic_masses(measure, graph, n, cap))
+    _check(measure, graph, delta, n)
+    for masses in _markov_levels(measure, graph, n, cap):
+        pass
     masses.sort()
     return _fewest(masses, 1.0 - delta)
 
@@ -142,15 +136,9 @@ def katok_estimate(measure, graph, delta, n_max, n_min=1, cap=2**20):
     """
     if n_max < n_min:
         raise ValidationError("n_max must be >= n_min")
-    _check(graph, delta, n_min)
-    if isinstance(measure, measures.MarkovMeasure):
-        levels = itertools.islice(_markov_levels(measure, graph, n_max, cap), n_min - 1, None)
-        values = [_fewest(np.sort(masses), 1.0 - delta) for masses in levels]
-    else:
-        values = [
-            covering_number(measure, graph, n, delta, cap=cap)
-            for n in range(n_min, n_max + 1)
-        ]
+    _check(measure, graph, delta, n_min)
+    levels = itertools.islice(_markov_levels(measure, graph, n_max, cap), n_min - 1, None)
+    values = [_fewest(np.sort(masses), 1.0 - delta) for masses in levels]
     series = counting.CountSeries(
         label=f"covering(delta={delta})",
         start=n_min,

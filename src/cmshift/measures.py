@@ -25,8 +25,14 @@ import numpy as np
 
 from .counting import _log_big
 from .errors import NotStronglyConnected, ValidationError
-from .graphs import FiniteGraph, LoopSystem, canonical_cylinders, is_strongly_connected
-from .thermo import adjacency_matrix, bisect_root, loop_gf, perron
+from .graphs import (
+    FiniteGraph,
+    LoopSystem,
+    canonical_cylinders,
+    is_strongly_connected,
+    loop_record,
+)
+from .thermo import LoopGF, adjacency_matrix, bisect_root, perron
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +137,6 @@ def bernoulli_measure(graph, probs):
 # loop-chain measures
 
 
-_BASE = ("base",)
-
-
 class LoopMarkovMeasure:
     """Chain on a loop system given by choice weights over loop lengths.
 
@@ -176,53 +179,39 @@ class LoopMarkovMeasure:
             return 0.0
         return math.exp(math.log(w) - self._log_counts[length])
 
-    def _states(self, word):
-        out = []
-        top = max(word)
-        enum = self.system.enumeration(top) if top > 1 else None
-        for vid in word:
-            if vid == 1:
-                out.append(_BASE)
-            else:
-                length, pos = enum.locate(vid)
-                out.append((length, pos, vid - pos + 1))
-        return out
-
     def cylinder_mass(self, word):
+        """Mass of [word], walked against the loop records: from the base
+        the chain goes to 1 or to a loop's first id, inside a loop to the
+        next id, and after the loop's last id back to 1."""
+        enum = self.system.enumeration(max(word))
         try:
-            states = self._states(word)
-        except ValidationError:
-            return 0.0
-        s0 = states[0]
-        if s0 is _BASE:
-            p = 1.0 / self.expected_length
-        else:
-            p = self._per_loop(s0[0]) / self.expected_length
-        for s, t in zip(states, states[1:]):
-            if p == 0.0:
-                return 0.0
-            if s is _BASE:
-                if t is _BASE:
-                    p *= self.weights.get(1, 0.0)
-                elif t[1] == 1:
-                    p *= self._per_loop(t[0])
-                else:
-                    return 0.0
+            if word[0] == 1:
+                p = 1.0 / self.expected_length
             else:
-                length, pos, first = s
-                if pos < length - 1:
-                    if t is _BASE or t[2] != first or t[1] != pos + 1:
+                length, _, last = enum.locate(word[0])
+                p = self._per_loop(length) / self.expected_length
+            for vid, nxt in zip(word, word[1:]):
+                if p == 0.0:
+                    return 0.0
+                if vid == 1:
+                    if nxt == 1:
+                        p *= self.weights.get(1, 0.0)
+                        continue
+                    length, first, last = enum.locate(nxt)
+                    if nxt != first:
                         return 0.0
-                else:
-                    if t is not _BASE:
-                        return 0.0
+                    p *= self._per_loop(length)
+                elif nxt != (vid + 1 if vid < last else 1):
+                    return 0.0
+        except ValidationError:  # an id that is no vertex
+            return 0.0
         return p
 
 
 def loop_mme(system, weight_cutoff=1e-13):
     """The maximal-entropy loop chain: weights a_l x*^l, with x* from
     LoopGF.x_star."""
-    gf = loop_gf(system)
+    gf = LoopGF(system)
     root = gf.x_star()
     if root is None:
         raise ValidationError("transient system: the loop series stays below 1")
@@ -316,13 +305,8 @@ def periodic_loop_measure(system, length, ordinal=0):
     if length == 1:
         orbit = [1]
     else:
-        first = 2
-        l = 2
-        while l < length:
-            first += (l - 1) * system.multiplicity(l)
-            l += 1
-        first += ordinal * (length - 1)
-        orbit = [1] + list(range(first, first + length - 1))
+        _, first, last = loop_record(system, length, ordinal)
+        orbit = [1] + list(range(first, last + 1))
     return _PeriodicOrbitMeasure(system, orbit)
 
 
@@ -425,14 +409,9 @@ def cylinder_limit(schedule, graph, q_max=32, candidate=None, tol=1e-9):
         ids = list(range(1, min(graph.symbols, q_max) + 1))
         ladder_qs = [ids[-1]]
     else:
-        trunc = graph.truncate(q_max)
-        ids = list(range(1, trunc.vertex_count + 1))
         enum = graph.enumeration(q_max)
-        ladder_qs = []
-        for length, _, first in enum.rows:
-            last = first + length - 2
-            if last <= q_max and (not ladder_qs or last > ladder_qs[-1]):
-                ladder_qs.append(last)
+        ids = list(range(1, min(q_max, enum.next_free_id - 1) + 1))
+        ladder_qs = [last for _, _, last in enum.rows if last <= q_max]
         if not ladder_qs or ladder_qs[-1] != ids[-1]:
             ladder_qs.append(ids[-1])
 

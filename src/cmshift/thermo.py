@@ -176,7 +176,7 @@ class LoopGF:
 
     def __init__(self, system):
         if not isinstance(system, LoopSystem):
-            raise ValidationError("loop_gf needs a LoopSystem")
+            raise ValidationError("LoopGF needs a LoopSystem")
         self.system = system
         tail = system.tail
         if system.is_infinite:
@@ -292,10 +292,6 @@ class LoopGF:
         return 0.5 * (lo + hi)
 
 
-def loop_gf(system):
-    return LoopGF(system)
-
-
 # ---------------------------------------------------------------------------
 # entropy
 
@@ -324,16 +320,15 @@ def gurevich_entropy(graph, n_max=40, trace_qs=(4, 8, 16, 32, 64)):
         lam = perron_root(graph)
         value = math.log(lam) if lam > 0 else float("-inf")
         return EntropyReport(value, "perron", [(graph.symbols, value)])
-    gf = loop_gf(graph)
+    gf = LoopGF(graph)
     root = gf.x_star()
     x_c = gf.radius if root is None else min(root, gf.radius)
     value = math.log(1.0 / x_c)
     trace = []
     for q in trace_qs:
-        loops = [(1, graph.multiplicity(1))]
-        loops += [(l, 1) for l, _, first in graph.enumeration(q).rows if first + l - 2 <= q]
-        if any(m for _, m in loops):
-            trace.append((q, math.log(1.0 / loop_gf(LoopSystem(loops)).x_star())))
+        _, loops = graph.whole_loops(q)
+        if loops:
+            trace.append((q, math.log(1.0 / LoopGF(LoopSystem(loops)).x_star())))
         else:
             trace.append((q, float("-inf")))
     count_rate = None
@@ -366,7 +361,7 @@ def classify(graph):
             "positive-recurrent", h, x_star=math.exp(-h), radius=None,
             reason="finite strongly connected graph",
         )
-    gf = loop_gf(graph)
+    gf = LoopGF(graph)
     root = gf.x_star()
     if root is None:
         return Classification(

@@ -281,6 +281,7 @@ def test_bad_int_list_exits_2(tmp_path, capsys):
         (["verify-main", "--steps", "0", "--graph"], "count"),
         (["b-inf", "--q", "-1", "--graph"], "q"),
         (["density-demo", "--n-max", "8", "--depth", "0"], "depth"),
+        (["run", "--jobs", "0", "manifest.json"], "jobs"),
     ],
 )
 def test_values_below_their_minimum_exit_2(tmp_path, capsys, argv, field):
@@ -374,11 +375,17 @@ def test_run_manifest_unknown_command_exits_2(tmp_path, capsys):
     assert "bogus" in doc["error"]["message"]
 
 
-def test_run_manifest_seed_and_overrides(tmp_path, capsys):
+def test_run_manifest_seed_and_overrides(tmp_path, capsys, monkeypatch):
+    # leftover "seed" and "jobs" keys are unread: --jobs alone sets the pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool at the default --jobs 1")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
     write_graph(tmp_path, "golden.json", families.golden_mean())
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
         "seed": 9,
+        "jobs": 2,
         "overrides": {"n-max": 12},
         "commands": [
             {"command": "entropy", "args": {"graph": "golden.json"}},
@@ -392,6 +399,32 @@ def test_run_manifest_seed_and_overrides(tmp_path, capsys):
     second = json.loads((out / "01-entropy" / "report.json").read_text())
     assert first["params"]["n_max"] == 12  # manifest override
     assert second["params"]["n_max"] == 20  # entry args win
+
+
+def test_run_manifest_failing_entry_exits_2(tmp_path, capsys):
+    # an entry whose command fails ends the run with that entry's error, the
+    # same at one job and at two
+    write_graph(tmp_path, "golden.json", families.golden_mean())
+    write_graph(tmp_path, "renewal.json", families.renewal_shift())
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "commands": [
+            {"command": "classify", "args": {"graph": "golden.json"}},
+            {"command": "katok", "args": {"graph": "renewal.json"}},
+        ],
+    }))
+    errors = []
+    for jobs in ("1", "2"):
+        code, doc = run_cli(
+            capsys,
+            ["run", str(manifest), "--jobs", jobs, "--out", str(tmp_path / f"out{jobs}")],
+        )
+        assert code == 2
+        assert doc["result"] is None
+        errors.append(doc["error"])
+    assert errors[0] == errors[1]
+    assert errors[0]["code"] == "validation"
+    assert errors[0]["field"] == "graph"
 
 
 # ---------------------------------------------------------------------------

@@ -81,13 +81,13 @@ def test_canonical_enumeration_renewal():
     # base 1; loop of length 2 -> id 2; length 3 -> ids 3,4; length 4 -> 5,6,7
     g = renewal_shift()
     enum = g.enumeration(11)
-    assert enum.locate(2) == (2, 1)
-    assert enum.locate(3) == (3, 1)
-    assert enum.locate(4) == (3, 2)
-    assert enum.locate(5) == (4, 1)
-    assert enum.locate(7) == (4, 3)
-    assert enum.locate(8) == (5, 1)
-    assert enum.locate(11) == (5, 4)
+    assert enum.locate(2) == (2, 2, 2)
+    assert enum.locate(3) == (3, 3, 4)
+    assert enum.locate(4) == (3, 3, 4)
+    assert enum.locate(5) == (4, 5, 7)
+    assert enum.locate(7) == (4, 5, 7)
+    assert enum.locate(8) == (5, 8, 11)
+    assert enum.locate(11) == (5, 8, 11)
 
 
 def test_canonical_enumeration_powers():
@@ -95,14 +95,12 @@ def test_canonical_enumeration_powers():
     g = power_loops()
     enum = g.enumeration(21)
     for i in (2, 3, 4, 5):
-        assert enum.locate(i) == (2, 1)
-    assert enum.locate(6) == (3, 1)
-    assert enum.locate(7) == (3, 2)
-    assert enum.locate(21) == (3, 2)
-    # distinct loops of the same length are distinct: a loop's first id is
-    # v - pos + 1
-    assert 6 - enum.locate(6)[1] + 1 != 8 - enum.locate(8)[1] + 1
-    assert 6 - enum.locate(6)[1] + 1 == 7 - enum.locate(7)[1] + 1
+        assert enum.locate(i) == (2, i, i)
+    assert enum.locate(6) == (3, 6, 7)
+    assert enum.locate(7) == (3, 6, 7)
+    assert enum.locate(21) == (3, 20, 21)
+    # distinct loops of the same length are distinct records
+    assert enum.locate(6) != enum.locate(8)
 
 
 def test_canonical_enumeration_explicit_before_tail():
@@ -110,10 +108,19 @@ def test_canonical_enumeration_explicit_before_tail():
     g = graphs.LoopSystem(loops=[(3, 1)], tail=tail)
     enum = g.enumeration(6)
     # length 2 (tail): id 2; length 3 explicit: ids 3,4; length 3 tail: ids 5,6
-    assert enum.locate(2) == (2, 1)
-    assert enum.locate(3) == (3, 1)
-    assert enum.locate(5) == (3, 1)
-    assert 3 - enum.locate(3)[1] + 1 != 5 - enum.locate(5)[1] + 1
+    assert enum.locate(2) == (2, 2, 2)
+    assert enum.locate(3) == (3, 3, 4)
+    assert enum.locate(5) == (3, 5, 6)
+
+
+def test_loop_records_from_counts_match_the_enumeration():
+    tail = graphs.GeometricTail(from_length=2, coeff=1.0, growth=1.0)
+    for system in (renewal_shift(), power_loops(), graphs.LoopSystem([(3, 1)], tail)):
+        enum = system.enumeration(200)
+        for record in enum.rows[:40]:
+            length, first, _ = record
+            ordinal = sum(1 for r in enum.rows if r[0] == length and r[1] < first)
+            assert graphs.loop_record(system, length, ordinal) == record
 
 
 def test_threads_sharing_a_system_see_whole_enumerations():

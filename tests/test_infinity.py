@@ -30,7 +30,7 @@ import pytest
 from cmshift import density, infinity, measures, thermo
 from cmshift.errors import ValidationError
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
-from cmshift.graphs import LoopSystem
+from cmshift.graphs import GeometricTail, LoopSystem
 
 LOG2 = math.log(2)
 
@@ -282,6 +282,33 @@ def test_mme_stability_renewal():
     diffs = [d for _, d in rep.rows]
     assert diffs[-1] < diffs[0]
     assert diffs[-1] < 0.01
+
+
+def test_mme_stability_rows_match_parry_on_the_truncations():
+    # the Parry chain of the truncation at each whole-loop boundary is the
+    # oracle for the loop chain of maximal entropy of its whole loops
+    tail = GeometricTail(4, 1.7, 1.1)
+    for system in (renewal_shift(), power_loops(), LoopSystem([(1, 1), (3, 2)], tail)):
+        mme = measures.loop_mme(system)
+        rep = infinity.mme_stability(system, qs=(8, 16, 32, 64))
+        for q, (q_eff, diff) in zip((8, 16, 32, 64), rep.rows):
+            assert q_eff <= q
+            parry = measures.parry_measure(system.truncate(q_eff).as_graph())
+            want = max(
+                abs(parry.cylinder_mass((a,)) - mme.cylinder_mass((a,)))
+                for a in rep.probe_ids
+                if a <= q_eff
+            )
+            assert abs(diff - want) < 1e-12
+
+
+def test_mme_stability_where_perron_fails_on_the_truncations():
+    # three base self-loops, one 6-loop and a tail from length 18: the
+    # Perron vectors of these truncations leave too wide a bracket
+    system = LoopSystem([(6, 1), (1, 2), (1, 1)], GeometricTail(3, 0.6, 1.03))
+    rep = infinity.mme_stability(system, qs=(8, 16, 32, 64))
+    assert [q for q, _ in rep.rows] == [6, 6, 23, 60]
+    assert all(0.0 <= d < 1e-6 for _, d in rep.rows)
 
 
 def test_usc_spot_check():

@@ -21,7 +21,7 @@ import tracemalloc
 import pytest
 
 from cmshift import katok, measures
-from cmshift.errors import CapacityError
+from cmshift.errors import CapacityError, ValidationError
 from cmshift.families import full_shift, golden_mean
 
 LOG2 = math.log(2)
@@ -58,6 +58,17 @@ def test_covering_number_monotone_in_delta():
     small = katok.covering_number(mu, g, 8, 0.4)
     large = katok.covering_number(mu, g, 8, 0.1)
     assert small < large
+
+
+def test_covering_numbers_need_a_markov_measure():
+    g = full_shift(2)
+    mix = measures.MixtureMeasure(
+        [(0.5, _bern()), (0.5, measures.bernoulli_measure(g, (0.2, 0.8)))]
+    )
+    with pytest.raises(ValidationError):
+        katok.covering_number(mix, g, 3, 0.1)
+    with pytest.raises(ValidationError):
+        katok.katok_estimate(mix, g, delta=0.1, n_max=4)
 
 
 def test_covering_number_cap():

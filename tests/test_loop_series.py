@@ -137,7 +137,7 @@ def test_a_used_system_is_freed():
     ids=["renewal", "powers", "powers-of-3", "explicit-plus-constant"],
 )
 def test_value_bounds_contain_the_exact_series_near_the_radius(system, radius, closed, rounded):
-    gf = thermo.loop_gf(system)
+    gf = thermo.LoopGF(system)
     for k in range(3, 13):
         x = float(radius) * (1 - 10.0**-k)
         lo, hi = gf.value_bounds(x)
@@ -158,7 +158,7 @@ def test_value_bounds_contain_the_exact_series_near_the_radius(system, radius, c
     ids=["past-the-prefix-plus-tail", "finite-past-the-prefix", "finite-past-the-cap"],
 )
 def test_value_bounds_count_explicit_loops_past_the_summed_prefix(system, closed):
-    gf = thermo.loop_gf(system)
+    gf = thermo.LoopGF(system)
     for x in (0.5, 0.99, 0.9999):
         lo, hi = gf.value_bounds(x)
         exact = closed(Fraction(x))

@@ -24,7 +24,8 @@ import pytest
 from cmshift import measures
 from cmshift.errors import NotStronglyConnected, ValidationError
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift, subexponential_loops
-from cmshift.graphs import FiniteGraph
+from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem
+from cmshift.infinity import drift_schedule
 from cmshift.thermo import gurevich_entropy
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -165,6 +166,56 @@ def test_stationarity_of_loop_mme():
         want = mu.cylinder_mass(word)
         assert abs(left - want) < 1e-9
         assert abs(right - want) < 1e-9
+
+
+def _brute_chain_mass(measure, graph, word):
+    """pi(x_0) P(x_0, x_1) ... of a loop chain, read off a truncation graph
+    that holds whole loops only: a vertex off the base has one out-edge and
+    one in-edge, the length of its loop is the number of edges from it to
+    the base forward plus backward, and the base enters one loop of length
+    l with probability w_l / a_l."""
+    system = measure.system
+
+    def share(v):
+        if v == 1:
+            return 1.0
+        steps = 0
+        for step in (graph.out_neighbors, graph.in_neighbors):
+            u = v
+            while u != 1:
+                u = step(u)[0]
+                steps += 1
+        return measure.weights.get(steps, 0.0) / system.multiplicity(steps)
+
+    p = share(word[0]) / measure.expected_length
+    for a, b in zip(word, word[1:]):
+        if not graph.is_edge(a, b):
+            return 0.0
+        if a == 1:
+            p *= measure.weights.get(1, 0.0) if b == 1 else share(b)
+    return p
+
+
+def test_loop_chain_masses_match_a_walk_over_the_truncation():
+    tail = GeometricTail(4, 1.7, 1.1)
+    for system in (renewal_shift(), power_loops(), LoopSystem([(1, 1), (3, 2)], tail)):
+        q, _ = system.whole_loops(40)
+        graph = system.truncate(q).as_graph()
+        words = [(a, b) for a in range(1, q + 1) for b in range(1, q + 1)]
+        stack = [(v,) for v in range(1, q + 1)]
+        while stack:
+            w = stack.pop()
+            words.append(w)
+            if len(w) < 5:
+                stack.extend(w + (b,) for b in graph.out_neighbors(w[-1]))
+        chains = drift_schedule(system, count=3) + [
+            measures.tail_parry_measure(system, 3, 9),
+            measures.entropy_targeted_measure(system, 0.1, 3, 9),
+        ]
+        for mu in chains:
+            for w in words:
+                want = _brute_chain_mass(mu, graph, w)
+                assert math.isclose(mu.cylinder_mass(w), want, rel_tol=1e-12), (mu.label, w)
 
 
 def test_window_equilibrium_renewal():

@@ -140,8 +140,7 @@ def test_lengthed_edges_match_brute_force_on_loop_systems():
     for system in random_simple_loop_systems(112, 8):
         a = system.counts(n_max + 1)
         size = 1 + sum(a[l] * (l - 1) for l in range(2, n_max + 2))
-        length, pos = system.enumeration(6).locate(6)
-        size = max(size, 6 - pos + length - 1)
+        size = max(size, system.enumeration(6).locate(6)[2])
         g = system.truncate(size).as_graph()
         assert g.is_simple
         for v in range(1, 7):

@@ -118,7 +118,7 @@ def test_entropy_truncation_without_cycles_is_minus_infinity():
 
 
 def test_loop_gf_renewal():
-    gf = thermo.loop_gf(renewal_shift())
+    gf = thermo.LoopGF(renewal_shift())
     assert gf.radius == 1.0
     lo, hi = gf.value_bounds(0.4)
     assert lo <= 2 / 3 <= hi
@@ -128,20 +128,20 @@ def test_loop_gf_renewal():
 
 
 def test_loop_gf_powers():
-    gf = thermo.loop_gf(power_loops())
+    gf = thermo.LoopGF(power_loops())
     assert gf.radius == 0.5
     assert abs(gf.x_star() - 0.25) < 1e-12
 
 
 def test_loop_gf_subexponential_below_one_at_radius():
-    gf = thermo.loop_gf(subexponential_loops())
+    gf = thermo.LoopGF(subexponential_loops())
     lo, hi = gf.value_bounds(gf.radius)
     assert 0.03 < lo <= hi < 0.032
     assert gf.x_star() is None
 
 
 def test_loop_gf_greedy_null_root_at_radius():
-    gf = thermo.loop_gf(greedy_null_loops())
+    gf = thermo.LoopGF(greedy_null_loops())
     assert gf.x_star() == gf.radius == 0.5
 
 
@@ -150,7 +150,7 @@ def test_x_star_relative_precision_on_small_roots(a1, a2):
     # a1 x + a2 x^2 = 1 has the root 2 / (a1 + sqrt(a1^2 + 4 a2)), a form
     # without cancellation; a stopping rule absolute in x would leave a
     # relative error of its width over x*
-    root = thermo.loop_gf(LoopSystem([(1, a1), (2, a2)])).x_star()
+    root = thermo.LoopGF(LoopSystem([(1, a1), (2, a2)])).x_star()
     exact = 2.0 / (a1 + math.sqrt(a1 * a1 + 4 * a2))
     assert abs(root - exact) <= 1e-12 * exact
 
