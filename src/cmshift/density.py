@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .counting import _log_big
 from .errors import ConnectorNotFound, SamplingExhausted, ValidationError
 from .families import full_shift, golden_mean
-from .graphs import FiniteGraph, enumerate_words, strongly_connected_components
+from .graphs import FiniteGraph, _log_big, enumerate_words, strongly_connected_components
 from .measures import rho_distance
 
 

@@ -33,9 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import counting, measures, thermo
-from .counting import _log_big
 from .errors import NotDrifting, ValidationError
-from .graphs import FiniteGraph, LoopSystem, strongly_connected_components
+from .graphs import FiniteGraph, LoopSystem, _log_big, strongly_connected_components
 
 _LOG2 = math.log(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -231,6 +230,8 @@ def h_inf_lower_bound(graph, windows=None, count=4, k0=30, ratio=2, span=3):
     """
     if windows is None and count < 1:
         raise ValidationError("count must be >= 1", field="count")
+    if windows is not None and not windows:
+        raise ValidationError("windows must not be empty", field="windows")
     if isinstance(graph, FiniteGraph):
         return HInfReport(float("-inf"), (), (), False, ())
     if not isinstance(graph, LoopSystem) or not graph.is_infinite:
@@ -499,12 +500,14 @@ def mme_stability(system, qs=(8, 16, 32, 64), probe_ids=(1, 2, 3, 4)):
     rows = []
     for q in qs:
         q_eff, loops = system.whole_loops(q)
+        probes = [a for a in probe_ids if a <= q_eff]
+        if not probes:
+            raise ValidationError(
+                f"no probe id lies at or below {q_eff}, the whole-loop boundary of q = {q}",
+                field="probe_ids",
+            )
         chain = measures.loop_mme(LoopSystem(loops))
-        diff = max(
-            abs(chain.cylinder_mass((a,)) - mme.cylinder_mass((a,)))
-            for a in probe_ids
-            if a <= q_eff
-        )
+        diff = max(abs(chain.cylinder_mass((a,)) - mme.cylinder_mass((a,))) for a in probes)
         rows.append((q_eff, diff))
     return StabilityReport(rows=tuple(rows), probe_ids=tuple(probe_ids), mme_entropy=mme.entropy)
 

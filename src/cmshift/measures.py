@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import _log_big
 from .errors import NotStronglyConnected, ValidationError
 from .graphs import (
     FiniteGraph,
     LoopSystem,
+    _log_big,
     canonical_cylinders,
     is_strongly_connected,
     loop_record,

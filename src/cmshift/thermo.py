@@ -41,12 +41,147 @@ from .graphs import (
 
 # ---------------------------------------------------------------------------
 # Perron data of finite graphs
+#
+# A one-vertex rome of a strongly connected graph is a vertex r that every
+# cycle passes through (Block, Guckenheimer, Misiurewicz and Young, 1980), so
+# the graph minus r is acyclic. The block systems of `density` have one (the
+# first slot start), and so do whole-loop truncations of loop systems (the
+# base). There the Perron root solves the first-return series at r,
+# sum_L c_L x**L = 1, with lam = 1/x, and the Perron vectors follow from one
+# pass each over the acyclic rest: no eigensolver is needed.
 
 # widest accepted Collatz-Wielandt bracket, relative to the Perron root
 PERRON_BRACKET = 1e-9
 # eig passes before NonConvergent; each rescaling recovers vector entries
 # that the previous pass had only to absolute accuracy
 PERRON_PASSES = 4
+# the spacing of floats at 1
+_ULP = 2.0 ** -52
+
+
+def _rome(a):
+    """A one-vertex rome of the support of a: (r, order, succ, pred), with
+    order a topological order of the other vertices and succ/pred the
+    (neighbour, weight) lists of every vertex; None when there is none.
+
+    Every sink of the acyclic graph left by a rome sends all its edges to
+    the rome, so only the single out-neighbours of rows with exactly one
+    nonzero entry are candidates. Each is tested with one Kahn pass, the
+    most common first.
+    """
+    out = (a != 0).sum(axis=1)
+    if 1 not in out.tolist():
+        return None
+    n = len(a)
+    rows, cols = np.nonzero(a)
+    hits = np.bincount(cols[out[rows] == 1], minlength=n)
+    candidates = np.argsort(-hits, kind="stable")[: np.count_nonzero(hits)]
+    succ = [[] for _ in range(n)]
+    pred = [[] for _ in range(n)]
+    for u, w, x in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
+        succ[u].append((w, x))
+        pred[w].append((u, x))
+    for r in candidates.tolist():
+        indeg = [len(p) for p in pred]
+        for w, _ in succ[r]:
+            indeg[w] -= 1
+        order = [v for v in range(n) if v != r and indeg[v] == 0]
+        for u in order:
+            for w, _ in succ[u]:
+                if w != r:
+                    indeg[w] -= 1
+                    if indeg[w] == 0:
+                        order.append(w)
+        if len(order) == n - 1:
+            return r, order, succ, pred
+    return None
+
+
+def _first_returns(r, order, pred):
+    """The first-return series at the rome r in the log domain: (lengths,
+    logs, err), logs[k] the log of the total weight of the paths of length
+    lengths[k] from r back to r that meet r nowhere else, and err a bound on
+    the rounding of every entry of logs.
+
+    Weighted transfer matrices underflow along long paths (entries e^-30 at
+    t = 30), so the walks are summed by log-sum-exp; every step adds a few
+    ulps of the magnitudes it handles to the error of its inputs.
+    """
+    walks = [None] * len(pred)
+    walks[r] = {0: 0.0}
+    sizes = [0.0] * len(pred)
+    errs = [0.0] * len(pred)
+    for u in order + [r]:
+        reach = {}
+        size = err = 0.0
+        for p, x in pred[u]:
+            lx = math.log(x)
+            if sizes[p] + abs(lx) > size:
+                size = sizes[p] + abs(lx)
+            if errs[p] > err:
+                err = errs[p]
+            for length, lw in walks[p].items():
+                if length + 1 in reach:
+                    reach[length + 1].append(lw + lx)
+                else:
+                    reach[length + 1] = [lw + lx]
+        walk = {}
+        for length, terms in reach.items():
+            if len(terms) == 1:
+                walk[length] = terms[0]
+            else:
+                top = max(terms)
+                walk[length] = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        if u == r:
+            break
+        walks[u] = walk
+        sizes[u] = max(map(abs, walk.values()), default=0.0)
+        errs[u] = err + 2 * _ULP * (size + sizes[u] + len(pred[u]))
+    lengths = np.array(sorted(walk), dtype=float)
+    logs = np.array([walk[length] for length in sorted(walk)])
+    return lengths, logs, err + 2 * _ULP * (size + np.abs(logs).max(initial=0.0) + len(pred[r]))
+
+
+def _rome_root(r, order, succ, pred):
+    """log x* of the root of the first-return series at the rome r: the
+    midpoint of the bisect_root bracket in log x, whose bounds widen the
+    log-sum-exp of the series by the rounding of its terms."""
+    lengths, logs, err = _first_returns(r, order, pred)
+    if not len(lengths):
+        raise NonConvergent("no cycle passes through the rome")
+    # the largest term alone reaches 1 at hi; all len(logs) terms stay
+    # below 1 at lo
+    hi = float(np.min(-logs / lengths))
+    lo = float(np.min(-(logs + math.log(len(logs))) / lengths))
+    top_log, top_length = float(np.abs(logs).max()), float(lengths[-1])
+
+    def side(y):
+        terms = logs + lengths * y
+        m = terms.max()
+        total = m + math.log(np.exp(terms - m).sum())
+        slack = err + 2 * _ULP * (top_log + top_length * abs(y) + len(logs) + 1)
+        if total + slack < 0:
+            return -1
+        if total - slack > 0:
+            return 1
+        return 0
+
+    lo, hi = bisect_root(side, lo - 1e-9 * (1 + abs(lo)), hi + 1e-9 * (1 + abs(hi)))
+    return 0.5 * (lo + hi)
+
+
+def _rome_vectors(r, order, succ, pred, x):
+    """Left and right Perron vectors with entry 1 at the rome r:
+    v_u = x * sum_w a_uw v_w backward over the topological order, and the
+    same recurrence over predecessors forward for the left vector."""
+    left = [0.0] * len(pred)
+    right = [0.0] * len(pred)
+    left[r] = right[r] = 1.0
+    for u in reversed(order):
+        right[u] = x * sum(a * right[w] for w, a in succ[u])
+    for u in order:
+        left[u] = x * sum(left[p] * a for p, a in pred[u])
+    return np.array(left), np.array(right)
 
 
 def _top_eigenpair(b):
@@ -55,21 +190,27 @@ def _top_eigenpair(b):
     return float(vals[k].real), np.abs(vecs[:, k])
 
 
-def perron(a):
-    """Perron root and positive left and right eigenvectors of an
-    irreducible nonnegative matrix: (lam, left, right).
+def _collatz_width(a, lam, left, right):
+    """Width of the hull of lam and the Collatz-Wielandt brackets
+    [min (Av)_i/v_i, max (Av)_i/v_i] of both nonnegative vectors, which
+    contain the Perron root for every positive v; NonConvergent on a vector
+    entry that is zero or out of float range (a reducible matrix), where a
+    ratio is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratios = np.concatenate([(a @ right) / right, (left @ a) / left])
+    if not np.isfinite(ratios).all():
+        raise NonConvergent("a Perron vector entry is zero or out of float range")
+    return max(ratios.max(), lam) - min(ratios.min(), lam)
 
-    The eigenpairs of largest real part come from numpy.linalg.eig of a and
-    of a.T; their moduli drop any complex phase. Two matvecs then check lam
-    against the Collatz-Wielandt brackets [min (Av)_i/v_i, max (Av)_i/v_i]
-    of both vectors, which contain the Perron root for every positive v.
+
+def _dense_perron(a):
+    """Perron data from numpy.linalg.eig of a and of a.T; their moduli drop
+    any complex phase.
 
     eig gets entries far below the largest only to absolute accuracy, so a
     bracket wider than PERRON_BRACKET * lam is retried on the similar matrix
     D^-1 a D, D = diag(sqrt(right / left)), whose left and right Perron
-    vectors are both sqrt(left * right). Raises NonConvergent on a zero
-    vector entry (a reducible matrix) or a bracket still too wide after
-    PERRON_PASSES passes.
+    vectors are both sqrt(left * right).
     """
     scale = np.ones(len(a))
     for _ in range(PERRON_PASSES):
@@ -77,29 +218,52 @@ def perron(a):
         lam, right = _top_eigenpair(b)
         right = right * scale
         left = _top_eigenpair(b.T)[1] / scale
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratios = np.concatenate([(a @ right) / right, (left @ a) / left])
-            scale = np.sqrt(right / left)
-        if not (np.isfinite(scale).all() and scale.min() > 0):
-            raise NonConvergent("a Perron vector entry is zero or out of float range")
-        width = max(ratios.max(), lam) - min(ratios.min(), lam)
+        width = _collatz_width(a, lam, left, right)
+        scale = np.sqrt(right / left)
         if width <= PERRON_BRACKET * lam:
             return lam, left, right
     raise NonConvergent(
-        f"Collatz-Wielandt bracket [{ratios.min()}, {ratios.max()}] around the "
-        f"root {lam} is wider than {PERRON_BRACKET} relative after {PERRON_PASSES} passes"
+        f"Collatz-Wielandt bracket of width {width} around the root {lam} is "
+        f"wider than {PERRON_BRACKET} relative after {PERRON_PASSES} passes"
     )
+
+
+def perron(a):
+    """Perron root and positive left and right eigenvectors of an
+    irreducible nonnegative matrix: (lam, left, right).
+
+    Through a one-vertex rome of the support when there is one, else by
+    dense eig. Either way the vectors must pass the Collatz-Wielandt check
+    to PERRON_BRACKET * lam; NonConvergent on a zero vector entry (a
+    reducible matrix) or a bracket still too wide.
+    """
+    rome = _rome(a)
+    if rome is None:
+        return _dense_perron(a)
+    y = _rome_root(*rome)
+    lam = math.exp(-y)
+    left, right = _rome_vectors(*rome, math.exp(y))
+    width = _collatz_width(a, lam, left, right)
+    if width > PERRON_BRACKET * lam:
+        raise NonConvergent(
+            f"Collatz-Wielandt bracket of width {width} around the first-return "
+            f"root {lam} is wider than {PERRON_BRACKET} relative"
+        )
+    return lam, left, right
 
 
 def _max_block_root(graph, mat):
     """Largest Perron root over the strongly connected blocks of mat, a
-    matrix indexed by the symbols of graph; 0.0 when graph has no cycle."""
+    matrix indexed by the symbols of graph; 0.0 when graph has no cycle.
+    A block with a one-vertex rome needs only its first-return root."""
     best = 0.0
     for comp in strongly_connected_components(graph):
         idx = np.array(comp) - 1
         block = mat[np.ix_(idx, idx)]
         if block.any():
-            best = max(best, perron(block)[0])
+            rome = _rome(block)
+            root = math.exp(-_rome_root(*rome)) if rome else _dense_perron(block)[0]
+            best = max(best, root)
     return best
 
 
@@ -113,7 +277,7 @@ def adjacency_matrix(graph):
 
 def perron_root(graph):
     """Spectral radius of the adjacency (multiplicity) matrix: the largest
-    eig-checked Perron root over the strongly connected components."""
+    Perron root over the strongly connected components."""
     return _max_block_root(graph, adjacency_matrix(graph))
 
 
@@ -164,7 +328,6 @@ def bisect_root(side, lo, hi=math.inf):
 
 # widening of LoopGF.value_bounds relative to the bounded value
 RELATIVE_SLACK = 1e-13
-_ULP = 2.0 ** -52
 
 
 class LoopGF:

@@ -17,6 +17,7 @@ Oracles:
 
 import math
 
+import numpy as np
 import pytest
 
 from cmshift import density, measures, thermo
@@ -57,6 +58,21 @@ def test_concatenated_entropy_floor():
         full_shift(2), [golden_mean(), full_shift(2)], n=4, M=2
     )
     assert abs(cs.entropy_floor - math.log(40) / 8) < 1e-12
+
+
+def test_concatenated_measure_and_perron_root_make_no_eig_call(monkeypatch):
+    # every cycle of the block system passes through the first slot start,
+    # so the Perron data come from its first-return series
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    cs = density.concatenated_system(full_shift(2), [golden_mean(), full_shift(2)], n=32, M=4)
+    nu = density.concatenated_measure(cs)
+    root = thermo.perron_root(cs.graph)
+    assert calls == []
+    assert abs(nu.entropy - math.log(root)) < 1e-12
+    # the entropy is the growth rate of the block-count products
+    assert abs(nu.entropy - math.fsum(math.log(c) for c in cs.block_counts) / (4 * 32)) < 1e-12
 
 
 def test_connector_not_found():

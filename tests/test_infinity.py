@@ -133,6 +133,46 @@ def test_pressure_indicator_block_system_first_returns():
     assert abs(infinity.pressure_indicator(g, t, q=q) - want) < 1e-10
 
 
+def _log_first_return_weight(graph, start, period, t, q):
+    """(1/period) log of the weight of the length-period walks from start
+    back to start under e^-t on every edge entering a symbol <= q, summed
+    by log-sum-exp so that no weight underflows."""
+    edges = graph.edge_multiplicities()
+    src = np.array([i - 1 for i, _ in edges])
+    dst = np.array([j - 1 for _, j in edges])
+    logw = np.array([math.log(m) - (t if j <= q else 0.0) for (_, j), m in edges.items()])
+    x = np.full(graph.symbols, -np.inf)
+    x[start - 1] = 0.0
+    for _ in range(period):
+        nxt = np.full(graph.symbols, -np.inf)
+        np.logaddexp.at(nxt, dst, x[src] + logw)
+        x = nxt
+    return x[start - 1] / period
+
+
+@pytest.mark.parametrize("n", [6, 14, 22, 32])
+@pytest.mark.parametrize("t", [20.0, 30.0])
+@pytest.mark.parametrize("q", [26, 40, 60, 100])
+def test_pressure_indicator_block_system_at_large_weights(n, t, q):
+    # the dense eig path raised NonConvergent here (Perron vectors out of
+    # float range); the first-return root of the slot-0 start answers
+    M = 4
+    system = density.concatenated_system(full_shift(2), [golden_mean(), full_shift(2)], n=n, M=M)
+    want = _log_first_return_weight(system.graph, system.slot_starts[0], M * n, t, q)
+    assert abs(infinity.pressure_indicator(system.graph, t, q=q) - want) < 1e-10
+
+
+def test_pressure_indicator_block_system_sweep_returns_values():
+    # n in 6..32, t up to 30, q up to 100: 294 block-system pressures, each
+    # finite and nonincreasing in t
+    for n in (6, 10, 14, 18, 22, 26, 32):
+        g = density.concatenated_system(full_shift(2), [golden_mean(), full_shift(2)], n=n, M=4).graph
+        for q in (1, 3, 5, 26, 40, 60, 100):
+            values = [infinity.pressure_indicator(g, t, q=q) for t in (0.5, 2.0, 3.6, 8.0, 20.0, 30.0)]
+            assert all(math.isfinite(v) for v in values)
+            assert all(a >= b for a, b in zip(values, values[1:]))
+
+
 def test_pressure_at_zero_is_entropy():
     for g in (renewal_shift(), golden_mean()):
         want = thermo.gurevich_entropy(g).value
@@ -303,12 +343,32 @@ def test_mme_stability_rows_match_parry_on_the_truncations():
 
 
 def test_mme_stability_where_perron_fails_on_the_truncations():
-    # three base self-loops, one 6-loop and a tail from length 18: the
-    # Perron vectors of these truncations leave too wide a bracket
+    # three base self-loops, one 6-loop and a tail from length 18: dense
+    # eig leaves too wide a Collatz-Wielandt bracket on the truncation at 60
     system = LoopSystem([(6, 1), (1, 2), (1, 1)], GeometricTail(3, 0.6, 1.03))
     rep = infinity.mme_stability(system, qs=(8, 16, 32, 64))
     assert [q for q, _ in rep.rows] == [6, 6, 23, 60]
     assert all(0.0 <= d < 1e-6 for _, d in rep.rows)
+    # the base is a one-vertex rome of every truncation, so their Parry
+    # chains no longer need eig and agree with the whole-loop chains
+    mme = measures.loop_mme(system)
+    for q, diff in rep.rows:
+        parry = measures.parry_measure(system.truncate(q).as_graph())
+        want = max(abs(parry.cylinder_mass((a,)) - mme.cylinder_mass((a,))) for a in rep.probe_ids)
+        assert abs(diff - want) < 1e-12
+
+
+def test_mme_stability_rejects_probes_beyond_every_boundary():
+    # q = 8 snaps to the whole-loop boundary 7 on renewal, below probe 8
+    with pytest.raises(ValidationError) as exc:
+        infinity.mme_stability(renewal_shift(), qs=(8,), probe_ids=(8,))
+    assert exc.value.field == "probe_ids"
+
+
+def test_h_inf_lower_bound_rejects_empty_windows():
+    with pytest.raises(ValidationError) as exc:
+        infinity.h_inf_lower_bound(renewal_shift(), windows=[])
+    assert exc.value.field == "windows"
 
 
 def test_usc_spot_check():

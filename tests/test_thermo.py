@@ -11,7 +11,9 @@ Oracles used here, independent of the implementation under test:
     an integral tail bound, computed by hand),
   - escape counts in the single-loop regime are loop counts: z_n = a_{n+1},
     so the fitted escape rate equals the loop growth exactly,
-  - a_1 x + a_2 x^2 = 1 has the root 2 / (a_1 + sqrt(a_1^2 + 4 a_2)).
+  - a_1 x + a_2 x^2 = 1 has the root 2 / (a_1 + sqrt(a_1^2 + 4 a_2)),
+  - on graphs with a one-vertex rome, the dense eig path of `thermo.perron`
+    checks its first-return route.
 """
 
 import math
@@ -19,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from cmshift import thermo
+from cmshift import density, thermo
 from cmshift.errors import NonConvergent, NotStronglyConnected
 from cmshift.families import (
     full_shift,
@@ -256,3 +258,65 @@ def test_perron_rejects_reducible_matrix():
     # the Perron vector of a Jordan block has a zero entry
     with pytest.raises(NonConvergent):
         thermo.perron(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# Perron data through a one-vertex rome; dense eig (thermo._dense_perron,
+# the fallback of the same kernel) is the oracle
+
+
+def _assert_rome_matches_dense(a):
+    assert thermo._rome(a) is not None
+    lam, left, right = thermo.perron(a)
+    want, want_left, want_right = thermo._dense_perron(a)
+    assert abs(lam - want) < 1e-12
+    assert np.abs(left / left.sum() - want_left / want_left.sum()).max() < 1e-12
+    assert np.abs(right / right.sum() - want_right / want_right.sum()).max() < 1e-12
+
+
+@pytest.mark.parametrize("supports", ["golden+full", "full", "golden"])
+def test_perron_rome_route_matches_dense_on_block_systems(supports):
+    # every cycle of a block system passes through the first slot start
+    ambient = full_shift(2)
+    sets = {
+        "golden+full": [golden_mean(), ambient],
+        "full": [ambient],
+        "golden": [golden_mean()],
+    }
+    for n in (2, 3, 5, 8, 13, 21, 32):
+        for M in (1, 2, 3, 4, 5):
+            system = density.concatenated_system(ambient, sets[supports], n=n, M=M)
+            _assert_rome_matches_dense(thermo.adjacency_matrix(system.graph))
+
+
+@pytest.mark.parametrize(
+    "system",
+    [renewal_shift(), power_loops(), LoopSystem([(1, 1), (3, 2)], GeometricTail(4, 1.7, 1.1))],
+    ids=["renewal", "powers", "coeff>1"],
+)
+def test_perron_rome_route_matches_dense_on_whole_loop_truncations(system):
+    # every cycle of a whole-loop truncation passes through the base
+    for q in (4, 8, 16, 32):
+        boundary, _ = system.whole_loops(q)
+        graph = system.truncate(boundary).as_graph()
+        _assert_rome_matches_dense(thermo.adjacency_matrix(graph))
+
+
+def test_perron_rome_route_on_golden_mean():
+    _assert_rome_matches_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
+
+
+def test_perron_rome_route_rejects_reducible_matrix():
+    # vertex 1 is a rome (removing it leaves no edge), but no path from
+    # vertex 1 reaches vertex 3: the left vector has a zero entry
+    a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert thermo._rome(a) is not None
+    with pytest.raises(NonConvergent):
+        thermo.perron(a)
+
+
+def test_perron_without_a_rome_falls_back_to_eig():
+    # every row has two nonzero entries: no one-vertex rome
+    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    assert thermo._rome(a) is None
+    assert abs(thermo.perron(a)[0] - 2.0) < 1e-12
