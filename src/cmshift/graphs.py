@@ -419,7 +419,10 @@ class LoopSystem:
         j = table.prefix(hi)
         lengths, logs = table.lengths[i:j], table.logs[i:j]
         start = max(lo, table.upto + 1)
-        rest = [(l, a) for l, a in enumerate(self._fresh_counts(start, hi), start) if a]
+        if self.is_infinite:
+            rest = [(l, a) for l, a in enumerate(self._fresh_counts(start, hi), start) if a]
+        else:  # past the table a finite system has its explicit loops only
+            rest = [(l, a) for l, a in self.explicit_loops if start <= l <= hi]
         if rest:
             lengths = np.concatenate([lengths, np.array([l for l, _ in rest], dtype=np.int64)])
             logs = np.concatenate([logs, np.array([_log_big(a) for _, a in rest])])

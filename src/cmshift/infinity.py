@@ -7,8 +7,9 @@ at desk scale, the statements that tie everything together:
   - ``pressure_indicator``: the Gurevich pressure of the potential
     -t * (indicator of the symbols <= q): -log of the root of the loop
     series with each loop weighted by e^(-t * its visits to those symbols),
-    every weight nonnegative, bisected by ``thermo.bisect_root`` on
-    certified bounds (or a weighted transfer matrix on finite graphs),
+    solved by ``thermo.series_root`` on a finite system and bisected on
+    certified bounds past an infinite tail (or a weighted transfer matrix
+    on finite graphs),
   - ``b_inf_estimate``: the dual bound min_t [P(-t 1_F) + t*lam] on the
     entropy of measures giving the finite part F mass at most lam,
   - ``h_inf_lower_bound``: entropy carried by explicitly constructed
@@ -53,45 +54,53 @@ def _finite_pressure(graph, t, q):
     return math.log(lam) if lam > 0 else float("-inf")
 
 
-def _visit_weights(system, t, q):
-    """(longest, [(l, c_l)]): longest is the longest loop with an interior
-    symbol <= q (0 when none has one), and c_l sums the weights
-    e^(-t * visits to the symbols <= q) of the loops of length l <= longest.
-    Such a loop weighs e^(-t(1 + inside)); the other loops of its length,
-    and every longer loop, visit only the base among those symbols."""
+def _visit_exponents(system, t, q):
+    """{l: exponents}: -t times the visits to the symbols <= q (the base and
+    the interior ids first..min(last, q)) of every loop of length l with an
+    interior symbol <= q. Every other loop visits only the base among them."""
     inner = {}
     for length, first, last in system.enumeration(q).rows:
         if first > q:
             break
         inside = min(last, q) - first + 1
-        inner.setdefault(length, []).append(math.exp(-t * (1 + inside)))
-    longest = max(inner, default=0)
-    base_weight = math.exp(-t)
-    weights = []
-    for length, a in enumerate(system.counts(longest)):
-        ws = inner.get(length, [])
-        rest = a - len(ws)
-        if rest or ws:
-            weights.append((length, math.fsum(ws + [rest * base_weight])))
-    return longest, weights
+        inner.setdefault(length, []).append(-t * (1 + inside))
+    return inner
 
 
 def _loop_pressure(system, t, q):
-    """-log of the root of the visit-weighted loop series: the loops up to
-    the longest one with an interior symbol <= q summed with their own
-    nonnegative weights, every longer loop from the certified bounds of the
-    loop series past it at weight e^-t."""
-    gf = thermo.LoopGF(system)
+    """-log of the root of the loop series with each loop weighted by
+    e^(-t * its visits to the symbols <= q). A finite system sums each
+    length's weights from their exponents by log-sum-exp for series_root.
+    With an infinite tail the loops up to the longest one with an interior
+    symbol <= q are summed with their own nonnegative weights, every longer
+    loop from the certified bounds of the loop series past it at e^-t."""
+    inner = _visit_exponents(system, t, q)
     # the base is a symbol <= q unless F is empty
-    base_weight = math.exp(-t) if q >= 1 else 1.0
-    longest, head = _visit_weights(system, t, q)
+    base = -t if q >= 1 else 0.0
+    if not system.is_infinite:
+        lengths, logs, size = [], [], 0.0
+        for length, a in system.explicit_loops:
+            exps = inner.get(length, [])
+            if a > len(exps):
+                exps = exps + [base + _log_big(a - len(exps))]
+            lengths.append(length)
+            logs.append(thermo.log_sum(exps))
+            size = max(size, max(map(abs, exps)) + len(exps))
+        # each exponent, and each log-sum-exp of them, is good to a few ulps
+        # of the magnitudes it handles
+        return -thermo.series_root(np.array(lengths), np.array(logs), 4 * thermo._ULP * size)
+    gf = thermo.LoopGF(system)
+    base_weight = math.exp(base)
+    longest = max(inner, default=0)
+    head = []
+    for length, a in enumerate(system.counts(longest)):
+        if a:
+            ws = [math.exp(e) for e in inner.get(length, [])]
+            head.append((length, math.fsum(ws + [(a - len(ws)) * base_weight])))
 
     def side(x):
-        try:
-            near = math.fsum([w * x**length for length, w in head])
-        except OverflowError:
-            # x**l left the float range: the series is certainly above 1
-            return 1
+        # x <= R <= 1, so no power leaves the float range
+        near = math.fsum([w * x**length for length, w in head])
         lo, hi = gf.value_bounds(x, beyond=longest)
         # the nonnegative head terms are each good to a few ulps
         return thermo.side_of_one(
@@ -99,7 +108,7 @@ def _loop_pressure(system, t, q):
             near * (1.0 + thermo.RELATIVE_SLACK) + base_weight * hi,
         )
 
-    if math.isfinite(gf.radius) and side(gf.radius) < 0:
+    if side(gf.radius) < 0:
         # the weighted series never reaches 1: the critical point is the
         # convergence radius itself
         return -math.log(gf.radius)
@@ -289,20 +298,15 @@ def _limsup_proxy(values):
 def _measure_limit(schedule, graph, candidate, q_max):
     """Cylinder-wise limit of the schedule with a candidate-measure fit.
 
-    Returns (mass, entropy of the normalized limit, limit report); when the
-    candidate fit is rejected the limit is still, by construction of the
-    stock schedules, a multiple of the candidate, so its normalized entropy
-    is used with the ladder mass.
+    Returns (mass, entropy of the normalized limit, limit report). The
+    normalized limit is the candidate: by construction of the stock
+    schedules the limit is a multiple of it even when the fit is rejected,
+    and then the ladder mass is used.
     """
     rep = measures.cylinder_limit(
         schedule, graph, q_max=q_max, candidate=candidate, tol=1e-4
     )
-    mass = min(max(rep.mass, 0.0), 1.0)
-    if rep.normalized_entropy is not None:
-        h_hat = rep.normalized_entropy
-    else:
-        h_hat = candidate.entropy
-    return mass, h_hat, rep
+    return min(max(rep.mass, 0.0), 1.0), candidate.entropy, rep
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotStronglyConnected, ValidationError
+from .errors import NonConvergent, NotStronglyConnected, ValidationError
 from .graphs import (
     FiniteGraph,
     LoopSystem,
@@ -32,7 +32,7 @@ from .graphs import (
     is_strongly_connected,
     loop_record,
 )
-from .thermo import LoopGF, adjacency_matrix, bisect_root, perron
+from .thermo import LoopGF, adjacency_matrix, bisect_root, classify, perron, series_root
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +209,30 @@ class LoopMarkovMeasure:
 
 
 def loop_mme(system, weight_cutoff=1e-13):
-    """The maximal-entropy loop chain: weights a_l x*^l, with x* from
-    LoopGF.x_star."""
-    gf = LoopGF(system)
-    root = gf.x_star()
-    if root is None:
+    """The maximal-entropy loop chain: weights a_l x*^l, with the verdict
+    and x* from thermo.classify.
+
+    The weights run to the first length >= 8 beyond which the series' tail
+    is below weight_cutoff, or to the longest loop; NonConvergent when the
+    tail is still above weight_cutoff past length 99999.
+    """
+    verdict = classify(system)
+    if verdict.verdict == "transient":
         raise ValidationError("transient system: the loop series stays below 1")
-    if gf.radius < math.inf and root >= gf.radius * (1 - 1e-12):
-        diverges = getattr(system.tail, "mean_diverges", None)
-        if diverges:
-            raise ValidationError("null recurrent system: no maximal measure")
-    # the weights run to the first length >= 8 beyond which the series'
-    # tail is below weight_cutoff, or to the longest loop
+    if verdict.verdict == "null-recurrent":
+        raise ValidationError("null recurrent system: no maximal measure")
+    root = verdict.x_star
+    gf = LoopGF(system)
     lim = system.max_loop_length()
     stop = 1
-    while stop < 99999 and not (stop >= 8 and gf._tail_bounds(stop, root)[1] < weight_cutoff):
+    while not (stop >= 8 and gf._tail_bounds(stop, root)[1] < weight_cutoff):
         if lim is not None and stop >= lim:
             break
+        if stop >= 99999:
+            raise NonConvergent(
+                f"the loop series past length {stop} still weighs up to "
+                f"{gf._tail_bounds(stop, root)[1]}, above weight_cutoff {weight_cutoff}"
+            )
         stop += 1
     weights = _weights(*system.log_counts(1, stop), root)
     return LoopMarkovMeasure(
@@ -239,25 +246,12 @@ def _weights(lengths, logs, y):
     return dict(zip(lengths.tolist(), map(math.exp, exps)))
 
 
-def _window_counts(system, lo, hi):
+def _window(system, lo, hi):
+    """((lengths, log counts) of the loops in [lo, hi], root of their series)."""
     lengths, logs = system.log_counts(lo, hi)
     if not len(lengths):
         raise ValidationError(f"no loops with length in [{lo}, {hi}]")
-    return lengths, logs
-
-
-def _window_side(counts, x):
-    """The window series at x > 0, minus 1."""
-    lengths, logs = counts
-    exps = logs + lengths * math.log(x)
-    if exps.max() >= 700:
-        return math.inf
-    return math.fsum(np.exp(exps).tolist()) - 1.0
-
-
-def _window_root(counts):
-    lo, hi = bisect_root(lambda x: _window_side(counts, x), 0.0)
-    return 0.5 * (lo + hi)
+    return (lengths, logs), math.exp(series_root(lengths, logs))
 
 
 def _window_measure(system, counts, y, label):
@@ -266,8 +260,7 @@ def _window_measure(system, counts, y, label):
 
 def tail_parry_measure(system, lo, hi):
     """Equilibrium chain of the sub-system of loops with length in [lo, hi]."""
-    counts = _window_counts(system, lo, hi)
-    x0 = _window_root(counts)
+    counts, x0 = _window(system, lo, hi)
     return _window_measure(system, counts, x0, label=f"window-mme[{lo},{hi}]")
 
 
@@ -278,8 +271,7 @@ def entropy_targeted_measure(system, target, lo, hi):
     (concentrated on the shortest loops) to the window equilibrium value, so
     a target above that ceiling is unreachable.
     """
-    counts = _window_counts(system, lo, hi)
-    x0 = _window_root(counts)
+    counts, x0 = _window(system, lo, hi)
     ceiling = _window_measure(system, counts, x0, "probe").entropy
     if target <= 0:
         raise ValidationError("target entropy must be positive")

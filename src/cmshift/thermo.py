@@ -12,10 +12,13 @@ exists. The classification follows the shape of f at its radius:
 * root exactly at the radius: null recurrent when the mean loop length
   diverges there, positive recurrent when it converges.
 
-Every root of an increasing loop equation (x* here, the pressures of
-`infinity`, the window chains of `measures`) comes from one bisection,
-`bisect_root`, which stops where the certified bounds can no longer tell
-the value from 1 or the bracket closes to adjacent floats.
+Every finite first-return series (a Perron root at a one-vertex rome, x* of
+a finite loop system, the window chains of `measures`, the pressures of a
+finite loop system) is solved by `series_root`, in log x; one with an
+infinite tail is bisected in x on the certified bounds of
+`LoopGF.value_bounds`. Both run `bisect_root`, which stops where the bounds
+can no longer tell the value from 1 or the bracket closes to adjacent
+floats.
 
 The entropy at infinity is approached from two sides: `big_delta_inf` reads
 the certified loop growth of the presentation, and `delta_inf` fits escape
@@ -97,16 +100,25 @@ def _rome(a):
     return None
 
 
-def _first_returns(r, order, pred):
-    """The first-return series at the rome r in the log domain: (lengths,
-    logs, err), logs[k] the log of the total weight of the paths of length
-    lengths[k] from r back to r that meet r nowhere else, and err a bound on
-    the rounding of every entry of logs.
+def log_sum(terms):
+    """log of the sum of exp(t) over a nonempty list, in the float range."""
+    if len(terms) == 1:
+        return terms[0]
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
+def _first_returns(rome):
+    """The first-return series at the rome r of rome = _rome(a) in the log
+    domain: (lengths, logs, err), logs[k] the log of the total weight of the
+    paths of length lengths[k] from r back to r that meet r nowhere else, and
+    err a bound on the rounding of every entry of logs.
 
     Weighted transfer matrices underflow along long paths (entries e^-30 at
     t = 30), so the walks are summed by log-sum-exp; every step adds a few
     ulps of the magnitudes it handles to the error of its inputs.
     """
+    r, order, _, pred = rome
     walks = [None] * len(pred)
     walks[r] = {0: 0.0}
     sizes = [0.0] * len(pred)
@@ -125,13 +137,7 @@ def _first_returns(r, order, pred):
                     reach[length + 1].append(lw + lx)
                 else:
                     reach[length + 1] = [lw + lx]
-        walk = {}
-        for length, terms in reach.items():
-            if len(terms) == 1:
-                walk[length] = terms[0]
-            else:
-                top = max(terms)
-                walk[length] = top + math.log(math.fsum(math.exp(t - top) for t in terms))
+        walk = {length: log_sum(terms) for length, terms in reach.items()}
         if u == r:
             break
         walks[u] = walk
@@ -140,34 +146,6 @@ def _first_returns(r, order, pred):
     lengths = np.array(sorted(walk), dtype=float)
     logs = np.array([walk[length] for length in sorted(walk)])
     return lengths, logs, err + 2 * _ULP * (size + np.abs(logs).max(initial=0.0) + len(pred[r]))
-
-
-def _rome_root(r, order, succ, pred):
-    """log x* of the root of the first-return series at the rome r: the
-    midpoint of the bisect_root bracket in log x, whose bounds widen the
-    log-sum-exp of the series by the rounding of its terms."""
-    lengths, logs, err = _first_returns(r, order, pred)
-    if not len(lengths):
-        raise NonConvergent("no cycle passes through the rome")
-    # the largest term alone reaches 1 at hi; all len(logs) terms stay
-    # below 1 at lo
-    hi = float(np.min(-logs / lengths))
-    lo = float(np.min(-(logs + math.log(len(logs))) / lengths))
-    top_log, top_length = float(np.abs(logs).max()), float(lengths[-1])
-
-    def side(y):
-        terms = logs + lengths * y
-        m = terms.max()
-        total = m + math.log(np.exp(terms - m).sum())
-        slack = err + 2 * _ULP * (top_log + top_length * abs(y) + len(logs) + 1)
-        if total + slack < 0:
-            return -1
-        if total - slack > 0:
-            return 1
-        return 0
-
-    lo, hi = bisect_root(side, lo - 1e-9 * (1 + abs(lo)), hi + 1e-9 * (1 + abs(hi)))
-    return 0.5 * (lo + hi)
 
 
 def _rome_vectors(r, order, succ, pred, x):
@@ -240,7 +218,7 @@ def perron(a):
     rome = _rome(a)
     if rome is None:
         return _dense_perron(a)
-    y = _rome_root(*rome)
+    y = series_root(*_first_returns(rome))
     lam = math.exp(-y)
     left, right = _rome_vectors(*rome, math.exp(y))
     width = _collatz_width(a, lam, left, right)
@@ -262,7 +240,7 @@ def _max_block_root(graph, mat):
         block = mat[np.ix_(idx, idx)]
         if block.any():
             rome = _rome(block)
-            root = math.exp(-_rome_root(*rome)) if rome else _dense_perron(block)[0]
+            root = math.exp(-series_root(*_first_returns(rome))) if rome else _dense_perron(block)[0]
             best = max(best, root)
     return best
 
@@ -295,23 +273,15 @@ def side_of_one(lo, hi):
     return 0
 
 
-def bisect_root(side, lo, hi=math.inf):
+def bisect_root(side, lo, hi):
     """The last certified bracket (lo, hi) of the crossing of an increasing
     test.
 
     side(x) is negative below the crossing, positive above it, and 0 where
-    the bounds behind it cannot tell. hi = inf is doubled from 1.0 until
-    side(hi) > 0; a bracket that leaves the float range raises
-    NonConvergent. The bracket is halved until side returns 0 at its
-    midpoint or lo and hi are adjacent floats, so the midpoint of the
-    returned bracket is the point at which the bisection stopped.
+    the bounds behind it cannot tell. The bracket is halved until side
+    returns 0 at its midpoint or lo and hi are adjacent floats, so the
+    returned midpoint is where the bisection stopped.
     """
-    if hi == math.inf:
-        hi = 1.0
-        while side(hi) <= 0:
-            hi *= 2.0
-            if hi == math.inf:
-                raise NonConvergent("no root bracket inside the float range")
     while True:
         mid = 0.5 * (lo + hi)
         s = side(mid) if lo < mid < hi else 0
@@ -321,6 +291,35 @@ def bisect_root(side, lo, hi=math.inf):
             lo = mid
         else:
             hi = mid
+
+
+def series_root(lengths, logs, err=0.0):
+    """y = log x* of the root of sum_k exp(logs[k] + lengths[k] y) = 1, a
+    finite first-return series: the midpoint of the bisect_root bracket in
+    y, whose bounds widen the log-sum-exp of the series by err (a bound on
+    the rounding of every entry of logs) and by the rounding of the terms.
+    NonConvergent on an empty series."""
+    if not len(lengths):
+        raise NonConvergent("the first-return series has no term")
+    # the largest term alone reaches 1 at hi; all len(logs) terms stay
+    # below 1 at lo
+    hi = float(np.min(-logs / lengths))
+    lo = float(np.min(-(logs + math.log(len(logs))) / lengths))
+    top_log, top_length = float(np.abs(logs).max()), float(lengths.max())
+
+    def side(y):
+        terms = logs + lengths * y
+        m = terms.max()
+        total = m + math.log(np.exp(terms - m).sum())
+        slack = err + 2 * _ULP * (top_log + top_length * abs(y) + len(logs) + 1)
+        if total + slack < 0:
+            return -1
+        if total - slack > 0:
+            return 1
+        return 0
+
+    lo, hi = bisect_root(side, lo - 1e-9 * (1 + abs(lo)), hi + 1e-9 * (1 + abs(hi)))
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -432,26 +431,25 @@ class LoopGF:
     def x_star(self):
         """The root of f(x) = 1 in (0, R], or None when f(R) < 1.
 
-        The midpoint of the bracket from bisect_root: bisection stops where
-        the certified bounds of f no longer tell f(x) from 1, or where the
-        bracket closes to adjacent floats.
+        A finite system's root comes from series_root; with an infinite
+        tail, from bisect_root in x on the certified bounds of f.
         """
-        hi = math.inf
-        if self.radius < math.inf:
-            lo_r, hi_r = self.series_at_radius()
-            if hi_r < 1.0:
-                return None
-            if lo_r <= 1.0 <= hi_r:
-                declared = getattr(self.system.tail, "series_at_radius", None)
-                if declared is not None:
-                    if declared < 1.0:
-                        return None
-                    if declared == 1.0:
-                        return self.radius
-                # fall through: bisection stops next to R, where the bounds
-                # cannot tell f from 1
-            hi = self.radius
-        lo, hi = bisect_root(lambda x: side_of_one(*self.value_bounds(x)), 0.0, hi)
+        system = self.system
+        if not system.is_infinite:
+            return math.exp(series_root(*system.log_counts(1, system.longest_explicit)))
+        lo_r, hi_r = self.series_at_radius()
+        if hi_r < 1.0:
+            return None
+        if lo_r <= 1.0 <= hi_r:
+            declared = getattr(system.tail, "series_at_radius", None)
+            if declared is not None:
+                if declared < 1.0:
+                    return None
+                if declared == 1.0:
+                    return self.radius
+            # fall through: bisection stops next to R, where the bounds
+            # cannot tell f from 1
+        lo, hi = bisect_root(lambda x: side_of_one(*self.value_bounds(x)), 0.0, self.radius)
         return 0.5 * (lo + hi)
 
 
@@ -471,13 +469,14 @@ class EntropyReport:
 def gurevich_entropy(graph, n_max=40, trace_qs=(4, 8, 16, 32, 64)):
     """Exponential growth rate of loop counts at a vertex.
 
-    Finite graphs use Perron roots from eig, checked by a Collatz-Wielandt
-    bracket of relative width PERRON_BRACKET. Loop systems solve
-    f(x_c) = 1 on the first-return series (x_c capped at the radius) and
-    corroborate with a truncation trace and, when n_max allows, a direct
-    growth fit on exact loop counts. Every cycle of a truncation is a whole
-    loop through the base, so its entropy is that of the finite loop system
-    of its whole loops.
+    Finite graphs use the largest Perron root over their strongly
+    connected blocks (perron_root: the first-return root at a one-vertex
+    rome, else dense eig). Loop systems solve f(x_c) = 1 on the
+    first-return series (x_c capped at the radius) and corroborate with a
+    truncation trace and, when n_max allows, a direct growth fit on exact
+    loop counts. Every cycle of a truncation is a whole loop through the
+    base, so its entropy is that of the finite loop system of its whole
+    loops, whose root comes from series_root.
     """
     if isinstance(graph, FiniteGraph):
         lam = perron_root(graph)

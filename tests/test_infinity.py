@@ -23,6 +23,7 @@ Oracles used here, independent of the implementation under test:
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -66,6 +67,64 @@ def test_pressure_indicator_finite_loop_system_without_cancellation():
     log_y = math.log(_real_root_of_2y3_plus_y_minus_1())
     for t in (5.0, 10.0, 15.0, 18.0, 30.0):
         assert infinity.pressure_indicator(g, t, q=6) == pytest.approx(-t - log_y, abs=1e-12)
+
+
+# finite loop systems, the finite part q and every loop as (length,
+# multiplicity, visits to the symbols <= q)
+FINITE_SYSTEMS = [
+    ([(1, 1), (40, 1)], 40, [(1, 1, 1), (40, 1, 40)]),
+    ([(1, 1), (3, 2)], 5, [(1, 1, 1), (3, 2, 3)]),
+    ([(1, 2), (2, 3), (7, 1)], 4, [(1, 2, 1), (2, 3, 2), (7, 1, 1)]),
+]
+
+
+def _decimal_pressure(terms, t):
+    """-y for the root of sum m exp(l y - t v) = 1, bisected in 50-digit
+    decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        t = Decimal(t)
+
+        def f(y):
+            return sum(m * (length * y - t * v).exp() for length, m, v in terms)
+
+        lo, hi = -t - 100, t * max(v for _, _, v in terms) + 100
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) < 1 else (lo, mid)
+        return -float(lo)
+
+
+@pytest.mark.parametrize("loops,q,terms", FINITE_SYSTEMS)
+def test_pressure_indicator_finite_loop_systems_exactly(loops, q, terms):
+    # the truncation at the last id is the whole system as a finite graph;
+    # the rome route on it carries a rounding bound that grows with t times
+    # the square of the loop length, the loop-series route one that grows
+    # with t times the loop length
+    system = LoopSystem(loops)
+    graph = system.truncate(1 + sum((length - 1) * m for length, m in loops)).as_graph()
+    for t in (0.0, 0.5, 3.0, 18.0, 30.0, 300.0):
+        value = infinity.pressure_indicator(system, t, q)
+        assert abs(value - _decimal_pressure(terms, t)) <= 1e-13 * (1 + t), t
+        assert abs(value - infinity.pressure_indicator(graph, t, q)) <= 1e-12 * (1 + t), t
+
+
+@pytest.mark.parametrize("loops,q,terms", FINITE_SYSTEMS)
+def test_pressure_indicator_finite_loop_systems_at_large_t(loops, q, terms):
+    # every loop weight e^(-t * visits) underflows past t = 745
+    system = LoopSystem(loops)
+    ts = (0.0, 0.5, 3.0, 18.0, 30.0, 300.0, 500.0, 800.0)
+    values = [infinity.pressure_indicator(system, t, q) for t in ts]
+    assert all(math.isfinite(v) for v in values)
+    assert all(a > b for a, b in zip(values, values[1:]))
+    assert abs(values[-1] - _decimal_pressure(terms, 800.0)) <= 1e-13 * 801
+
+
+def test_b_inf_unbounded_below_where_every_cycle_meets_f():
+    # every cycle meets F = {1..40}, so the pressure falls without bound,
+    # though the 40-loop weighs only e^-720 at t = 18
+    rep = infinity.b_inf_estimate(LoopSystem([(1, 1), (40, 1)]), q=40)
+    assert rep.value == -math.inf
 
 
 def test_pressure_indicator_powers_closed_form():

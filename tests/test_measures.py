@@ -22,8 +22,15 @@ import math
 import pytest
 
 from cmshift import measures
-from cmshift.errors import NotStronglyConnected, ValidationError
-from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift, subexponential_loops
+from cmshift.errors import NonConvergent, NotStronglyConnected, ValidationError
+from cmshift.families import (
+    full_shift,
+    golden_mean,
+    greedy_null_loops,
+    power_loops,
+    renewal_shift,
+    subexponential_loops,
+)
 from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem
 from cmshift.infinity import drift_schedule
 from cmshift.thermo import gurevich_entropy
@@ -154,6 +161,19 @@ def test_loop_mme_renewal():
 def test_loop_mme_rejects_transient():
     with pytest.raises(ValidationError):
         measures.loop_mme(subexponential_loops())
+
+
+def test_loop_mme_rejects_null_recurrent():
+    with pytest.raises(ValidationError, match="null recurrent"):
+        measures.loop_mme(greedy_null_loops())
+
+
+def test_loop_mme_raises_where_the_weight_scan_ends_short():
+    # positive recurrent with x* = 0.99989238; the first tail loop has
+    # length 207244, so past MME_LENGTHS the series still weighs 6.1e-5
+    system = LoopSystem([(1, 1)], GeometricTail(3, 1e-9, 1.0001))
+    with pytest.raises(NonConvergent, match="past length 99999"):
+        measures.loop_mme(system)
 
 
 def test_stationarity_of_loop_mme():

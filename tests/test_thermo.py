@@ -17,6 +17,7 @@ Oracles used here, independent of the implementation under test:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,16 +156,57 @@ def test_x_star_relative_precision_on_small_roots(a1, a2):
     root = thermo.LoopGF(LoopSystem([(1, a1), (2, a2)])).x_star()
     exact = 2.0 / (a1 + math.sqrt(a1 * a1 + 4 * a2))
     assert abs(root - exact) <= 1e-12 * exact
+    assert _straddles_one([(1, a1), (2, a2)], root)
 
 
 def test_bisect_root_closes_to_adjacent_floats():
-    lo, hi = thermo.bisect_root(lambda x: -1 if x < 0.3 else 1, 0.0)
+    lo, hi = thermo.bisect_root(lambda x: -1 if x < 0.3 else 1, 0.0, 1.0)
     assert lo < 0.3 <= hi == math.nextafter(lo, 1.0)
 
 
-def test_bisect_root_raises_when_the_bracket_leaves_the_float_range():
+# series_root stops at the first midpoint whose rounding bounds cannot tell
+# the series from 1; on these inputs that is within 32 ulps of the root
+ROOT_ULPS = 32 * 2.0**-52
+
+
+def _straddles_one(counts, x):
+    """Whether sum a_l z**l, summed exactly, is below 1 at z = x (1 - ROOT_ULPS)
+    and above 1 at z = x (1 + ROOT_ULPS)."""
+    def f(z):
+        z = Fraction(z)
+        return sum(a * z**length for length, a in counts)
+
+    return f(x * (1 - ROOT_ULPS)) < 1 < f(x * (1 + ROOT_ULPS))
+
+
+@pytest.mark.parametrize("make", [renewal_shift, power_loops])
+def test_whole_loop_roots_straddle_one_exactly(make):
+    for q in range(4, 65):
+        _, loops = make().whole_loops(q)
+        assert _straddles_one(loops, thermo.LoopGF(LoopSystem(loops)).x_star()), q
+
+
+@pytest.mark.parametrize("make", [renewal_shift, power_loops])
+def test_default_window_roots_straddle_one_exactly(make):
+    # the windows h_inf_lower_bound uses when none are given
+    system = make()
+    for j in range(4):
+        lo, hi = 30 * 2**j, 90 * 2**j
+        x = math.exp(thermo.series_root(*system.log_counts(lo, hi)))
+        counts = [(length, system.multiplicity(length)) for length in range(lo, hi + 1)]
+        assert _straddles_one(counts, x), (lo, hi)
+
+
+def test_powers_trace_at_four_is_log_three():
+    # the whole loops at q = 4 are two self-loops and three 2-loops:
+    # 2x + 3x^2 = 1 at x = 1/3, entropy log 3
+    trace = dict(thermo.gurevich_entropy(power_loops(), n_max=0).truncations)
+    assert abs(trace[4] - math.log(3)) <= 4.5e-16
+
+
+def test_series_root_rejects_an_empty_series():
     with pytest.raises(NonConvergent):
-        thermo.bisect_root(lambda x: -1, 0.0)
+        thermo.series_root(np.zeros(0), np.zeros(0))
 
 
 @pytest.mark.parametrize(
