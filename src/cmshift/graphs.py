@@ -342,7 +342,12 @@ class LoopSystem:
     Loop counts are computed once: the system keeps a CountTable of a_l for
     the lengths 1..n, extended as far as a query asks up to SERIES_TERMS (or
     the longest loop); longer lengths are counted afresh on every query. The
-    canonical enumeration is kept the same way.
+    canonical enumeration is kept the same way. So are the certified loop
+    series bounds of `thermo.LoopGF`, which are values of the system alone:
+    `series_slices` holds the summation slices of the count table by
+    (upto, beyond), and `series_bounds` the bounds by (x, beyond), both
+    emptied together when `series_bounds` reaches `thermo.BOUNDS_MEMO`
+    entries.
     """
 
     def __init__(self, loops, tail=None):
@@ -369,6 +374,8 @@ class LoopSystem:
         self._cap = SERIES_TERMS if lim is None else min(SERIES_TERMS, lim)
         self._table = _EMPTY_TABLE
         self._enum = None
+        self.series_slices = {}
+        self.series_bounds = {}
 
     @property
     def symbols(self):

@@ -47,11 +47,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _finite_pressure(graph, t, q):
     """log of the Perron root of the transfer matrix with weight e^-t on
-    every edge entering a symbol <= q."""
-    mat = thermo.adjacency_matrix(graph)
-    mat[:, :q] *= math.exp(-t)
-    lam = thermo._max_block_root(graph, mat)
-    return math.log(lam) if lam > 0 else float("-inf")
+    every edge entering a symbol <= q. Blocks with a one-vertex rome add -t
+    to the log weights of those edges, so the pressure stays finite at any
+    t; other blocks scale the matrix, which underflows past t = 745."""
+    shift = np.zeros(graph.symbols)
+    shift[:q] = -t
+    return thermo._max_block_root(graph, thermo.adjacency_matrix(graph), shift)[1]
 
 
 def _visit_exponents(system, t, q):

@@ -18,7 +18,11 @@ finite loop system) is solved by `series_root`, in log x; one with an
 infinite tail is bisected in x on the certified bounds of
 `LoopGF.value_bounds`. Both run `bisect_root`, which stops where the bounds
 can no longer tell the value from 1 or the bracket closes to adjacent
-floats.
+floats. Those bounds are a function of the system, x and the summed range
+alone, so each is computed once per system: the `LoopSystem` keeps the
+summation slices of its count table and up to `BOUNDS_MEMO` bounds, which
+every query of the same system object (x*, pressures, `b_inf_estimate`'s
+search) shares.
 
 The entropy at infinity is approached from two sides: `big_delta_inf` reads
 the certified loop growth of the presentation, and `delta_inf` fits escape
@@ -108,15 +112,17 @@ def log_sum(terms):
     return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
 
-def _first_returns(rome):
+def _first_returns(rome, shift=None):
     """The first-return series at the rome r of rome = _rome(a) in the log
     domain: (lengths, logs, err), logs[k] the log of the total weight of the
     paths of length lengths[k] from r back to r that meet r nowhere else, and
-    err a bound on the rounding of every entry of logs.
+    err a bound on the rounding of every entry of logs. With shift, a list
+    over the vertices, the weight of each edge into u is a_pu e^shift[u].
 
     Weighted transfer matrices underflow along long paths (entries e^-30 at
-    t = 30), so the walks are summed by log-sum-exp; every step adds a few
-    ulps of the magnitudes it handles to the error of its inputs.
+    t = 30), and a weight e^shift[u] itself past shift = -745, so the walks
+    are summed by log-sum-exp and shift enters as a log; every step adds a
+    few ulps of the magnitudes it handles to the error of its inputs.
     """
     r, order, _, pred = rome
     walks = [None] * len(pred)
@@ -126,8 +132,9 @@ def _first_returns(rome):
     for u in order + [r]:
         reach = {}
         size = err = 0.0
+        lu = 0.0 if shift is None else shift[u]
         for p, x in pred[u]:
-            lx = math.log(x)
+            lx = math.log(x) + lu
             if sizes[p] + abs(lx) > size:
                 size = sizes[p] + abs(lx)
             if errs[p] > err:
@@ -230,18 +237,36 @@ def perron(a):
     return lam, left, right
 
 
-def _max_block_root(graph, mat):
-    """Largest Perron root over the strongly connected blocks of mat, a
-    matrix indexed by the symbols of graph; 0.0 when graph has no cycle.
-    A block with a one-vertex rome needs only its first-return root."""
-    best = 0.0
+def _max_block_root(graph, mat, shift=None):
+    """(root, log root) of the largest Perron root over the strongly
+    connected blocks of mat, a matrix indexed by the symbols of graph;
+    (0.0, -inf) when graph has no cycle. A block with a one-vertex rome
+    needs only its first-return root.
+
+    With shift, an array over the symbols, the matrix is mat with column j
+    scaled by e^shift[j]. A block whose support has a one-vertex rome adds
+    shift[j] to the log weight of each edge into j, so its log root stays
+    finite where the scaled entries underflow; any other block is scaled as
+    a matrix.
+    """
+    best = (0.0, -math.inf)
     for comp in strongly_connected_components(graph):
         idx = np.array(comp) - 1
         block = mat[np.ix_(idx, idx)]
-        if block.any():
-            rome = _rome(block)
-            root = math.exp(-series_root(*_first_returns(rome))) if rome else _dense_perron(block)[0]
-            best = max(best, root)
+        logs = None if shift is None else shift[idx].tolist()
+        rome = _rome(block)
+        if rome is None and logs is not None:
+            block = block * [math.exp(v) for v in logs]
+            rome, logs = _rome(block), None
+        if rome:
+            y = -series_root(*_first_returns(rome, logs))
+            root = (math.exp(y), y)
+        elif block.any():
+            lam = _dense_perron(block)[0]
+            root = (lam, math.log(lam))
+        else:
+            continue
+        best = max(best, root)
     return best
 
 
@@ -256,7 +281,7 @@ def adjacency_matrix(graph):
 def perron_root(graph):
     """Spectral radius of the adjacency (multiplicity) matrix: the largest
     Perron root over the strongly connected components."""
-    return _max_block_root(graph, adjacency_matrix(graph))
+    return _max_block_root(graph, adjacency_matrix(graph))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +352,17 @@ def series_root(lengths, logs, err=0.0):
 
 # widening of LoopGF.value_bounds relative to the bounded value
 RELATIVE_SLACK = 1e-13
+# most certified bounds a LoopSystem keeps; one round of the loops benchmark
+# needs at most 3084 on any one system (seed 1)
+BOUNDS_MEMO = 2**14
 
 
 class LoopGF:
     """The first-return series f(x) = sum a_l x**l with certified bounds.
 
-    The counts come from the system's cached CountTable, so a fresh LoopGF
-    per query costs nothing beyond the sums themselves.
+    The counts, summation slices and bounds live on the system (its
+    CountTable, `series_slices` and `series_bounds`), so a fresh LoopGF per
+    query costs nothing beyond the sums the system has not made before.
     """
 
     def __init__(self, system):
@@ -349,23 +378,38 @@ class LoopGF:
         else:
             self.radius = math.inf
 
+    def _slice(self, upto, beyond):
+        """(upto clipped to the count table, lengths, float counts, big-count
+        mask, and the lengths and logs of the big counts) of the nonzero
+        lengths in (beyond, upto]; the last three are None without a big
+        count. Built once per system and kept in its series_slices."""
+        system = self.system
+        piece = system.series_slices.get((upto, beyond))
+        if piece is None:
+            table = system.count_table(upto)
+            used = min(upto, table.upto)
+            i, k = table.prefix(beyond) if beyond else 0, table.prefix(used)
+            lengths, big = table.lengths[i:k], table.big[i:k]
+            if big.any():
+                piece = (used, lengths, table.floats[i:k], big, lengths[big], table.logs[i:k][big])
+            else:
+                piece = (used, lengths, table.floats[i:k], None, None, None)
+            system.series_slices[(upto, beyond)] = piece
+        return piece
+
     def _partial(self, x, upto, beyond=0):
         """(sum of a_l x**l over beyond < l <= upto, upto clipped to the
         count table, bound on the rounding error of the big-count terms)."""
-        table = self.system.count_table(upto)
-        upto = min(upto, table.upto)
-        i, k = table.prefix(beyond) if beyond else 0, table.prefix(upto)
-        lengths = table.lengths[i:k]
-        terms = table.floats[i:k] * np.power(x, lengths)
-        big = table.big[i:k]
+        used, lengths, floats, big, big_lengths, logs = self._slice(upto, beyond)
+        terms = floats * np.power(x, lengths)
         err = 0.0
-        if big.any():
+        if big is not None:
             # counts of more than BIG_BITS bits: exp(log a_l + l log x), whose
             # exponent carries rounding errors of a few ulps of its parts
-            logs, exps = table.logs[i:k][big], lengths[big] * math.log(x)
+            exps = big_lengths * math.log(x)
             terms[big] = np.exp(logs + exps)
             err = 4 * _ULP * float(np.dot(terms[big], 2.0 + logs + np.abs(exps)))
-        return math.fsum(terms.tolist()), upto, err
+        return math.fsum(terms.tolist()), used, err
 
     def _tail_bounds(self, beyond, x):
         """Certified (lower, upper) for the sum of terms with length > beyond:
@@ -399,13 +443,35 @@ class LoopGF:
 
     def value_bounds(self, x, beyond=0):
         """Certified (lower, upper) for f(x), or for the terms of f(x) with
-        length > beyond."""
+        length > beyond.
+
+        The bounds are a function of the system, x and beyond alone, so the
+        system keeps them in series_bounds. A full memo is replaced by a new
+        one holding only the newest entry, and the slices go with it: threads
+        sharing the system each see some whole dict, never half of one, and a
+        store lost to a race costs only a second summation.
+        """
         if x < 0:
             raise ValidationError("x must be >= 0")
         if x == 0:
             return (0.0, 0.0)
         if x > self.radius * (1 + 1e-15):
             return (math.inf, math.inf)
+        system = self.system
+        key = (x, beyond)
+        bounds = system.series_bounds.get(key)
+        if bounds is None:
+            bounds = self._bounds(x, beyond)
+            memo = system.series_bounds
+            if len(memo) < BOUNDS_MEMO:
+                memo[key] = bounds
+            else:
+                system.series_slices = {}
+                system.series_bounds = {key: bounds}
+        return bounds
+
+    def _bounds(self, x, beyond):
+        """value_bounds at 0 < x <= R, summed afresh."""
         upto = max(256, beyond)
         while True:
             partial, used, err = self._partial(x, upto, beyond)

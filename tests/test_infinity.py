@@ -171,6 +171,18 @@ def test_pressure_indicator_golden_mean_at_large_t():
     assert abs(infinity.pressure_indicator(golden_mean(), t, q=1) - want) < 1e-12
 
 
+@pytest.mark.parametrize("t", [740.0, 800.0])
+def test_finite_pressure_past_the_float_range_of_its_weights(t):
+    # e^-t is subnormal at t = 740 and 0 at t = 800; the one-vertex rome
+    # route adds -t to the log weights, so the truncation of a finite loop
+    # system keeps the pressure of the loop system itself
+    system = LoopSystem([(1, 1), (3, 2)])
+    want = infinity.pressure_indicator(system, t, q=5)
+    got = infinity.pressure_indicator(system.truncate(100).as_graph(), t, q=5)
+    assert math.isfinite(want)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_pressure_indicator_block_system_first_returns():
     # every cycle of the block system meets the first slot start once per
     # period p = M*n, so lam^p is the weight of the walks of length p from

@@ -10,7 +10,9 @@ Oracles used here, independent of the implementation under test:
     gives cx/(1-cx), and loops (1,1), (4,2) plus a_l = 2 from l = 2 give
     x + 2x^4 + 2x^2/(1-x),
   - a FormulaTail whose callable counts its calls, so a second count of any
-    length shows.
+    length shows,
+  - for the bounds memo, the answers of a system that has never been
+    queried (loaded afresh from its document) and of sequential calls.
 """
 
 import gc
@@ -25,7 +27,15 @@ import pytest
 
 from cmshift import infinity, measures, thermo
 from cmshift.families import greedy_null_loops, power_loops, renewal_shift, subexponential_loops
-from cmshift.graphs import SERIES_TERMS, FormulaTail, GeometricTail, LoopSystem, _log_big
+from cmshift.graphs import (
+    SERIES_TERMS,
+    FormulaTail,
+    GeometricTail,
+    LoopSystem,
+    _log_big,
+    graph_spec,
+    load_graph,
+)
 
 
 def _reference(system, length):
@@ -201,3 +211,103 @@ def test_threads_sharing_a_system_see_whole_tables():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+def _fresh(system):
+    return load_graph(graph_spec(system))
+
+
+def _grid(system):
+    """(x, beyond) at 0, interior points and the radius, summed from the
+    start, past the longest explicit loop and past the 256-term prefix."""
+    radius = thermo.LoopGF(system).radius
+    xs = [0.0] + [radius * f for f in (0.1, 0.5, 0.9, 0.999)] + [radius]
+    return [(x, beyond) for x in xs for beyond in (0, system.longest_explicit, 300)]
+
+
+def _bounds_on_a_grid(system):
+    gf = thermo.LoopGF(system)
+    return [gf.value_bounds(x, beyond) for x, beyond in _grid(system)]
+
+
+def _answers(system):
+    mme = measures.loop_mme(system)
+    return (
+        _bounds_on_a_grid(system),
+        thermo.classify(system),
+        thermo.gurevich_entropy(system),
+        (mme.entropy, mme.weights, mme.expected_length),
+        [infinity.pressure_indicator(system, t, q) for t in (0.3, 2.0) for q in (1, 4)],
+        infinity.b_inf_estimate(system, lam=0.01),
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        renewal_shift,
+        power_loops,
+        lambda: LoopSystem([(1, 1), (3, 2)], GeometricTail(4, 1.4, 1.08)),
+        lambda: LoopSystem([(2, 1)], GeometricTail(3, 1.5, 1.2)),
+    ],
+    ids=["renewal", "powers", "non-integer-tail", "big-counts"],
+)
+def test_kept_bounds_answer_as_a_fresh_system(make):
+    system = make()
+    first = _answers(system)
+    assert system.series_bounds and system.series_slices
+    assert _answers(system) == first
+    assert _answers(_fresh(system)) == first
+    # each bound again from a system that has summed nothing else
+    alone = [thermo.LoopGF(_fresh(system)).value_bounds(x, b) for x, b in _grid(system)]
+    assert alone == first[0]
+
+
+def test_bounds_memo_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(thermo, "BOUNDS_MEMO", 8)
+    system = LoopSystem([(2, 1)], GeometricTail(3, 1.5, 1.2))
+    gf = thermo.LoopGF(system)
+    xs = [gf.radius * k / 40 for k in range(1, 41)]
+    got = []
+    for x in xs + xs:
+        got.append(gf.value_bounds(x, 2))
+        assert 1 <= len(system.series_bounds) <= 8
+    monkeypatch.undo()
+    fresh = thermo.LoopGF(_fresh(system))
+    assert got == [fresh.value_bounds(x, 2) for x in xs + xs]
+
+
+def test_two_threads_sharing_a_system_answer_as_sequential_calls(monkeypatch):
+    # a small memo, so that it is replaced while both threads use it
+    monkeypatch.setattr(thermo, "BOUNDS_MEMO", 64)
+    system = LoopSystem([(1, 1), (3, 2)], GeometricTail(4, 1.4, 1.08))
+    jobs = [[("p", 0.2 + 0.7 * k, q) for k in range(6) for q in (1, 3)], [("b", 0.01), ("b", 0.05)]]
+
+    def run(system, job):
+        out = []
+        for op in job:
+            if op[0] == "p":
+                out.append(infinity.pressure_indicator(system, op[1], op[2]))
+            else:
+                out.append(infinity.b_inf_estimate(system, lam=op[1]))
+        out.append(_bounds_on_a_grid(system))
+        return out
+
+    want = [run(_fresh(system), job) for job in jobs]
+    got = [None, None]
+
+    def work(k):
+        got[k] = run(system, jobs[k])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
