@@ -195,20 +195,30 @@ class LabeledMarkovMeasure:
         self.label = label
         self.mass = 1.0
         self.entropy = chain.entropy
-        symbols = sorted(set(self.labels))
         arr = np.asarray(self.labels)
-        self._masks = {a: (arr == a).astype(float) for a in symbols}
+        self._states = {a: np.flatnonzero(arr == a) for a in sorted(set(self.labels))}
+        self._steps = {}
+
+    def _step(self, a, b):
+        """The nonzero entries of P from the states labeled a to those labeled
+        b: (rows among a's states, columns among b's states, values)."""
+        step = self._steps.get((a, b))
+        if step is None:
+            block = self.chain.P[np.ix_(self._states[a], self._states[b])]
+            rows, cols = np.nonzero(block)
+            step = self._steps[(a, b)] = (rows, cols, block[rows, cols])
+        return step
 
     def cylinder_mass(self, word):
-        mask = self._masks.get(word[0])
-        if mask is None:
+        """Mass of [word]: the stationary mass on the states labeled word[0],
+        carried one symbol at a time through the nonzero entries of P into
+        the states of the next label (a block system has at most two a row)."""
+        if any(sym not in self._states for sym in word):
             return 0.0
-        vec = self.chain.pi * mask
-        for sym in word[1:]:
-            mask = self._masks.get(sym)
-            if mask is None:
-                return 0.0
-            vec = (vec @ self.chain.P) * mask
+        vec = self.chain.pi[self._states[word[0]]]
+        for a, b in zip(word, word[1:]):
+            rows, cols, vals = self._step(a, b)
+            vec = np.bincount(cols, weights=vec[rows] * vals, minlength=len(self._states[b]))
         return float(vec.sum())
 
 

@@ -7,9 +7,9 @@ at desk scale, the statements that tie everything together:
   - ``pressure_indicator``: the Gurevich pressure of the potential
     -t * (indicator of the symbols <= q): -log of the root of the loop
     series with each loop weighted by e^(-t * its visits to those symbols),
-    solved by ``thermo.series_root`` on a finite system and bisected on
-    certified bounds past an infinite tail (or a weighted transfer matrix
-    on finite graphs),
+    solved by ``thermo.series_root`` on a finite system and by
+    ``thermo.bracket_root`` on certified bounds past an infinite tail (or a
+    weighted transfer matrix on finite graphs),
   - ``b_inf_estimate``: the dual bound min_t [P(-t 1_F) + t*lam] on the
     entropy of measures giving the finite part F mass at most lam,
   - ``h_inf_lower_bound``: entropy carried by explicitly constructed
@@ -109,11 +109,11 @@ def _loop_pressure(system, t, q):
             near * (1.0 + thermo.RELATIVE_SLACK) + base_weight * hi,
         )
 
-    if side(gf.radius) < 0:
+    if side(gf.radius)[0] < 0:
         # the weighted series never reaches 1: the critical point is the
         # convergence radius itself
         return -math.log(gf.radius)
-    lo, hi = thermo.bisect_root(side, 0.0, gf.radius)
+    lo, hi = thermo.bracket_root(side, 0.0, gf.radius)
     return -math.log(0.5 * (lo + hi))
 
 

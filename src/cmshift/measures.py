@@ -32,7 +32,7 @@ from .graphs import (
     is_strongly_connected,
     loop_record,
 )
-from .thermo import LoopGF, adjacency_matrix, bisect_root, classify, perron, series_root
+from .thermo import LoopGF, adjacency_matrix, bracket_root, classify, perron, series_root
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,8 @@ def tail_parry_measure(system, lo, hi):
 
 
 def entropy_targeted_measure(system, target, lo, hi):
-    """Window chain with entropy at most `target`, as close as bisection gets.
+    """Window chain with entropy at most `target`, the closest from below
+    that bracket_root finds in floats of the tilt.
 
     The tilt parameter y moves the window entropy monotonically from 0
     (concentrated on the shortest loops) to the window equilibrium value, so
@@ -279,11 +280,11 @@ def entropy_targeted_measure(system, target, lo, hi):
         raise ValidationError(
             f"target {target} above the window ceiling {ceiling}"
         )
-    y, _ = bisect_root(
-        lambda y: _window_measure(system, counts, y, "probe").entropy - target,
-        x0 * 1e-12,
-        x0,
-    )
+    def side(y):
+        gap = _window_measure(system, counts, y, "probe").entropy - target
+        return (gap > 0) - (gap < 0), gap
+
+    y, _ = bracket_root(side, x0 * 1e-12, x0)
     return _window_measure(
         system, counts, y, label=f"targeted[{lo},{hi}]@{target:.4g}"
     )

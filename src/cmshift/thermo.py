@@ -15,14 +15,17 @@ exists. The classification follows the shape of f at its radius:
 Every finite first-return series (a Perron root at a one-vertex rome, x* of
 a finite loop system, the window chains of `measures`, the pressures of a
 finite loop system) is solved by `series_root`, in log x; one with an
-infinite tail is bisected in x on the certified bounds of
-`LoopGF.value_bounds`. Both run `bisect_root`, which stops where the bounds
-can no longer tell the value from 1 or the bracket closes to adjacent
-floats. Those bounds are a function of the system, x and the summed range
-alone, so each is computed once per system: the `LoopSystem` keeps the
-summation slices of its count table and up to `BOUNDS_MEMO` bounds, which
-every query of the same system object (x*, pressures, `b_inf_estimate`'s
-search) shares.
+infinite tail is solved in x on the certified bounds of
+`LoopGF.value_bounds`. Both run `bracket_root`. Its test returns a certified
+sign and the computed value behind it; it takes secant steps through the
+last two values while they stay inside the certified bracket and shrink
+(Brent's safeguard, else the midpoint), and once the sign can no longer
+tell the value from 1 it finishes at the float root of the computed value,
+inside the certified bracket. Those bounds are a function of the system, x
+and the summed range alone, so each is computed once per system: the
+`LoopSystem` keeps the summation slices of its count table and up to
+`BOUNDS_MEMO` bounds, which every query of the same system object (x*,
+pressures, `b_inf_estimate`'s search) shares.
 
 The entropy at infinity is approached from two sides: `big_delta_inf` reads
 the certified loop growth of the presentation, and `delta_inf` fits escape
@@ -246,27 +249,28 @@ def _max_block_root(graph, mat, shift=None):
     With shift, an array over the symbols, the matrix is mat with column j
     scaled by e^shift[j]. A block whose support has a one-vertex rome adds
     shift[j] to the log weight of each edge into j, so its log root stays
-    finite where the scaled entries underflow; any other block is scaled as
-    a matrix.
+    finite where the scaled entries underflow. Any other block is scaled as
+    a matrix by e^(shift[j] - top), top the largest shift of its columns,
+    and top is added back to the log root: a block whose columns all carry
+    the same shift keeps every entry.
     """
     best = (0.0, -math.inf)
     for comp in strongly_connected_components(graph):
         idx = np.array(comp) - 1
         block = mat[np.ix_(idx, idx)]
         logs = None if shift is None else shift[idx].tolist()
-        rome = _rome(block)
+        rome, top = _rome(block), 0.0
         if rome is None and logs is not None:
-            block = block * [math.exp(v) for v in logs]
+            top = max(logs)
+            block = block * [math.exp(v - top) for v in logs]
             rome, logs = _rome(block), None
         if rome:
-            y = -series_root(*_first_returns(rome, logs))
-            root = (math.exp(y), y)
+            y = top - series_root(*_first_returns(rome, logs))
         elif block.any():
-            lam = _dense_perron(block)[0]
-            root = (lam, math.log(lam))
+            y = math.log(_dense_perron(block)[0]) + top
         else:
             continue
-        best = max(best, root)
+        best = max(best, (math.exp(y), y))
     return best
 
 
@@ -289,40 +293,123 @@ def perron_root(graph):
 
 
 def side_of_one(lo, hi):
-    """-1, 1 or 0 as certified bounds (lo, hi) of a value lie below 1,
-    above 1, or around it."""
+    """(sign, estimate) of a value from certified bounds (lo, hi) on it: the
+    sign is -1, 1 or 0 as the bounds lie below 1, above 1 or around it, and
+    the estimate is 1 - 1/mid, mid the midpoint of the bounds. It has the
+    sign of mid - 1 but stays nearly linear in x up to a pole of the series
+    at its radius, where mid - 1 would leave the secant steps of
+    bracket_root crawling."""
+    mid = 0.5 * (lo + hi)
+    estimate = 1.0 - 1.0 / mid if 0.0 < mid < math.inf else math.copysign(math.inf, mid - 1.0)
     if hi < 1.0:
-        return -1
+        return -1, estimate
     if lo > 1.0:
-        return 1
-    return 0
+        return 1, estimate
+    return 0, estimate
 
 
-def bisect_root(side, lo, hi):
-    """The last certified bracket (lo, hi) of the crossing of an increasing
-    test.
+def _secant(p, q):
+    """The zero of the line through the evaluations p = (x, estimate) and q;
+    None when the line is flat or an estimate is not finite."""
+    (x1, e1), (x2, e2) = p, q
+    if e1 == e2 or not (math.isfinite(e1) and math.isfinite(e2)):
+        return None
+    return float(x2 - e2 * (x2 - x1) / (e2 - e1))
 
-    side(x) is negative below the crossing, positive above it, and 0 where
-    the bounds behind it cannot tell. The bracket is halved until side
-    returns 0 at its midpoint or lo and hi are adjacent floats, so the
-    returned midpoint is where the bisection stopped.
+
+def bracket_root(side, lo, hi):
+    """The crossing of an increasing test in (lo, hi), closed on two floats.
+
+    side(x) returns (sign, estimate). The sign is certified: negative below
+    the crossing, positive above it, and 0 where the bounds behind it cannot
+    tell. The estimate is the computed value whose zero is the crossing, of
+    the same sign where the sign is not 0.
+
+    Each step takes the secant point through the last two evaluations when
+    it lies strictly inside the certified bracket and is shorter than half
+    the step before last (Brent's safeguard), and the midpoint otherwise, so
+    a smooth estimate converges superlinearly and a wild one is bisected. A
+    secant point at or past the newest end of the bracket, which the
+    certified sign there denies, puts the crossing within rounding of that
+    end, and the float next to it is tried. Once the sign reads 0,
+    `_float_root` finishes inside the bracket at the float root of the
+    estimate. Returns that pair of adjacent floats (one float twice where
+    the estimate is exactly 0), or, when the sign never reads 0, the
+    adjacent floats the certified bracket closed to.
     """
+    points = []
+    # the lengths of the last two steps
+    steps = (math.inf, math.inf)
     while True:
-        mid = 0.5 * (lo + hi)
-        s = side(mid) if lo < mid < hi else 0
-        if s == 0:
-            return lo, hi
-        if s < 0:
-            lo = mid
+        x = None
+        if len(points) >= 2:
+            newest = points[-1][0]
+            x = _secant(points[-2], points[-1])
+            if x is not None and not abs(x - newest) < 0.5 * steps[0]:
+                x = None
+            elif x is not None and not lo < x < hi and (x >= hi) == (newest == hi):
+                # the secant puts the crossing at or past the newest end of
+                # the bracket, which its certified sign denies: the crossing
+                # is within rounding of it, so try the float next to it
+                x = math.nextafter(newest, lo + hi - newest)
+        if x is None or not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return lo, hi
+        sign, estimate = side(x)
+        if sign == 0:
+            return _float_root(side, lo, hi, points[-1:] + [(x, estimate)])
+        steps = (steps[1], abs(x - points[-1][0]) if points else math.inf)
+        if sign < 0:
+            lo = x
         else:
-            hi = mid
+            hi = x
+        points.append((x, estimate))
+
+
+def _float_root(side, lo, hi, points):
+    """Adjacent floats a < b in the certified bracket (lo, hi) with the
+    estimate negative at a and not at b, or (x, x) at an x where it is 0.
+
+    points are the last evaluations, the newest inside the zone where the
+    sign reads 0. One secant step through them, then a gallop of 1, 2, 4, ...
+    ulps towards the sign change, then bisection of the floats between.
+    """
+    bracket = [lo, hi]
+
+    def place(x, e):
+        if e == 0:
+            bracket[:] = [x, x]
+        else:
+            bracket[0 if e < 0 else 1] = x
+        return e
+
+    x, e = points[-1]
+    place(x, e)
+    guess = _secant(*points) if len(points) == 2 else None
+    if guess is not None and bracket[0] < guess < bracket[1]:
+        x, e = guess, place(guess, side(guess)[1])
+    step, toward = math.ulp(x), (1.0 if e < 0 else -1.0)
+    while bracket[0] < (y := x + toward * step) < bracket[1]:
+        if (place(y, side(y)[1]) < 0) != (e < 0):
+            break
+        x, step = y, 2 * step
+    while True:
+        a, b = bracket
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return a, b
+        place(mid, side(mid)[1])
 
 
 def series_root(lengths, logs, err=0.0):
     """y = log x* of the root of sum_k exp(logs[k] + lengths[k] y) = 1, a
-    finite first-return series: the midpoint of the bisect_root bracket in
-    y, whose bounds widen the log-sum-exp of the series by err (a bound on
-    the rounding of every entry of logs) and by the rounding of the terms.
+    finite first-return series, by bracket_root in y: the sign widens the
+    log-sum-exp of the series by err (a bound on the rounding of every entry
+    of logs) and by the rounding of the terms, and the estimate is the
+    log-sum-exp itself, which is nearly linear in y. Secant steps reach its
+    rounding zone and the float root finish closes on the pair of floats
+    where the computed log-sum-exp changes sign; y is their midpoint.
     NonConvergent on an empty series."""
     if not len(lengths):
         raise NonConvergent("the first-return series has no term")
@@ -338,12 +425,12 @@ def series_root(lengths, logs, err=0.0):
         total = m + math.log(np.exp(terms - m).sum())
         slack = err + 2 * _ULP * (top_log + top_length * abs(y) + len(logs) + 1)
         if total + slack < 0:
-            return -1
+            return -1, total
         if total - slack > 0:
-            return 1
-        return 0
+            return 1, total
+        return 0, total
 
-    lo, hi = bisect_root(side, lo - 1e-9 * (1 + abs(lo)), hi + 1e-9 * (1 + abs(hi)))
+    lo, hi = bracket_root(side, lo - 1e-9 * (1 + abs(lo)), hi + 1e-9 * (1 + abs(hi)))
     return 0.5 * (lo + hi)
 
 
@@ -353,7 +440,7 @@ def series_root(lengths, logs, err=0.0):
 # widening of LoopGF.value_bounds relative to the bounded value
 RELATIVE_SLACK = 1e-13
 # most certified bounds a LoopSystem keeps; one round of the loops benchmark
-# needs at most 3084 on any one system (seed 1)
+# needs at most 996 on any one system (seed 1)
 BOUNDS_MEMO = 2**14
 
 
@@ -498,7 +585,10 @@ class LoopGF:
         """The root of f(x) = 1 in (0, R], or None when f(R) < 1.
 
         A finite system's root comes from series_root; with an infinite
-        tail, from bisect_root in x on the certified bounds of f.
+        tail, from bracket_root in x on the certified bounds of f, whose
+        side_of_one estimate 1 - 1/f keeps the secant steps fast up to a
+        pole of f at R, and whose float root finish closes on the floats
+        where the midpoint of the bounds crosses 1.
         """
         system = self.system
         if not system.is_infinite:
@@ -513,9 +603,9 @@ class LoopGF:
                     return None
                 if declared == 1.0:
                     return self.radius
-            # fall through: bisection stops next to R, where the bounds
+            # fall through: the root closes next to R, where the bounds
             # cannot tell f from 1
-        lo, hi = bisect_root(lambda x: side_of_one(*self.value_bounds(x)), 0.0, self.radius)
+        lo, hi = bracket_root(lambda x: side_of_one(*self.value_bounds(x)), 0.0, self.radius)
         return 0.5 * (lo + hi)
 
 

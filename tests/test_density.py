@@ -53,6 +53,31 @@ def test_concatenated_measure_basics():
     assert nu.entropy >= cs.entropy_floor - 1e-12
 
 
+def _dense_label_walk(nu, word):
+    """The mass of [word] by a dense states x states product per symbol, each
+    followed by a mask of the states carrying the next label."""
+    labels = np.asarray(nu.labels)
+    vec = nu.chain.pi * (labels == word[0])
+    for sym in word[1:]:
+        vec = (vec @ nu.chain.P) * (labels == sym)
+    return float(vec.sum())
+
+
+@pytest.mark.parametrize("n", [4, 9])
+def test_cylinder_masses_match_the_dense_label_walk(n):
+    # the sub-block walk sums the same nonnegative products in another order,
+    # so the masses agree to a few ulps; a label no state carries has mass 0
+    cs = density.concatenated_system(full_shift(2), [golden_mean(), full_shift(2)], n=n, M=4)
+    nu = density.concatenated_measure(cs)
+    words = [()]
+    for _ in range(6):
+        words = [w + (a,) for w in words for a in (1, 2)]
+        for w in words:
+            want = _dense_label_walk(nu, w)
+            assert abs(nu.cylinder_mass(w) - want) <= 1e-14 * want
+    assert nu.cylinder_mass((1, 3, 2)) == 0.0
+
+
 def test_concatenated_entropy_floor():
     cs = density.concatenated_system(
         full_shift(2), [golden_mean(), full_shift(2)], n=4, M=2

@@ -44,8 +44,8 @@ def test_pressure_indicator_renewal_closed_form():
 
 
 def test_pressure_indicator_renewal_to_float_resolution():
-    # the bisection stops where the certified bounds cannot tell, not at a
-    # fixed width, so the pressure is good to about an ulp of 1
+    # the root closes where the certified bounds cannot tell, not at a fixed
+    # width, so the pressure is good to about an ulp of 1
     g = renewal_shift()
     for t in range(8, 16):
         assert abs(infinity.pressure_indicator(g, t, q=1) - math.log1p(math.exp(-t))) <= 2.0**-52
@@ -181,6 +181,24 @@ def test_finite_pressure_past_the_float_range_of_its_weights(t):
     got = infinity.pressure_indicator(system.truncate(100).as_graph(), t, q=5)
     assert math.isfinite(want)
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("t", [740.0, 800.0])
+def test_dense_route_pressure_past_the_float_range_of_its_weights(t):
+    # the full 2-shift has no one-vertex rome, so its block is scaled as a
+    # matrix; with both columns inside F every cycle weighs e^-t per step and
+    # the pressure is log 2 - t, although e^-t is subnormal or 0
+    assert infinity.pressure_indicator(full_shift(2), t, q=2) == LOG2 - t
+
+
+@pytest.mark.parametrize("t,exact", [(18.0, -17.931962091659646), (300.0, -299.93196209165967)])
+def test_rome_pressure_closes_on_the_float_root(t, exact):
+    # the 40-cycle and the self-loop at the base: every walk log is exact,
+    # but the rounding bound of the first-return series grows with t and the
+    # path length, so a root taken anywhere in its zone was 1.8e-12 (t = 18)
+    # and 2.4e-11 (t = 300) off; exact values from a 50-digit root
+    graph = LoopSystem([(1, 1), (40, 1)]).truncate(40).as_graph()
+    assert abs(infinity.pressure_indicator(graph, t, q=40) - exact) <= 1e-13 * (1 + t)
 
 
 def test_pressure_indicator_block_system_first_returns():

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmshift import density, thermo
+from cmshift import density, infinity, thermo
 from cmshift.errors import NonConvergent, NotStronglyConnected
 from cmshift.families import (
     full_shift,
@@ -152,31 +152,105 @@ def test_loop_gf_greedy_null_root_at_radius():
 def test_x_star_relative_precision_on_small_roots(a1, a2):
     # a1 x + a2 x^2 = 1 has the root 2 / (a1 + sqrt(a1^2 + 4 a2)), a form
     # without cancellation; a stopping rule absolute in x would leave a
-    # relative error of its width over x*
+    # relative error of its width over x*. series_root solves in y = log x,
+    # and x = e^y carries the rounding of y times |y| = 13.8 at a1 = 10**6
     root = thermo.LoopGF(LoopSystem([(1, a1), (2, a2)])).x_star()
     exact = 2.0 / (a1 + math.sqrt(a1 * a1 + 4 * a2))
     assert abs(root - exact) <= 1e-12 * exact
-    assert _straddles_one([(1, a1), (2, a2)], root)
+    ulps = (16 if a1 == 10**6 else 4) * 2.0**-52
+    assert _straddles_one([(1, a1), (2, a2)], root, ulps)
 
 
-def test_bisect_root_closes_to_adjacent_floats():
-    lo, hi = thermo.bisect_root(lambda x: -1 if x < 0.3 else 1, 0.0, 1.0)
+def test_bracket_root_closes_to_adjacent_floats():
+    # estimates that carry no slope still bisect to adjacent floats
+    def side(x):
+        s = -1 if x < 0.3 else 1
+        return s, float(s)
+
+    lo, hi = thermo.bracket_root(side, 0.0, 1.0)
     assert lo < 0.3 <= hi == math.nextafter(lo, 1.0)
 
 
-# series_root stops at the first midpoint whose rounding bounds cannot tell
-# the series from 1; on these inputs that is within 32 ulps of the root
-ROOT_ULPS = 32 * 2.0**-52
+def _recording(kernel, log):
+    """kernel with every side evaluation appended to log[-1], a fresh list per
+    root, and the returned pair appended after it."""
+    def run(side, lo, hi):
+        calls = []
+        log.append(calls)
+
+        def recorded(x):
+            out = side(x)
+            calls.append((x, out[0]))
+            return out
+
+        got = kernel(recorded, lo, hi)
+        calls.append(("returned", (lo, hi), got))
+        return got
+
+    return run
 
 
-def _straddles_one(counts, x):
-    """Whether sum a_l z**l, summed exactly, is below 1 at z = x (1 - ROOT_ULPS)
-    and above 1 at z = x (1 + ROOT_ULPS)."""
+# the systems and truncations whose roots are counted below: renewal, powers,
+# a coeff > 1 tail and the seed-17 system of the loops benchmark
+COUNTED = [
+    renewal_shift,
+    power_loops,
+    lambda: LoopSystem([(1, 1), (3, 2)], GeometricTail(4, 1.7, 1.1)),
+    lambda: LoopSystem([(6, 1), (1, 2), (1, 1)], GeometricTail(3, 0.6, 1.03)),
+]
+
+
+def _roots(make):
+    """{kind: [side evaluations of each root]} of x*, of the whole-loop
+    truncations (series_root) and of three pressures of the system."""
+    system, kernel, kinds = make(), thermo.bracket_root, {}
+    runs = {
+        "x_star": lambda: thermo.LoopGF(system).x_star(),
+        "series_root": lambda: [
+            thermo.LoopGF(LoopSystem(system.whole_loops(q)[1])).x_star() for q in (4, 8, 16, 32, 64)
+        ],
+        "pressure": lambda: [infinity.pressure_indicator(system, t, 1) for t in (0.05, 2.0, 8.0)],
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        for kind, run in runs.items():
+            kinds[kind] = []
+            mp.setattr(thermo, "bracket_root", _recording(kernel, kinds[kind]))
+            run()
+    return kinds
+
+
+@pytest.mark.parametrize("make", COUNTED, ids=["renewal", "powers", "coeff-1.7", "seed-17"])
+def test_roots_return_inside_their_last_certified_bracket(make):
+    for calls in sum(_roots(make).values(), []):
+        (_, (lo, hi), (a, b)) = calls[-1]
+        lo = max([x for x, s in calls[:-1] if s < 0], default=lo)
+        hi = min([x for x, s in calls[:-1] if s > 0], default=hi)
+        assert lo <= a <= b <= hi
+
+
+@pytest.mark.parametrize("make", COUNTED, ids=["renewal", "powers", "coeff-1.7", "seed-17"])
+def test_roots_take_few_side_evaluations(make):
+    # bisection took 41 to 53 on those that are not exact at the first midpoint
+    kinds = _roots(make)
+    assert kinds["x_star"] and kinds["series_root"] and kinds["pressure"]
+    limits = {"x_star": 12, "series_root": 12, "pressure": 20}
+    for kind, roots in kinds.items():
+        assert max(len(calls) - 1 for calls in roots) <= limits[kind], kind
+
+
+# the roots close on the float root of the computed series; on these inputs
+# that is within 4 ulps of the exact root
+ROOT_ULPS = 4 * 2.0**-52
+
+
+def _straddles_one(counts, x, ulps=ROOT_ULPS):
+    """Whether sum a_l z**l, summed exactly, is below 1 at z = x (1 - ulps)
+    and above 1 at z = x (1 + ulps)."""
     def f(z):
         z = Fraction(z)
         return sum(a * z**length for length, a in counts)
 
-    return f(x * (1 - ROOT_ULPS)) < 1 < f(x * (1 + ROOT_ULPS))
+    return f(x * (1 - ulps)) < 1 < f(x * (1 + ulps))
 
 
 @pytest.mark.parametrize("make", [renewal_shift, power_loops])
