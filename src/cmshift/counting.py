@@ -14,15 +14,28 @@ The three counts are one kernel, `_walk_counts`, on the rome presentation
 states at most a given number of times. Closed walks mark nothing, first
 returns mark the vertex and allow its two endpoint visits, and escape
 counts mark the symbols <= q.
+
+The kernel runs row by row over the number m of marked positions. Row m
+holds one exact count series over time per state, and the next row comes
+from it through the edges into marked states: each (src, dst) group of
+edges is one polynomial in time, multiplied into the series by one
+big-integer product (Kronecker substitution: Schoenhage 1982; Harvey
+2009) or, for a single length, by a shifted and scaled copy. Inside a
+row the unmarked states follow block by block (their strongly connected
+components, in topological order), and only the edges within a cyclic
+block are stepped in time.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add, mul
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import _log_big, walk_view
+from .graphs import _log_big, strongly_connected_components, walk_view
 
 
 @dataclass
@@ -80,53 +93,186 @@ def _walk_counts(view, marked, starts, ends, n_edges, budget):
     """[W_1, ..., W_{n_edges}]: W_e counts the walks of e edges on `view`
     from a state in `starts` to a state in `ends` whose positions (both
     endpoints included) fall on `marked` states at most budget(e) times.
+    `budget` must be nondecreasing in e.
 
-    One time-indexed DP over (edges so far, marked positions, state): an
-    edge of length l reads the layer l steps back. A layer is one flat list
-    of rows, the walks with m marked positions at state s at index
-    m * size + s.
+    Row by row: row m holds, for each state, the count series over times
+    0..n_edges of the walks with m marked positions that stand there (None
+    when they are all zero), and only the previous row is kept. The edges
+    of each (src, dst) pair form one polynomial in time. A marked state's
+    series is the sum of the previous row's series times the polynomials
+    of its in-edges (`_times`). The unmarked states follow within the row,
+    one strongly connected block of them at a time in topological order: a
+    block first takes the products from states outside it, then steps
+    through time along its own edges, by one `sum` over the history of a
+    source per lengthed group. Rows 0..budget(e) count at time e, so a
+    nondecreasing budget lets each row add to a suffix of the counts.
     """
+    n = n_edges
     size = view.state_count
-    hits = [1 if i in marked else 0 for i in range(size)]
-    cap = max(budget(e) for e in range(1, n_edges + 1))
-    total = (cap + 1) * size
-    # a walk that has used the whole budget can only be counted where it
-    # stands when every end is marked
-    live = (cap if all(hits[s] for s in ends) else cap + 1) * size
-    # an edge into a marked state also moves its walks one row up
-    by_length = {}
+    hits = [1 if s in marked else 0 for s in range(size)]
+    polys = {}
     for src, dst, mult, length in view.edges:
-        if length <= n_edges:
-            by_length.setdefault(length, []).append((src, dst + hits[dst] * size, mult))
-    by_length = sorted(by_length.items())
-    first = [0] * total
-    for s in starts:
-        if hits[s] <= cap:
-            first[hits[s] * size + s] += 1
+        if length <= n:
+            poly = polys.setdefault((src, dst), {})
+            poly[length] = poly.get(length, 0) + mult
+    into = [[] for _ in range(size)]
+    for (src, dst), poly in polys.items():
+        into[dst].append((src, sorted(poly.items())))
+    marked_states = [s for s in range(size) if hits[s]]
+    blocks = _unmarked_blocks(hits, into)
+    seeds = {s: hits[s] for s in starts}
+    cap = budget(n)
+    # the walks of the last row at unmarked states are needed only when an
+    # end is unmarked
+    last_needs_blocks = not all(hits[s] for s in ends)
+    counts = [0] * (n + 1)
+    e = 1
+    prev = None
+    for m in range(cap + 1):
+        row = [None] * size
+        for s in marked_states:
+            if m:
+                row[s] = _inflow(prev, into[s], n)
+            if seeds.get(s) == m:
+                row[s] = _seeded(row[s], n)
+        if m < cap or last_needs_blocks:
+            for block, outer, inner in blocks:
+                for s in block:
+                    row[s] = _inflow(row, outer[s], n)
+                    if seeds.get(s) == m:
+                        row[s] = _seeded(row[s], n)
+                if inner:
+                    _step(row, block, inner, n)
+        while budget(e) < m:
+            e += 1
+        for s in ends:
+            if row[s] is not None:
+                counts[e:] = map(add, counts[e:], row[s][e:])
+        if m and all(series is None for series in row):
+            break
+        prev = row
+    return counts[1:]
 
-    def rows(layer):
-        # offsets of the nonzero rows that walks may still leave from
-        return [row for row in range(0, live, size) if any(layer[row:row + size])]
 
-    layers = [(first, rows(first))]
-    counts = []
-    for e in range(1, n_edges + 1):
-        layer = [0] * total
-        for length, edges in by_length:
-            if length > e:
-                break
-            prev, prev_rows = layers[e - length]
-            for row in prev_rows:
-                for src, dst, mult in edges:
-                    c = prev[row + src]
-                    if c:
-                        j = row + dst
-                        if j < total:
-                            layer[j] += c * mult
-        layers.append((layer, rows(layer)))
-        top = min(budget(e), cap)
-        counts.append(sum(layer[m * size + s] for m in range(top + 1) for s in ends))
-    return counts
+def _unmarked_blocks(hits, into):
+    """The strongly connected blocks of the unmarked states, sources first,
+    as (states, outer, inner): outer[s] the in-edge groups of s from outside
+    its block, inner the (s, singles, groups) of its edges within it."""
+    free = [s for s in range(len(hits)) if not hits[s]]
+    index = {s: i + 1 for i, s in enumerate(free)}
+    succ = {i: [] for i in range(1, len(free) + 1)}
+    for s in free:
+        for src, _ in into[s]:
+            if not hits[src]:
+                succ[index[src]].append(index[s])
+    sub = SimpleNamespace(symbols=len(free), out_neighbors=succ.__getitem__)
+    blocks = []
+    # Tarjan emits each component after every component it reaches
+    for comp in reversed(strongly_connected_components(sub)):
+        block = [free[i - 1] for i in comp]
+        inside = set(block)
+        outer = {s: [(src, terms) for src, terms in into[s] if src not in inside] for s in block}
+        inner = []
+        for s in block:
+            singles, groups = [], []
+            for src, terms in into[s]:
+                if src not in inside:
+                    continue
+                if len(terms) == 1:
+                    singles.append((src, *terms[0]))
+                else:
+                    low = terms[0][0]
+                    mults = [0] * (terms[-1][0] - low + 1)
+                    for length, mult in terms:
+                        mults[length - low] = mult
+                    groups.append((src, low, mults))
+            if singles or groups:
+                inner.append((s, singles, groups))
+        blocks.append((block, outer, inner))
+    return blocks
+
+
+def _seeded(series, n):
+    """`series` plus one walk at time 0."""
+    if series is None:
+        series = [0] * (n + 1)
+    series[0] += 1
+    return series
+
+
+def _inflow(row, groups, n):
+    """Coefficients 0..n of the sum of row[src] times each group's
+    polynomial, or None when all are zero."""
+    total = None
+    for src, terms in groups:
+        if row[src] is not None:
+            part = _times(row[src], terms, n)
+            if part is not None:
+                total = part if total is None else list(map(add, total, part))
+    return total
+
+
+def _times(series, terms, n):
+    """Coefficients 0..n of series(x) * sum(mult * x^length), or None when
+    they are all zero. One term is a shifted, scaled copy. Several are one
+    big-integer product by Kronecker substitution: each polynomial packed
+    into an integer, one coefficient to a slot of `width` bytes, wide enough
+    that none of the slots kept carries into the next."""
+    low = next(t for t, c in enumerate(series) if c)
+    if len(terms) == 1:
+        length, mult = terms[0]
+        if low + length > n:
+            return None
+        head = series[:n + 1 - length]
+        return [0] * length + (head if mult == 1 else [c * mult for c in head])
+    first = terms[0][0]
+    top = n - low - first
+    if top < 0:
+        return None
+    a = series[low:low + top + 1]
+    b = [0] * (top + 1)
+    for length, mult in terms:
+        if length - first > top:
+            break
+        b[length - first] = mult
+    # slot j <= top adds at most top + 1 products a_i b_l with i + l = j,
+    # each below 2^peak, the largest bit_length(a_i) + bit_length(b_l) over
+    # i + l <= top; the slots past top may carry, but only upward
+    b_bits = accumulate([c.bit_length() for c in b], max)
+    peak = max(map(add, [c.bit_length() for c in a], reversed(list(b_bits))))
+    width = (peak + (top + 1).bit_length() + 7) // 8
+    product = _pack(a, width) * _pack(b, width)
+    raw = product.to_bytes((product.bit_length() + 7) // 8, "little")
+    return [0] * (low + first) + [int.from_bytes(raw[i:i + width], "little")
+                                  for i in range(0, width * (top + 1), width)]
+
+
+def _pack(coeffs, width):
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
+
+
+def _step(row, block, inner, n):
+    """Walks that move within a cyclic block, stepped in time: each state
+    pulls from the history of its sources in the block."""
+    for s in block:
+        if row[s] is None:
+            row[s] = [0] * (n + 1)
+    for t in range(1, n + 1):
+        for s, singles, groups in inner:
+            c = 0
+            for src, length, mult in singles:
+                if length <= t:
+                    c += mult * row[src][t - length]
+            for src, low, mults in groups:
+                j = t - low
+                if j >= 0:
+                    past = row[src]
+                    c += sum(map(mul, mults, past[j::-1] if j < len(mults) else past[j:j - len(mults):-1]))
+            if c:
+                row[s][t] += c
+    for s in block:
+        if not any(row[s]):
+            row[s] = None
 
 
 def _state(view, vertex):

@@ -592,7 +592,7 @@ class LoopGF:
         """
         system = self.system
         if not system.is_infinite:
-            return math.exp(series_root(*system.log_counts(1, system.longest_explicit)))
+            return math.exp(_finite_log_root(system))
         lo_r, hi_r = self.series_at_radius()
         if hi_r < 1.0:
             return None
@@ -607,6 +607,11 @@ class LoopGF:
             # cannot tell f from 1
         lo, hi = bracket_root(lambda x: side_of_one(*self.value_bounds(x)), 0.0, self.radius)
         return 0.5 * (lo + hi)
+
+
+def _finite_log_root(system):
+    """y = log x* of a loop system with no infinite tail, from series_root."""
+    return series_root(*system.log_counts(1, system.longest_explicit))
 
 
 # ---------------------------------------------------------------------------
@@ -632,23 +637,25 @@ def gurevich_entropy(graph, n_max=40, trace_qs=(4, 8, 16, 32, 64)):
     truncation trace and, when n_max allows, a direct growth fit on exact
     loop counts. Every cycle of a truncation is a whole loop through the
     base, so its entropy is that of the finite loop system of its whole
-    loops, whose root comes from series_root.
+    loops. A finite system's entropy is -y for the log root y from
+    series_root, without a round trip through x* = e^y.
     """
     if isinstance(graph, FiniteGraph):
         lam = perron_root(graph)
         value = math.log(lam) if lam > 0 else float("-inf")
         return EntropyReport(value, "perron", [(graph.symbols, value)])
     gf = LoopGF(graph)
-    root = gf.x_star()
-    x_c = gf.radius if root is None else min(root, gf.radius)
-    value = math.log(1.0 / x_c)
+    if graph.is_infinite:
+        root = gf.x_star()
+        x_c = gf.radius if root is None else min(root, gf.radius)
+        value = math.log(1.0 / x_c)
+    else:
+        value = -_finite_log_root(graph)
+        root = math.exp(-value)
     trace = []
     for q in trace_qs:
         _, loops = graph.whole_loops(q)
-        if loops:
-            trace.append((q, math.log(1.0 / LoopGF(LoopSystem(loops)).x_star())))
-        else:
-            trace.append((q, float("-inf")))
+        trace.append((q, -_finite_log_root(LoopSystem(loops)) if loops else float("-inf")))
     count_rate = None
     if n_max and n_max >= 8:
         count_rate = growth_rate(loop_count(graph, 1, n_max)).rate

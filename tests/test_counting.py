@@ -169,15 +169,22 @@ def test_escape_count_finite_loop_system_vs_brute():
                 assert c == brute_escape(explicit, M, q, n), (M, q, n)
 
 
+def composition_count(n, M):
+    budget = (n + 2) // M
+    return sum(math.comb(n, k - 1) for k in range(1, n + 2) if k + 1 <= budget)
+
+
+def geometric_escape(c, g, M, n):
+    """z_n(M, 1) for a_l = c g^l from length 1: a word with k loops has k+1
+    base visits and its n+1 edges split into k loops in C(n, k-1) ways."""
+    budget = (n + 2) // M
+    return g ** (n + 1) * sum(c**k * math.comb(n, k - 1) for k in range(1, budget))
+
+
 def test_escape_count_renewal_composition_identity():
     g = renewal_shift()
     s8 = counting.escape_count(g, M=8, q=1, n_max=30)
     s16 = counting.escape_count(g, M=16, q=1, n_max=30)
-
-    def composition_count(n, M):
-        budget = (n + 2) // M
-        return sum(math.comb(n, k - 1) for k in range(1, n + 2) if k + 1 <= budget)
-
     assert s8.value(30) == composition_count(30, 8) == 466
     assert s16.value(30) == composition_count(30, 16) == 1
     assert all(c == composition_count(n, 8) for n, c in s8.items())
@@ -187,6 +194,100 @@ def test_escape_count_powers_single_loop_regime():
     # budget 2 admits exactly the single-loop words: z_n = a_{n+1} = 2^{n+1}
     s = counting.escape_count(power_loops(), M=16, q=1, n_max=30)
     assert s.value(30) == 2 ** 31
+
+
+@pytest.mark.parametrize("M", [4, 16, 64])
+def test_escape_count_renewal_closed_form_at_scale(M):
+    # many rows, each one product of a long series by the 400-term loop
+    # polynomial
+    s = counting.escape_count(renewal_shift(), M=M, q=1, n_max=400)
+    assert s.counts == [composition_count(n, M) for n in range(401)]
+
+
+@pytest.mark.parametrize("g, c, M", [(2, 1, 4), (2, 1, 16), (2, 3, 4), (2, 3, 16)])
+def test_escape_count_geometric_closed_form_at_scale(g, c, M):
+    # counts of hundreds of bits times multiplicities of hundreds of bits:
+    # a slot one bit too narrow carries into the next coefficient
+    system = graphs.LoopSystem([], graphs.GeometricTail(1, c, g))
+    s = counting.escape_count(system, M=M, q=1, n_max=200)
+    assert s.counts == [geometric_escape(c, g, M, n) for n in range(201)]
+
+
+def test_escape_count_loop_system_matches_its_truncation():
+    # the loop system folds its unmaterialized loops into lengthed base
+    # edges; its complete truncation is a finite graph of length-1 edges
+    # whose unmarked loop interiors are stepped in time
+    g = graphs.LoopSystem(loops=[(1, 1), (2, 1), (3, 2), (5, 1), (7, 3), (11, 1)], tail=None)
+    explicit = g.truncate(g.enumeration(10**6).rows[-1][2]).as_graph()
+    for q in (1, 2, 4):
+        for M in (1, 2, 3, 5, 8):
+            want = counting.escape_count(explicit, M=M, q=q, n_max=40).counts
+            assert counting.escape_count(g, M=M, q=q, n_max=40).counts == want, (q, M)
+
+
+def test_escape_count_pinned_unmarked_end():
+    # b > q is unmarked: walks that used the whole budget still step to b
+    # within the last row
+    g = full_shift(3)
+    for M in (2, 3, 4):
+        s = counting.escape_count_pinned(g, M=M, q=1, a=1, b=3, n_max=7)
+        assert s.counts == [brute_escape(g, M, 1, n, a=1, b=3) for n in range(8)], M
+    loops = graphs.LoopSystem(loops=[(1, 1), (2, 1), (3, 2), (4, 1)], tail=None)
+    explicit = loops.truncate(loops.enumeration(100).rows[-1][2]).as_graph()
+    for M in (2, 3, 5):
+        for a, b in ((1, 6), (4, 9), (9, 1)):
+            want = counting.escape_count_pinned(explicit, M=M, q=2, a=a, b=b, n_max=30).counts
+            got = counting.escape_count_pinned(loops, M=M, q=2, a=a, b=b, n_max=30).counts
+            assert got == want, (M, a, b)
+
+
+def layer_walk_counts(view, marked, starts, ends, n_edges, budget):
+    """Reference: one time-indexed DP over (edges so far, marked positions,
+    state), where an edge of length l reads the layer l steps back."""
+    size = view.state_count
+    cap = budget(n_edges)
+    layers = [[[0] * size for _ in range(cap + 1)]]
+    for s in starts:
+        hit = 1 if s in marked else 0
+        if hit <= cap:
+            layers[0][hit][s] += 1
+    counts = []
+    for e in range(1, n_edges + 1):
+        layer = [[0] * size for _ in range(cap + 1)]
+        for src, dst, mult, length in view.edges:
+            if length > e:
+                continue
+            up = 1 if dst in marked else 0
+            for m in range(cap + 1 - up):
+                layer[m + up][dst] += mult * layers[e - length][m][src]
+        layers.append(layer)
+        counts.append(sum(layer[m][s] for m in range(budget(e) + 1) for s in ends))
+    return counts
+
+
+@pytest.mark.parametrize("graph", [
+    renewal_shift(), power_loops(3), golden_mean(), full_shift(3),
+    graphs.LoopSystem([(1, 1), (3, 2)], graphs.GeometricTail(4, 1.7, 1.1)),
+    graphs.LoopSystem([(2, 1), (5, 3)], graphs.GeometricTail(9, 1.0, 1.3)),
+    graphs.FiniteGraph(5, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 4), (5, 1), (2, 2)]),
+])
+def test_walk_counts_match_layer_dp(graph):
+    n = 24
+    for M in (1, 2, 3, 5):
+        for q in (1, 2, 4):
+            if isinstance(graph, graphs.FiniteGraph) and q > graph.symbols:
+                continue
+            view = graphs.walk_view(graph, n, list(range(1, q + 2)))
+            marked = {i for i, v in enumerate(view.ids) if v <= q}
+            for starts, ends in ((sorted(marked), sorted(marked)), ([0], [len(view.ids) - 1])):
+                args = (view, marked, starts, ends, n, lambda e: (e + 1) // M)
+                assert counting._walk_counts(*args) == layer_walk_counts(*args), (M, q, starts, ends)
+    for v in (1, 2):
+        view = graphs.walk_view(graph, n, [v])
+        s = view.concrete[v]
+        for marked, budget in (((), 0), ({s}, 2)):
+            args = (view, marked, [s], [s], n, lambda e: budget)
+            assert counting._walk_counts(*args) == layer_walk_counts(*args), (v, budget)
 
 
 def test_loop_count_missing_vertex_raises_validation_error():
