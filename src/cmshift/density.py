@@ -221,6 +221,13 @@ class LabeledMarkovMeasure:
             vec = np.bincount(cols, weights=vec[rows] * vals, minlength=len(self._states[b]))
         return float(vec.sum())
 
+    def symbol_masses(self, q):
+        out = np.zeros(q)
+        for a, states in self._states.items():
+            if 1 <= a <= q:
+                out[a - 1] = self.chain.pi[states].sum()
+        return out
+
 
 def concatenated_measure(system):
     """Maximal-entropy measure of the concatenated system, as a measure on

@@ -251,7 +251,7 @@ def h_inf_lower_bound(graph, windows=None, count=4, k0=30, ratio=2, span=3):
     windows = [(int(lo), int(hi)) for lo, hi in windows]
     seq = [measures.tail_parry_measure(graph, lo, hi) for lo, hi in windows]
     entropies = [m.entropy for m in seq]
-    base = [m.cylinder_mass((1,)) for m in seq]
+    base = [float(m.symbol_masses(1)[0]) for m in seq]
     escaping = all(a > b for a, b in zip(base, base[1:])) and base[-1] < base[0]
     return HInfReport(
         value=_limsup_proxy(entropies),
@@ -512,7 +512,9 @@ def mme_stability(system, qs=(8, 16, 32, 64), probe_ids=(1, 2, 3, 4)):
                 field="probe_ids",
             )
         chain = measures.loop_mme(LoopSystem(loops))
-        diff = max(abs(chain.cylinder_mass((a,)) - mme.cylinder_mass((a,))) for a in probes)
+        top = max(probes)
+        gaps = np.abs(chain.symbol_masses(top) - mme.symbol_masses(top))
+        diff = max(float(gaps[a - 1]) for a in probes)
         rows.append((q_eff, diff))
     return StabilityReport(rows=tuple(rows), probe_ids=tuple(probe_ids), mme_entropy=mme.entropy)
 

@@ -1,8 +1,10 @@
 """Shift-invariant measures and weak-star limit diagnostics.
 
 Measures expose a common surface: `cylinder_mass(word)` for the mass of the
-cylinder [word] at the canonical symbols, `entropy`, and `mass` (total mass,
-1 for probability measures). Three concrete kinds:
+cylinder [word] at the canonical symbols, `symbol_masses(q)` for the masses
+of the one-symbol cylinders [1]..[q] as one array (entry a-1 equal to
+`cylinder_mass((a,))` bit for bit), `entropy`, and `mass` (total mass, 1 for
+probability measures). Three concrete kinds:
 
 * `MarkovMeasure`: a stationary Markov chain on a finite graph.
 * `LoopMarkovMeasure`: a loop system chain, collapsed to a choice
@@ -12,10 +14,11 @@ cylinder [word] at the canonical symbols, `entropy`, and `mass` (total mass,
 * `MixtureMeasure`: a convex combination; entropy is the matching convex
   combination (affine on ergodic components).
 
-`cylinder_limit` takes a schedule of measures, extrapolates per-cylinder
-masses (iterated Aitken, exact on geometric tails), sums a mass ladder over
-truncations, and optionally verifies the limit against a candidate measure
-by fitting a single scale factor.
+`cylinder_limit` takes a schedule of measures, stacks their symbol masses
+into one (schedule x q) array, extrapolates every cylinder at once (iterated
+Aitken along the schedule, exact on geometric tails), sums a mass ladder
+over truncations, and optionally verifies the limit against a candidate
+measure by fitting a single scale factor.
 """
 
 import math
@@ -27,7 +30,6 @@ from .errors import NonConvergent, NotStronglyConnected, ValidationError
 from .graphs import (
     FiniteGraph,
     LoopSystem,
-    _log_big,
     canonical_cylinders,
     is_strongly_connected,
     loop_record,
@@ -78,6 +80,11 @@ class MarkovMeasure:
             if p == 0.0:
                 return 0.0
         return float(p)
+
+    def symbol_masses(self, q):
+        out = np.zeros(q)
+        out[: self.graph.symbols] = self.pi[:q]
+        return out
 
 
 def markov_measure(graph, transitions, pi=None):
@@ -154,12 +161,12 @@ class LoopMarkovMeasure:
             raise ValidationError("weights are empty")
         total = math.fsum(weights.values())
         self.weights = {l: w / total for l, w in weights.items()}
-        self._log_counts = {}
+        lengths, logs = system.log_counts(min(self.weights), max(self.weights))
+        known = dict(zip(lengths.tolist(), logs.tolist()))
         for l in self.weights:
-            a = system.multiplicity(l)
-            if a < 1:
+            if l not in known:
                 raise ValidationError(f"no loops of length {l}")
-            self._log_counts[l] = _log_big(a)
+        self._log_counts = {l: known[l] for l in self.weights}
         self.expected_length = math.fsum(l * w for l, w in self.weights.items())
         if entropy is None:
             entropy = (
@@ -206,6 +213,17 @@ class LoopMarkovMeasure:
         except ValidationError:  # an id that is no vertex
             return 0.0
         return p
+
+    def symbol_masses(self, q):
+        """[1] has mass 1/E; every interior id of a loop of length l has the
+        mass of that loop, _per_loop(l) / E; ids past the loops have none."""
+        out = np.zeros(q)
+        out[:1] = 1.0 / self.expected_length
+        for length, first, last in self.system.enumeration(q).rows:
+            if first > q:
+                break
+            out[first - 1 : last] = self._per_loop(length) / self.expected_length
+        return out
 
 
 def loop_mme(system, weight_cutoff=1e-13):
@@ -319,6 +337,9 @@ class _PeriodicOrbitMeasure:
                 hits += 1
         return hits / n
 
+    def symbol_masses(self, q):
+        return np.bincount(self.orbit, minlength=q + 1)[1 : q + 1] / len(self.orbit)
+
 
 # ---------------------------------------------------------------------------
 # mixtures
@@ -337,6 +358,15 @@ class MixtureMeasure:
 
     def cylinder_mass(self, word):
         return math.fsum(c * m.cylinder_mass(word) for c, m in self.components)
+
+    def symbol_masses(self, q):
+        """The weighted sum, entrywise correctly rounded like cylinder_mass:
+        a sum of at most two terms takes one rounding, so a plain add is
+        already its fsum."""
+        parts = [c * m.symbol_masses(q) for c, m in self.components]
+        if len(parts) <= 2:
+            return sum(parts, np.zeros(q))
+        return np.array([math.fsum(col) for col in zip(*(p.tolist() for p in parts))])
 
 
 # ---------------------------------------------------------------------------
@@ -359,21 +389,18 @@ def rho_distance(mu, nu, graph, depth=3, symbol_cap=32):
 # limits of measure schedules
 
 
-def _aitken_pass(xs):
-    out = []
-    for i in range(len(xs) - 2):
-        x0, x1, x2 = xs[i : i + 3]
-        d = (x2 - x1) - (x1 - x0)
-        out.append(x2 if abs(d) < 1e-300 else x2 - (x2 - x1) ** 2 / d)
-    return out
-
 def _aitken_limit(xs):
-    xs = list(xs)
+    """Iterated Aitken delta-squared along axis 0, entrywise: each pass maps
+    three consecutive terms to x2 - (x2 - x1)**2 / d, d the second
+    difference (x2 itself where |d| < 1e-300), until fewer than three
+    remain; returns the last term. The square is float_power's, the libm
+    pow of Python's `**`, so the digits match a scalar evaluation."""
+    xs = np.asarray(xs, dtype=float)
     while len(xs) >= 3:
-        nxt = _aitken_pass(xs)
-        if not nxt:
-            break
-        xs = nxt
+        x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
+        d = (x2 - x1) - (x1 - x0)
+        with np.errstate(all="ignore"):
+            xs = np.where(np.abs(d) < 1e-300, x2, x2 - np.float_power(x2 - x1, 2.0) / d)
     return xs[-1]
 
 
@@ -391,51 +418,45 @@ class LimitReport:
 def cylinder_limit(schedule, graph, q_max=32, candidate=None, tol=1e-9):
     """Extrapolate the weak-star limit of a schedule of measures.
 
-    Per-cylinder sequences are extrapolated by iterated Aitken (exact when
-    the escape is geometric). The total mass comes from the candidate fit
-    when one is supplied and matches within `tol`; otherwise from Aitken
-    extrapolation of the mass ladder over truncations.
+    The symbol masses of the schedule form one (schedule x q) array, and
+    every cylinder's sequence is extrapolated at once by iterated Aitken
+    (exact when the escape is geometric). The total mass comes from the
+    candidate fit when one is supplied and matches within `tol`; otherwise
+    from Aitken extrapolation of the mass ladder over truncations.
     """
     if len(schedule) < 3:
         raise ValidationError("a schedule needs at least 3 measures")
     if isinstance(graph, FiniteGraph):
-        ids = list(range(1, min(graph.symbols, q_max) + 1))
-        ladder_qs = [ids[-1]]
+        q = min(graph.symbols, q_max)
+        ladder_qs = [q]
     else:
         enum = graph.enumeration(q_max)
-        ids = list(range(1, min(q_max, enum.next_free_id - 1) + 1))
+        q = min(q_max, enum.next_free_id - 1)
         ladder_qs = [last for _, _, last in enum.rows if last <= q_max]
-        if not ladder_qs or ladder_qs[-1] != ids[-1]:
-            ladder_qs.append(ids[-1])
+        if not ladder_qs or ladder_qs[-1] != q:
+            ladder_qs.append(q)
 
-    limits = {}
-    for a in ids:
-        seq = [m.cylinder_mass((a,)) for m in schedule]
-        limits[a] = max(_aitken_limit(seq), 0.0)
-
-    running = 0.0
-    by_q = {}
-    for a in ids:
-        running += limits[a]
-        by_q[a] = running
-    ladder = [(q, by_q[q]) for q in ladder_qs]
+    masses = np.array([m.symbol_masses(q) for m in schedule])
+    limits = _aitken_limit(masses)
+    limits = np.where(limits < 0.0, 0.0, limits)  # max(x, 0.0): nan and -0.0 stay
+    running = np.cumsum(limits).tolist()
+    ladder = [(k, running[k - 1]) for k in ladder_qs]
     if isinstance(graph, FiniteGraph):
-        mass = running
+        mass = running[-1]
     else:
-        mass = _aitken_limit([s for _, s in ladder])
+        mass = float(_aitken_limit([s for _, s in ladder]))
 
     scale = residual = entropy = None
     if candidate is not None:
-        cand = {a: candidate.cylinder_mass((a,)) for a in ids}
-        num = math.fsum(limits[a] * cand[a] for a in ids)
-        den = math.fsum(cand[a] ** 2 for a in ids)
+        cand = candidate.symbol_masses(q)
+        den = math.fsum(np.float_power(cand, 2.0).tolist())
         if den > 0:
-            scale = num / den
-            residual = max(abs(limits[a] - scale * cand[a]) for a in ids)
+            scale = math.fsum((limits * cand).tolist()) / den
+            residual = float(np.max(np.abs(limits - scale * cand)))
             if residual <= tol:
                 mass = scale * candidate.mass
                 entropy = candidate.entropy
-    return LimitReport(limits, mass, ladder, scale, residual, entropy)
+    return LimitReport(dict(enumerate(limits.tolist(), 1)), mass, ladder, scale, residual, entropy)
 
 
 # ---------------------------------------------------------------------------

@@ -687,6 +687,12 @@ def classify(graph):
             reason="finite strongly connected graph",
         )
     gf = LoopGF(graph)
+    if not graph.is_infinite:
+        y = _finite_log_root(graph)
+        return Classification(
+            "positive-recurrent", -y, x_star=math.exp(y), radius=gf.radius,
+            reason="root strictly inside the radius, mean loop length finite",
+        )
     root = gf.x_star()
     if root is None:
         return Classification(

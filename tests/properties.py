@@ -11,6 +11,7 @@ import math
 import random
 
 from cmshift.graphs import FiniteGraph, is_strongly_connected
+from cmshift.measures import LimitReport
 
 
 def random_strongly_connected_graph(rng, max_symbols=5, p=0.5):
@@ -123,3 +124,52 @@ def marked_preserving_permutation(rng, symbols, q):
     rng.shuffle(high)
     image = low + high
     return {i + 1: image[i] for i in range(symbols)}
+
+
+def scalar_aitken_limit(xs):
+    """Iterated Aitken delta-squared on a list of floats, one term at a time."""
+    xs = list(xs)
+    while len(xs) >= 3:
+        nxt = []
+        for x0, x1, x2 in zip(xs, xs[1:], xs[2:]):
+            d = (x2 - x1) - (x1 - x0)
+            nxt.append(x2 if abs(d) < 1e-300 else x2 - (x2 - x1) ** 2 / d)
+        xs = nxt
+    return xs[-1]
+
+
+def per_id_cylinder_limit(schedule, graph, q_max=32, candidate=None, tol=1e-9):
+    """measures.cylinder_limit one symbol id at a time: each id's masses from
+    cylinder_mass((a,)), a scalar iterated Aitken per id and for the ladder,
+    and the candidate fit summed entry by entry."""
+    if isinstance(graph, FiniteGraph):
+        ids = list(range(1, min(graph.symbols, q_max) + 1))
+        ladder_qs = [ids[-1]]
+    else:
+        enum = graph.enumeration(q_max)
+        ids = list(range(1, min(q_max, enum.next_free_id - 1) + 1))
+        ladder_qs = [last for _, _, last in enum.rows if last <= q_max]
+        if not ladder_qs or ladder_qs[-1] != ids[-1]:
+            ladder_qs.append(ids[-1])
+    limits = {}
+    for a in ids:
+        limits[a] = max(scalar_aitken_limit([m.cylinder_mass((a,)) for m in schedule]), 0.0)
+    running = 0.0
+    by_q = {}
+    for a in ids:
+        running += limits[a]
+        by_q[a] = running
+    ladder = [(q, by_q[q]) for q in ladder_qs]
+    mass = running if isinstance(graph, FiniteGraph) else scalar_aitken_limit([s for _, s in ladder])
+    scale = residual = entropy = None
+    if candidate is not None:
+        cand = {a: candidate.cylinder_mass((a,)) for a in ids}
+        num = math.fsum(limits[a] * cand[a] for a in ids)
+        den = math.fsum(cand[a] ** 2 for a in ids)
+        if den > 0:
+            scale = num / den
+            residual = max(abs(limits[a] - scale * cand[a]) for a in ids)
+            if residual <= tol:
+                mass = scale * candidate.mass
+                entropy = candidate.entropy
+    return LimitReport(limits, mass, ladder, scale, residual, entropy)

@@ -284,6 +284,76 @@ def test_rho_distance_depth_two():
     assert abs(ab - ba) < 1e-15
 
 
+def _assert_symbol_masses(mu, q):
+    got = mu.symbol_masses(q)
+    assert got.shape == (q,)
+    assert got.tolist() == [mu.cylinder_mass((a,)) for a in range(1, q + 1)], mu.label
+
+
+def test_symbol_masses_of_markov_chains():
+    _assert_symbol_masses(measures.parry_measure(golden_mean()), 2)
+    bern = measures.bernoulli_measure(full_shift(3), (0.2, 0.3, 0.5))
+    _assert_symbol_masses(bern, 3)
+    _assert_symbol_masses(bern, 2)
+    # symbols past the graph carry no mass
+    assert bern.symbol_masses(5).tolist() == [0.2, 0.3, 0.5, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("q", [1, 2, 6, 9, 40])
+def test_symbol_masses_of_loop_chains(q):
+    # renewal ids 2 | 3 4 | 5 6 7 | 8 9 10 11: q = 6 and q = 9 stop inside a loop
+    _assert_symbol_masses(measures.loop_mme(renewal_shift()), q)
+    _assert_symbol_masses(measures.loop_mme(power_loops()), q)
+    # ids 2 | 3 4 | 5 6 | 7 8: the enumeration ends at id 8
+    finite = LoopSystem([(1, 1), (2, 1), (3, 3)])
+    _assert_symbol_masses(measures.loop_mme(finite), q)
+
+
+def test_symbol_masses_of_loop_chains_with_skipped_lengths():
+    mu = measures.LoopMarkovMeasure(power_loops(), {2: 0.5, 5: 0.3, 7: 0.2})
+    _assert_symbol_masses(mu, 64)
+    # powers ids: 2..5 the four 2-loops, 6..21 the eight 3-loops
+    assert mu.symbol_masses(64)[5:21].tolist() == [0.0] * 16
+    _assert_symbol_masses(drift_schedule(renewal_shift())[2], 40)
+
+
+def test_loop_chain_log_counts_come_from_the_count_table():
+    # a_l = 2**l exactly on the powers system
+    weights = {3: 0.25, 8: 0.5, 40: 0.25}
+    mu = measures.LoopMarkovMeasure(power_loops(), weights)
+    want = math.fsum(w * (math.log(2**l) - math.log(w)) for l, w in weights.items())
+    assert mu.entropy == want / mu.expected_length
+    with pytest.raises(ValidationError, match="no loops of length 3"):
+        measures.LoopMarkovMeasure(LoopSystem([(2, 1), (4, 1)]), {2: 0.5, 3: 0.5})
+
+
+def test_symbol_masses_of_mixtures_and_orbits():
+    system = renewal_shift()
+    mme = measures.loop_mme(system)
+    orbit = measures.periodic_loop_measure(system, 4)
+    _assert_symbol_masses(orbit, 12)
+    _assert_symbol_masses(measures.periodic_loop_measure(system, 1), 3)
+    _assert_symbol_masses(measures.MixtureMeasure([(0.5, mme), (0.5, orbit)]), 30)
+    drift = drift_schedule(system)
+    three = measures.MixtureMeasure([(0.1, mme), (0.7, orbit), (0.2, drift[1])])
+    _assert_symbol_masses(three, 30)
+    g = full_shift(3)
+    parts = [measures.bernoulli_measure(g, p) for p in ((0.1, 0.2, 0.7), (0.3, 0.3, 0.4))]
+    _assert_symbol_masses(measures.MixtureMeasure([(0.3, parts[0]), (0.7, parts[1])]), 3)
+    _assert_symbol_masses(
+        measures.MixtureMeasure([(0.3, parts[0]), (0.6, parts[1]), (0.1, parts[0])]), 3
+    )
+
+
+def test_symbol_masses_of_a_labeled_chain():
+    from cmshift import density
+
+    cs = density.concatenated_system(full_shift(2), [golden_mean(), full_shift(2)], n=9, M=4)
+    nu = density.concatenated_measure(cs)
+    _assert_symbol_masses(nu, 2)
+    _assert_symbol_masses(nu, 4)  # labels 3 and 4 carry no state
+
+
 def test_cylinder_limit_half_mme_schedule():
     system = renewal_shift()
     mme = measures.loop_mme(system)

@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmshift import counting, density, katok, measures, thermo
-from cmshift.families import full_shift, golden_mean
+from cmshift import counting, density, infinity, katok, measures, thermo
+from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
 from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem, enumerate_words
 
 from properties import (
@@ -23,6 +23,8 @@ from properties import (
     brute_markov_masses,
     brute_min_cover,
     marked_preserving_permutation,
+    per_id_cylinder_limit,
+    scalar_aitken_limit,
     random_strongly_connected_graph,
     relabeled,
     walks,
@@ -223,6 +225,81 @@ def test_parry_measure_maximizes_entropy():
                     transitions[(i, j)] = w / s
             nu = measures.markov_measure(g, transitions)
             assert nu.entropy <= mu.entropy + 1e-9
+
+
+def _seeded_loop_systems(count):
+    """Loop systems with one to three short explicit loops and a geometric
+    tail: integer (coeff, growth), where a_l is exact, and floored ones."""
+    tails = [(1, 1), (0.6, 1.03), (2, 1), (1.4, 1.08), (1, 2), (0.9, 1.12), (0.5, 1.05)]
+    rng = random.Random(119)
+    out = []
+    for k in range(count):
+        coeff, growth = tails[k % len(tails)]
+        loops = [(rng.randint(1, 6), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+        out.append(LoopSystem(loops, GeometricTail(rng.randint(2, 5), coeff, growth)))
+    return out
+
+
+@pytest.fixture
+def limit_against_oracle(monkeypatch):
+    """Route measures.cylinder_limit through a check of its whole report
+    (repr, so every digit and type) against the per-id oracle."""
+    real = measures.cylinder_limit
+    calls = []
+
+    def checked(schedule, graph, **kw):
+        got = real(schedule, graph, **kw)
+        assert repr(got) == repr(per_id_cylinder_limit(schedule, graph, **kw))
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(measures, "cylinder_limit", checked)
+    return calls
+
+
+def test_aitken_limit_matches_the_scalar_oracle_entrywise():
+    # geometric escapes with noise: the squares (x2 - x1)**2 take every
+    # magnitude, where libm pow and x * x round apart in ~0.1% of them
+    rng = random.Random(121)
+    cols = []
+    for _ in range(3000):
+        limit, c, r = rng.random(), rng.uniform(-1, 1), rng.uniform(0.05, 0.95)
+        cols.append([limit + c * r**k * (1 + 1e-3 * rng.random()) for k in range(rng.choice((3, 5, 6, 8)))])
+    for length in (3, 5, 6, 8):
+        block = [col for col in cols if len(col) == length]
+        got = measures._aitken_limit(np.array(block).T)
+        assert got.tolist() == [scalar_aitken_limit(col) for col in block]
+
+
+def test_cylinder_limit_matches_the_per_id_oracle_on_half_mme_schedules(limit_against_oracle):
+    system = renewal_shift()
+    mme = measures.loop_mme(system)
+    schedule = [
+        measures.MixtureMeasure([(0.5, mme), (0.5, measures.periodic_loop_measure(system, 2**k))])
+        for k in range(2, 8)
+    ]
+    measures.cylinder_limit(schedule, system, q_max=16, candidate=mme)
+    measures.cylinder_limit(schedule, system, q_max=64)
+    assert len(limit_against_oracle) == 2
+
+
+def test_cylinder_limit_matches_the_per_id_oracle_on_escaping_schedules(limit_against_oracle):
+    systems = [renewal_shift(), power_loops()] + _seeded_loop_systems(40)
+    for system in systems:
+        mme = measures.loop_mme(system)
+        drift = infinity.drift_schedule(system)
+        measures.cylinder_limit(drift, system, q_max=64)
+        for family in ("mme", "drift", "mixture"):
+            infinity.verify_main_inequality(system, family=family)
+        three = [measures.MixtureMeasure([(0.3, mme), (0.5, d), (0.2, drift[0])]) for d in drift]
+        measures.cylinder_limit(three, system, q_max=40, candidate=mme)
+    assert len(limit_against_oracle) == 5 * len(systems)
+
+
+def test_cylinder_limit_matches_the_per_id_oracle_on_finite_chains(limit_against_oracle):
+    for g in (golden_mean(), full_shift(3)):
+        infinity.usc_spot_check(g, trials=4)
+    assert len(limit_against_oracle) == 8
 
 
 # ---------------------------------------------------------------------------
