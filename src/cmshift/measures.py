@@ -34,7 +34,16 @@ from .graphs import (
     is_strongly_connected,
     loop_record,
 )
-from .thermo import LoopGF, adjacency_matrix, bracket_root, classify, perron, series_root
+from .thermo import (
+    LoopGF,
+    _perron,
+    _rome,
+    adjacency_matrix,
+    bracket_root,
+    classify,
+    perron,
+    series_root,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -42,22 +51,31 @@ from .thermo import LoopGF, adjacency_matrix, bracket_root, classify, perron, se
 
 
 class MarkovMeasure:
-    """Stationary Markov chain (pi, P) supported on a finite graph."""
+    """Stationary Markov chain (pi, P) supported on a finite graph.
 
-    def __init__(self, graph, pi, P, label="markov"):
+    `classes` says why its n-cylinder masses fall into a few classes, or is
+    None. ("ends", v): a Parry chain on a simple graph, P(a, b) =
+    v_b / (lam v_a) on every edge for the right Perron vector v, so a word
+    from i to j has mass pi_i v_j / (v_i lam^(n-1)). ("types", p): a
+    product measure with probability vector p, so a word's mass depends
+    only on how often it uses each symbol.
+    """
+
+    def __init__(self, graph, pi, P, label="markov", classes=None):
         if not isinstance(graph, FiniteGraph):
             raise ValidationError("MarkovMeasure needs a finite graph")
         self.graph = graph
         self.label = label
+        self.classes = classes
         n = graph.symbols
         self.pi = np.asarray(pi, dtype=float)
         self.P = np.asarray(P, dtype=float)
         if self.pi.shape != (n,) or self.P.shape != (n, n):
             raise ValidationError("pi/P shapes do not match the graph")
-        off = np.argwhere((self.P > 0) & (adjacency_matrix(graph) == 0))
-        if len(off):
-            i, j = off[0] + 1
-            raise ValidationError(f"P({i},{j}) > 0 off the graph")
+        rows, cols = np.nonzero(self.P > 0)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            if not graph.is_edge(i + 1, j + 1):
+                raise ValidationError(f"P({i + 1},{j + 1}) > 0 off the graph")
         self.mass = 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.where(self.P > 0, np.log(np.where(self.P > 0, self.P, 1.0)), 0.0)
@@ -114,18 +132,33 @@ def markov_measure(graph, transitions, pi=None):
 
 
 def parry_measure(graph):
-    """The maximal-entropy Markov chain of a strongly connected graph."""
+    """The maximal-entropy Markov chain of a strongly connected graph.
+
+    Positive Perron vectors from the rome route certify strong connectivity;
+    dense eig can return positive vectors on a reducible matrix, so that
+    route, and a failing Perron computation, ask Tarjan's algorithm.
+    """
     if not isinstance(graph, FiniteGraph):
         raise ValidationError("parry_measure needs a finite graph")
-    if not is_strongly_connected(graph):
-        raise NotStronglyConnected("the Parry chain needs a strongly connected graph")
     a = adjacency_matrix(graph)
-    _, u, v = perron(a)
+    rome = _rome(a)
+    if rome is None and not is_strongly_connected(graph):
+        raise NotStronglyConnected("the Parry chain needs a strongly connected graph")
+    try:
+        _, u, v = _perron(a, rome)
+    except NonConvergent:
+        if not is_strongly_connected(graph):
+            raise NotStronglyConnected(
+                "the Parry chain needs a strongly connected graph"
+            ) from None
+        raise
     # P(i, j) = a_ij v_j / (Av)_i: rows sum to 1 whatever the bracket width
     P = a * v[None, :]
     P /= P.sum(axis=1)[:, None]
     pi = u * v
-    return MarkovMeasure(graph, pi / pi.sum(), P, label="parry")
+    # parallel edges weigh a word by their multiplicities: no end classes
+    classes = ("ends", v) if graph.is_simple else None
+    return MarkovMeasure(graph, pi / pi.sum(), P, label="parry", classes=classes)
 
 
 def bernoulli_measure(graph, probs):
@@ -137,7 +170,7 @@ def bernoulli_measure(graph, probs):
     if abs(probs.sum() - 1.0) > 1e-12 or (probs < 0).any():
         raise ValidationError("probs must be a probability vector")
     P = np.tile(probs, (n, 1))
-    return MarkovMeasure(graph, probs, P, label="bernoulli")
+    return MarkovMeasure(graph, probs, P, label="bernoulli", classes=("types", probs))
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,14 @@ def perron(a):
     to PERRON_BRACKET * lam; NonConvergent on a zero vector entry (a
     reducible matrix) or a bracket still too wide.
     """
-    rome = _rome(a)
+    return _perron(a, _rome(a))
+
+
+def _perron(a, rome):
+    """perron(a) given rome = _rome(a). On the rome route positive vectors
+    also certify that the support is strongly connected: the right vector is
+    positive exactly at the vertices that reach the rome, the left one at
+    those it reaches."""
     if rome is None:
         return _dense_perron(a)
     y = series_root(*_first_returns(rome))

@@ -31,6 +31,20 @@ def random_strongly_connected_graph(rng, max_symbols=5, p=0.5):
             return g
 
 
+def random_two_out_graph(rng, symbols):
+    """A random strongly connected simple graph with two out-edges at every
+    vertex: a random Hamiltonian cycle plus one random chord per vertex (a
+    self-loop allowed)."""
+    order = list(range(1, symbols + 1))
+    rng.shuffle(order)
+    edges = set()
+    for k, v in enumerate(order):
+        nxt = order[(k + 1) % symbols]
+        edges.add((v, nxt))
+        edges.add((v, rng.choice([u for u in order if u != nxt])))
+    return FiniteGraph(symbols, sorted(edges))
+
+
 def walks(graph, length, start=None):
     """All walks x_0..x_length, one symbol per step, as tuples."""
     starts = [start] if start is not None else range(1, graph.symbols + 1)

@@ -12,11 +12,15 @@ Oracles:
     chain pi = (phi^2, 1)/(1 + phi^2), P(1,.) = (1/phi, 1/phi^2),
   - the fitted rates must recover the entropies log 2 and log phi and be
     insensitive to delta,
-  - more than `cap` cylinders raise before any level array is allocated.
+  - more than `cap` cylinders raise before any level array is allocated,
+    on a chain without mass classes; the Parry and Bernoulli chains count
+    from their classes past the cap, and raise only where a class mass or
+    size leaves the float range.
 """
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -71,13 +75,22 @@ def test_covering_numbers_need_a_markov_measure():
         katok.katok_estimate(mix, g, delta=0.1, n_max=4)
 
 
+def _skewed():
+    # a chain without mass classes: every covering number reads the level arrays
+    return measures.markov_measure(
+        full_shift(2), {(1, 1): 0.3, (1, 2): 0.7, (2, 1): 0.6, (2, 2): 0.4}
+    )
+
+
 def test_covering_number_cap():
     # raised before allocating: level 21 would hold 2^21 masses (16 MB),
     # level 20 half that
+    mu = _skewed()
+    assert mu.classes is None
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
-            katok.covering_number(_bern(), full_shift(2), 21, 0.1, cap=2**20)
+            katok.covering_number(mu, full_shift(2), 21, 0.1, cap=2**20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -86,7 +99,43 @@ def test_covering_number_cap():
 
 def test_katok_estimate_cap():
     with pytest.raises(CapacityError):
-        katok.katok_estimate(_bern(), full_shift(2), delta=0.1, n_max=21, cap=2**20)
+        katok.katok_estimate(_skewed(), full_shift(2), delta=0.1, n_max=21, cap=2**20)
+
+
+def _half_cover(n, delta):
+    return math.floor(Fraction(1 - delta) * 2**n) + 1
+
+
+def test_covering_number_past_the_cap_from_classes():
+    # 2^21 cylinders, over the cap of the level arrays: the type classes
+    # give the closed form, also at the exact tie delta = 0.25
+    for delta in (0.1, 0.25, 0.4):
+        got = katok.covering_number(_bern(), full_shift(2), 21, delta, cap=2**20)
+        assert got == _half_cover(21, delta)
+
+
+def test_bernoulli_half_closed_form_to_length_1000():
+    g = full_shift(2)
+    for delta in (0.1, 0.25, 0.4):
+        rep = katok.katok_estimate(_bern(), g, delta=delta, n_max=1000)
+        assert list(rep.counts.counts) == [_half_cover(n, delta) for n in range(1, 1001)]
+
+
+def test_class_masses_out_of_float_range_raise():
+    # 2^-1023 is below the smallest normal float
+    g = full_shift(2)
+    for mu in (_bern(), measures.parry_measure(g)):
+        assert katok.covering_number(mu, g, 1022, 0.1) == _half_cover(1022, 0.1)
+        with pytest.raises(CapacityError):
+            katok.covering_number(mu, g, 1023, 0.1)
+        with pytest.raises(CapacityError):
+            katok.katok_estimate(mu, g, delta=0.1, n_max=1030, n_min=1020)
+
+
+def test_golden_covering_rate_at_length_1000():
+    g = golden_mean()
+    n = katok.covering_number(measures.parry_measure(g), g, 1000, 0.1)
+    assert abs(math.log(n) / 1000 - math.log(PHI)) < 1e-4
 
 
 def test_katok_estimate_bernoulli():

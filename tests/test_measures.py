@@ -19,6 +19,7 @@ Oracles used here, independent of the implementation under test:
 
 import math
 
+import numpy as np
 import pytest
 
 from cmshift import measures
@@ -84,6 +85,32 @@ def test_parry_entropy_counts_parallel_edges():
 def test_parry_requires_strong_connectivity():
     with pytest.raises(NotStronglyConnected):
         measures.parry_measure(FiniteGraph(2, [(1, 1), (1, 2)]))
+
+
+def test_parry_rejects_reducible_graphs_on_both_perron_routes():
+    # two disjoint full 2-shifts: no one-vertex rome, and dense eig can
+    # return positive vectors for the double root 2
+    two = FiniteGraph(4, [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4), (4, 3), (4, 4)])
+    # rome 1 of 1 <-> 2, plus a vertex 3 that cannot reach it, or that it
+    # cannot reach
+    sink = FiniteGraph(3, [(1, 2), (2, 1), (1, 3)])
+    source = FiniteGraph(3, [(1, 2), (2, 1), (3, 1)])
+    for g in (two, sink, source):
+        with pytest.raises(NotStronglyConnected):
+            measures.parry_measure(g)
+
+
+def test_parry_and_bernoulli_carry_mass_classes():
+    g = golden_mean()
+    mu = measures.parry_measure(g)
+    kind, v = mu.classes
+    assert kind == "ends"
+    # the class vector is the right Perron vector behind P
+    assert np.allclose(mu.P, np.array([[1, 1], [1, 0]]) * v[None, :] / (PHI * v[:, None]))
+    assert measures.bernoulli_measure(full_shift(2), (0.3, 0.7)).classes[0] == "types"
+    # parallel edges weigh words by their multiplicities: no end classes
+    assert measures.parry_measure(FiniteGraph(1, {(1, 1): 2})).classes is None
+    assert measures.markov_measure(g, {(1, 1): 0.5, (1, 2): 0.5, (2, 1): 1.0}).classes is None
 
 
 def test_markov_measure_needs_strongly_connected_support():

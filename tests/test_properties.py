@@ -26,6 +26,7 @@ from properties import (
     per_id_cylinder_limit,
     scalar_aitken_limit,
     random_strongly_connected_graph,
+    random_two_out_graph,
     relabeled,
     walks,
 )
@@ -344,6 +345,50 @@ def test_katok_counts_match_covering_numbers():
             rep = katok.katok_estimate(mu, g, delta=delta, n_max=10, n_min=2)
             want = [katok.covering_number(mu, g, n, delta) for n in range(2, 11)]
             assert list(rep.counts.counts) == want
+
+
+def _class_chains():
+    rng = random.Random(119)
+    chains = _chains_under_test()
+    for g in [full_shift(2)] + [random_two_out_graph(rng, 4 + k % 10) for k in range(40)]:
+        chains.append((g, measures.parry_measure(g)))
+    for probs in ((0.5, 0.5), (0.3, 0.7)):
+        chains.append((full_shift(2), measures.bernoulli_measure(full_shift(2), probs)))
+    full3 = full_shift(3)
+    chains.append((full3, measures.bernoulli_measure(full3, (0.25, 0.25, 0.5))))
+    return chains
+
+
+def test_class_counts_match_level_counts(monkeypatch):
+    # every count from the mass classes equals the count of the level
+    # arrays (the float masses, decided on correctly rounded sums) for
+    # n = 1..14, as far as the level arrays stay under the default cap;
+    # the round deltas make exact ties, which the classes leave to the
+    # level arrays
+    decided = []
+    certified = katok._certified
+
+    def spy(*args):
+        decided.append(certified(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(katok, "_certified", spy)
+    deltas = (0.05, 0.1, 0.25, 0.3, 0.5, 0.7)
+    for g, mu in _class_chains():
+        assert mu.classes is not None
+        words = katok._path_counts(katok._support(mu, g), 14)
+        n_max = max(n for n, w in enumerate(words, start=1) if w <= 2**20)
+        want = {}
+        for n, level in enumerate(katok._markov_levels(mu, g, n_max, cap=2**20), start=1):
+            ascending = np.sort(level)
+            for delta in deltas:
+                want[delta, n] = katok._fewest(ascending, 1.0 - delta)
+        for delta in deltas:
+            counts = [want[delta, n] for n in range(1, n_max + 1)]
+            assert list(katok.katok_estimate(mu, g, delta, n_max).counts.counts) == counts
+            assert [katok.covering_number(mu, g, n, delta) for n in range(1, n_max + 1)] == counts
+    # the classes decide most counts themselves
+    assert sum(c is not None for c in decided) > 0.8 * len(decided)
 
 
 def test_cover_ties_decided_on_correctly_rounded_sums():
