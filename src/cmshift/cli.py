@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from . import counting, density, infinity, katok, measures, thermo
 from .errors import CmshiftError, ValidationError
@@ -54,6 +53,15 @@ def _int_list(text):
     if not values:
         raise ValidationError("the integer list is empty")
     return values
+
+
+def _finite_float(text):
+    """The type of every float flag. A value that is not a finite number
+    raises ValidationError, which argparse lets through to the caller."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _graph(args):
@@ -258,7 +266,7 @@ def _emit(report, tables, out_dir, stdout=True):
 
 class _EntryParser(argparse.ArgumentParser):
     """Parser for manifest entries: errors raise instead of printing and
-    exiting, so entries running on worker threads leave sys.stderr alone."""
+    exiting, so a bad entry ends the run with an error report."""
 
     def error(self, message):
         raise ValidationError(message)
@@ -302,7 +310,8 @@ def _build_parser(parser_class=argparse.ArgumentParser):
 
     p = sub.add_parser("b-inf", help="dual bound on entropy at infinity")
     common(p)
-    p.add_argument("--delta", type=float, default=1e-3, help="mass level lam (default %(default)s)")
+    p.add_argument("--delta", type=_finite_float, default=1e-3,
+                   help="mass level lam (default %(default)s)")
     p.add_argument("--q", type=int, default=1, help="finite part (default %(default)s)")
 
     p = sub.add_parser("h-inf", help="escaping-measure entropy estimate")
@@ -311,7 +320,8 @@ def _build_parser(parser_class=argparse.ArgumentParser):
 
     p = sub.add_parser("katok", help="covering-number entropy of the maximal measure")
     common(p)
-    p.add_argument("--delta", type=float, default=0.1, help="covering level (default %(default)s)")
+    p.add_argument("--delta", type=_finite_float, default=0.1,
+                   help="covering level (default %(default)s)")
     p.add_argument("--n-max", type=int, default=16, help="longest word (default %(default)s)")
 
     p = sub.add_parser("verify-main", help="escape-of-mass inequality harness")
@@ -322,11 +332,12 @@ def _build_parser(parser_class=argparse.ArgumentParser):
 
     p = sub.add_parser("mass-bound", help="limit-mass floor at entropy level c")
     common(p)
-    p.add_argument("--t", type=float, help="entropy level c (default h_top/2)")
+    p.add_argument("--t", type=_finite_float, help="entropy level c (default h_top/2)")
 
     p = sub.add_parser("dim-series", help="weighted escape series verdict")
     common(p)
-    p.add_argument("--t", type=float, default=0.5, help="dimension parameter (default %(default)s)")
+    p.add_argument("--t", type=_finite_float, default=0.5,
+                   help="dimension parameter (default %(default)s)")
     p.add_argument("--M", type=int, default=16, help="visit budget m (default %(default)s)")
     p.add_argument("--q", type=int, default=1, help="finite part (default %(default)s)")
     p.add_argument("--n-max", type=int, default=60, help="longest term (default %(default)s)")
@@ -340,7 +351,8 @@ def _build_parser(parser_class=argparse.ArgumentParser):
     p = sub.add_parser("run", help="run a manifest of commands")
     common(p, graph=False)
     p.add_argument("manifest", help="path to a run-manifest JSON file")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (default %(default)s)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for older scripts; entries run in order (default %(default)s)")
 
     return parser
 
@@ -399,17 +411,9 @@ def _cmd_run(args):
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     out_root = args.out or manifest.get("out") or "cmshift-run"
     defaults = dict(manifest.get("overrides") or {})
-    entries = []
-    if jobs == 1:
-        for i, entry in enumerate(commands):
-            entries.append(_run_entry(i, entry, base_dir, out_root, defaults))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_entry, i, entry, base_dir, out_root, defaults)
-                for i, entry in enumerate(commands)
-            ]
-            entries = [f.result() for f in futures]
+    entries = [
+        _run_entry(i, entry, base_dir, out_root, defaults) for i, entry in enumerate(commands)
+    ]
     return {"count": len(entries), "entries": entries}, {}
 
 
@@ -427,17 +431,21 @@ def _params_of(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
+    argv = sys.argv[1:] if argv is None else argv
+    args = None
+    # a float flag that is not finite raises while parsing: the command
+    # is then read from argv
     report = {
         "schema": SCHEMA_ID,
-        "command": command,
-        "params": _params_of(args),
+        "command": argv[0] if argv else None,
+        "params": {},
         "result": None,
         "error": None,
     }
     try:
+        args = _build_parser().parse_args(argv)
+        command = report["command"] = args.command
+        report["params"] = _params_of(args)
         if command == "run":
             result, tables = _cmd_run(args)
         else:

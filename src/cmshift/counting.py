@@ -75,15 +75,6 @@ class CountSeries:
         rows.extend([str(n), str(c)] for n, c in self.items())
         return rows
 
-    @classmethod
-    def from_json(cls, doc):
-        return cls(
-            label=doc.get("label", "counts"),
-            start=int(doc["start"]),
-            counts=[int(c) for c in doc["counts"]],
-            meta=dict(doc.get("meta", {})),
-        )
-
 
 # ---------------------------------------------------------------------------
 # walk counts

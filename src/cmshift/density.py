@@ -11,22 +11,20 @@ among invariant measures.
 graph (states = position inside a slot, labeled by the ambient symbol;
 the presentation is right-resolving, so the labeled process keeps the
 graph's full entropy).  ``concatenated_measure`` equips it with its
-maximal-entropy chain.  ``generic_words`` samples words whose Birkhoff
-averages track a measure, for handmade constructions.  ``two_component_demo``
-runs the whole pipeline against a half-and-half mixture.
+maximal-entropy chain.  ``two_component_demo`` runs the whole pipeline
+against a half-and-half mixture.
 """
 
 import math
-import random
 from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import measures
-from .errors import ConnectorNotFound, SamplingExhausted, ValidationError
+from .errors import ConnectorNotFound, ValidationError
 from .families import full_shift, golden_mean
-from .graphs import FiniteGraph, _log_big, enumerate_words, strongly_connected_components
+from .graphs import FiniteGraph, _log_big, strongly_connected_components
 from .measures import rho_distance
 
 
@@ -234,71 +232,6 @@ def concatenated_measure(system):
     the ambient symbols."""
     chain = measures.parry_measure(system.graph)
     return LabeledMarkovMeasure(chain, system.labels, label="concatenated")
-
-
-# ---------------------------------------------------------------------------
-# sampling measure-typical words
-
-
-def generic_words(
-    measure,
-    graph,
-    n,
-    count,
-    beta,
-    depth=1,
-    anchors=None,
-    seed=0,
-    max_tries=None,
-):
-    """Distinct admissible n-words whose depth-cylinder Birkhoff averages
-    all sit within beta of the measure's own masses, by rejection sampling
-    from the chain.  Raises SamplingExhausted when the budget runs out.
-    """
-    if not isinstance(measure, measures.MarkovMeasure):
-        raise ValidationError("generic word sampling needs a Markov measure")
-    if n < depth:
-        raise ValidationError("word length must be >= the cylinder depth")
-    if beta <= 0:
-        raise ValidationError("beta must be > 0")
-    targets = {
-        w: measure.cylinder_mass(w)
-        for w in enumerate_words(graph, depth)
-        if measure.cylinder_mass(w) > 0.0
-    }
-    rng = random.Random(seed)
-    size = graph.symbols
-    pi_cum = np.cumsum(measure.pi)
-    row_cum = np.cumsum(measure.P, axis=1)
-    budget = max_tries if max_tries is not None else 10_000 * count
-    found = []
-    seen = set()
-    windows = n - depth + 1
-    for _ in range(budget):
-        x = int(np.searchsorted(pi_cum, rng.random() * pi_cum[-1])) + 1
-        word = [x]
-        for _ in range(n - 1):
-            row = row_cum[word[-1] - 1]
-            word.append(int(np.searchsorted(row, rng.random() * row[-1])) + 1)
-        word = tuple(word)
-        if word in seen:
-            continue
-        if anchors is not None and (word[0] not in anchors or word[-1] not in anchors):
-            continue
-        emp = Counter(word[i : i + depth] for i in range(windows))
-        ok = all(
-            abs(emp.get(w, 0) / windows - mass) <= beta
-            for w, mass in targets.items()
-        )
-        if not ok:
-            continue
-        seen.add(word)
-        found.append(word)
-        if len(found) == count:
-            return found
-    raise SamplingExhausted(
-        f"found {len(found)}/{count} generic words within {budget} tries"
-    )
 
 
 # ---------------------------------------------------------------------------

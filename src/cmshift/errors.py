@@ -50,12 +50,6 @@ class NotDrifting(CmshiftError):
     code = "not_drifting"
 
 
-class SamplingExhausted(CmshiftError):
-    """Rejection sampling hit its retry budget."""
-
-    code = "sampling_exhausted"
-
-
 class ConnectorNotFound(CmshiftError):
     """No connecting word exists within the allowed length."""
 

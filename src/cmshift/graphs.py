@@ -204,25 +204,16 @@ class FiniteGraph:
             mult[(i, j)] = mult.get((i, j), 0) + m
         self._mult = mult
         self._out = {v: [] for v in range(1, symbols + 1)}
-        self._in = {v: [] for v in range(1, symbols + 1)}
         for (i, j) in mult:
             self._out[i].append(j)
-            self._in[j].append(i)
         for v in self._out:
             self._out[v].sort()
-            self._in[v].sort()
 
     def is_edge(self, i, j):
         return (i, j) in self._mult
 
-    def multiplicity_of(self, i, j):
-        return self._mult.get((i, j), 0)
-
     def out_neighbors(self, v):
         return list(self._out.get(v, ()))
-
-    def in_neighbors(self, v):
-        return list(self._in.get(v, ()))
 
     def edge_multiplicities(self):
         return dict(self._mult)
@@ -434,9 +425,6 @@ class LoopSystem:
             lengths = np.concatenate([lengths, np.array([l for l, _ in rest], dtype=np.int64)])
             logs = np.concatenate([logs, np.array([_log_big(a) for _, a in rest])])
         return lengths, logs
-
-    def explicit_multiplicity(self, length):
-        return self._explicit.get(length, 0)
 
     def max_loop_length(self):
         """Largest loop length, or None when the tail is infinite."""

@@ -123,7 +123,7 @@ def pressure_indicator(graph, t, q=1):
     At t = 0 this is the Gurevich entropy; it decreases in t and flattens
     at the entropy carried outside every finite symbol set.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValidationError("the weight t must be >= 0")
     if q < 0:
         raise ValidationError("the finite part q must be >= 0", field="q")
@@ -176,7 +176,7 @@ def b_inf_estimate(graph, lam=1e-3, q=1, t_max=None):
     decreasing at t_max, it is taken as unbounded below: value and
     pressure_at_opt -inf, t_opt inf.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValidationError("lam must be > 0")
     top = t_max if t_max is not None else max(20.0, 3.0 * math.log(1.0 / lam))
 

@@ -34,16 +34,7 @@ from .graphs import (
     is_strongly_connected,
     loop_record,
 )
-from .thermo import (
-    LoopGF,
-    _perron,
-    _rome,
-    adjacency_matrix,
-    bracket_root,
-    classify,
-    perron,
-    series_root,
-)
+from .thermo import LoopGF, _perron, _rome, adjacency_matrix, classify, series_root
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +78,6 @@ class MarkovMeasure:
                 self.pi[i - 1] * self.P[i - 1, j - 1] * math.log(m) for i, j, m in parallel
             )
 
-    @property
-    def is_stationary(self):
-        return bool(np.max(np.abs(self.pi @ self.P - self.pi)) < 1e-9)
-
     def cylinder_mass(self, word):
         p = self.pi[word[0] - 1]
         for a, b in zip(word, word[1:]):
@@ -105,53 +92,57 @@ class MarkovMeasure:
         return out
 
 
-def markov_measure(graph, transitions, pi=None):
+def _perron_data(a):
+    """perron(a) for a nonnegative matrix, or NotStronglyConnected.
+
+    Positive Perron vectors from the rome route certify strong connectivity;
+    dense eig can return positive vectors on a reducible matrix, so that
+    route, and a failing Perron computation, ask Tarjan's algorithm on the
+    support of a.
+    """
+    rome = _rome(a)
+    if rome is not None or _support_connected(a):
+        try:
+            return _perron(a, rome)
+        except NonConvergent:
+            # the dense route has already passed Tarjan's algorithm
+            if rome is None or _support_connected(a):
+                raise
+    raise NotStronglyConnected("Perron vectors need a strongly connected support")
+
+
+def _support_connected(a):
+    support = FiniteGraph(len(a), [(i + 1, j + 1) for i, j in np.argwhere(a > 0).tolist()])
+    return is_strongly_connected(support)
+
+
+def markov_measure(graph, transitions):
     """Markov measure from a transition dict {(i, j): prob}.
 
-    When pi is omitted the stationary vector is the left Perron vector of P,
-    which needs a strongly connected support.
+    The stationary vector is the left Perron vector of P, which needs a
+    strongly connected support.
     """
     n = graph.symbols
     P = np.zeros((n, n))
     for (i, j), p in transitions.items():
         if not graph.is_edge(i, j):
             raise ValidationError(f"({i},{j}) is not an edge")
-        if p < 0:
+        if not p >= 0:
             raise ValidationError("transition probabilities must be >= 0")
         P[i - 1, j - 1] = p
     rows = P.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > 1e-9:
+    if not np.max(np.abs(rows - 1.0)) <= 1e-9:
         raise ValidationError("transition rows must sum to 1")
-    if pi is None:
-        support = FiniteGraph(n, [(i + 1, j + 1) for i, j in np.argwhere(P > 0).tolist()])
-        if not is_strongly_connected(support):
-            raise NotStronglyConnected("pi is unique only on a strongly connected support")
-        left = perron(P)[1]
-        pi = left / left.sum()
-    return MarkovMeasure(graph, pi, P)
+    left = _perron_data(P)[1]
+    return MarkovMeasure(graph, left / left.sum(), P)
 
 
 def parry_measure(graph):
-    """The maximal-entropy Markov chain of a strongly connected graph.
-
-    Positive Perron vectors from the rome route certify strong connectivity;
-    dense eig can return positive vectors on a reducible matrix, so that
-    route, and a failing Perron computation, ask Tarjan's algorithm.
-    """
+    """The maximal-entropy Markov chain of a strongly connected graph."""
     if not isinstance(graph, FiniteGraph):
         raise ValidationError("parry_measure needs a finite graph")
     a = adjacency_matrix(graph)
-    rome = _rome(a)
-    if rome is None and not is_strongly_connected(graph):
-        raise NotStronglyConnected("the Parry chain needs a strongly connected graph")
-    try:
-        _, u, v = _perron(a, rome)
-    except NonConvergent:
-        if not is_strongly_connected(graph):
-            raise NotStronglyConnected(
-                "the Parry chain needs a strongly connected graph"
-            ) from None
-        raise
+    _, u, v = _perron_data(a)
     # P(i, j) = a_ij v_j / (Av)_i: rows sum to 1 whatever the bracket width
     P = a * v[None, :]
     P /= P.sum(axis=1)[:, None]
@@ -167,7 +158,7 @@ def bernoulli_measure(graph, probs):
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (n,):
         raise ValidationError("probs must give one weight per symbol")
-    if abs(probs.sum() - 1.0) > 1e-12 or (probs < 0).any():
+    if not (abs(probs.sum() - 1.0) <= 1e-12 and (probs >= 0).all()):
         raise ValidationError("probs must be a probability vector")
     P = np.tile(probs, (n, 1))
     return MarkovMeasure(graph, probs, P, label="bernoulli", classes=("types", probs))
@@ -297,48 +288,13 @@ def _weights(lengths, logs, y):
     return dict(zip(lengths.tolist(), map(math.exp, exps)))
 
 
-def _window(system, lo, hi):
-    """((lengths, log counts) of the loops in [lo, hi], root of their series)."""
+def tail_parry_measure(system, lo, hi):
+    """Equilibrium chain of the sub-system of loops with length in [lo, hi]."""
     lengths, logs = system.log_counts(lo, hi)
     if not len(lengths):
         raise ValidationError(f"no loops with length in [{lo}, {hi}]")
-    return (lengths, logs), math.exp(series_root(lengths, logs))
-
-
-def _window_measure(system, counts, y, label):
-    return LoopMarkovMeasure(system, _weights(*counts, y), label=label)
-
-
-def tail_parry_measure(system, lo, hi):
-    """Equilibrium chain of the sub-system of loops with length in [lo, hi]."""
-    counts, x0 = _window(system, lo, hi)
-    return _window_measure(system, counts, x0, label=f"window-mme[{lo},{hi}]")
-
-
-def entropy_targeted_measure(system, target, lo, hi):
-    """Window chain with entropy at most `target`, the closest from below
-    that bracket_root finds in floats of the tilt.
-
-    The tilt parameter y moves the window entropy monotonically from 0
-    (concentrated on the shortest loops) to the window equilibrium value, so
-    a target above that ceiling is unreachable.
-    """
-    counts, x0 = _window(system, lo, hi)
-    ceiling = _window_measure(system, counts, x0, "probe").entropy
-    if target <= 0:
-        raise ValidationError("target entropy must be positive")
-    if target > ceiling - 1e-12:
-        raise ValidationError(
-            f"target {target} above the window ceiling {ceiling}"
-        )
-    def side(y):
-        gap = _window_measure(system, counts, y, "probe").entropy - target
-        return (gap > 0) - (gap < 0), gap
-
-    y, _ = bracket_root(side, x0 * 1e-12, x0)
-    return _window_measure(
-        system, counts, y, label=f"targeted[{lo},{hi}]@{target:.4g}"
-    )
+    x0 = math.exp(series_root(lengths, logs))
+    return LoopMarkovMeasure(system, _weights(lengths, logs, x0), label=f"window-mme[{lo},{hi}]")
 
 
 def periodic_loop_measure(system, length, ordinal=0):
@@ -383,8 +339,8 @@ class MixtureMeasure:
 
     def __init__(self, components):
         self.components = [(float(c), m) for c, m in components]
-        if any(c < 0 for c, _ in self.components):
-            raise ValidationError("mixture weights must be >= 0")
+        if not all(0 <= c < math.inf for c, _ in self.components):
+            raise ValidationError("mixture weights must be finite and >= 0")
         self.mass = math.fsum(c * m.mass for c, m in self.components)
         self.entropy = math.fsum(c * m.entropy for c, m in self.components)
         self.label = "mixture"
@@ -490,85 +446,3 @@ def cylinder_limit(schedule, graph, q_max=32, candidate=None, tol=1e-9):
                 mass = scale * candidate.mass
                 entropy = candidate.entropy
     return LimitReport(dict(enumerate(limits.tolist(), 1)), mass, ladder, scale, residual, entropy)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def measure_to_json(measure):
-    """JSON-safe description of a measure.
-
-    Chains carry their support edges, stationary vector, and transition
-    rows; loop-length chains carry their length weights; mixtures nest.
-    """
-    if isinstance(measure, MarkovMeasure):
-        size = measure.graph.symbols
-        support = sorted(
-            (i, j)
-            for i in range(1, size + 1)
-            for j in range(1, size + 1)
-            if measure.P[i - 1, j - 1] > 0.0
-        )
-        return {
-            "type": "markov",
-            "label": measure.label,
-            "symbols": size,
-            "support": [list(e) for e in support],
-            "pi": [float(x) for x in measure.pi],
-            "P": [[float(x) for x in row] for row in measure.P],
-            "entropy": measure.entropy,
-            "mass": measure.mass,
-        }
-    if isinstance(measure, LoopMarkovMeasure):
-        return {
-            "type": "loop-chain",
-            "label": measure.label,
-            "weights": {str(l): w for l, w in sorted(measure.weights.items())},
-            "expected_length": measure.expected_length,
-            "entropy": measure.entropy,
-            "mass": measure.mass,
-        }
-    if isinstance(measure, _PeriodicOrbitMeasure):
-        return {
-            "type": "periodic-loop",
-            "label": measure.label,
-            "orbit": list(measure.orbit),
-            "entropy": measure.entropy,
-            "mass": measure.mass,
-        }
-    if isinstance(measure, MixtureMeasure):
-        return {
-            "type": "mixture",
-            "label": measure.label,
-            "components": [
-                {"weight": c, "measure": measure_to_json(m)}
-                for c, m in measure.components
-            ],
-            "entropy": measure.entropy,
-            "mass": measure.mass,
-        }
-    to_json = getattr(measure, "to_json", None)
-    if to_json is not None:
-        return to_json()
-    raise ValidationError(f"cannot serialize measure type {type(measure).__name__}")
-
-
-def save_measure_sequence(seq, dirpath, stem="measure"):
-    """Write a sequence of measures to a directory, one JSON file per
-    measure plus a manifest; returns the manifest path."""
-    import json
-    import os
-
-    os.makedirs(dirpath, exist_ok=True)
-    files = []
-    for k, m in enumerate(seq):
-        name = f"{stem}-{k:03d}.json"
-        with open(os.path.join(dirpath, name), "w") as fh:
-            json.dump(measure_to_json(m), fh, indent=2, sort_keys=True)
-        files.append(name)
-    manifest = {"kind": "measure-sequence", "count": len(files), "files": files}
-    path = os.path.join(dirpath, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return path

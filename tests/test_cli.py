@@ -294,6 +294,40 @@ def test_values_below_their_minimum_exit_2(tmp_path, capsys, argv, field):
     assert doc["result"] is None
 
 
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("dim-series", "--t", "nan"),
+        ("dim-series", "--t", "inf"),
+        ("dim-series", "--t", "-inf"),
+        ("mass-bound", "--t", "nan"),
+        ("b-inf", "--delta", "nan"),
+        ("katok", "--delta", "nan"),
+    ],
+)
+def test_non_finite_float_flags_exit_2(tmp_path, capsys, command, flag, value):
+    g = write_graph(tmp_path, "renewal.json", families.renewal_shift())
+    code, doc = run_cli(capsys, [command, f"{flag}={value}", "--graph", g])
+    assert code == 2
+    assert doc["command"] == command
+    assert doc["error"]["code"] == "validation"
+    assert "finite number" in doc["error"]["message"]
+    assert doc["result"] is None
+
+
+def test_manifest_entries_reject_non_finite_float_flags(tmp_path, capsys):
+    write_graph(tmp_path, "renewal.json", families.renewal_shift())
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "commands": [{"command": "dim-series", "args": {"graph": "renewal.json", "t": "nan"}}],
+    }))
+    code, doc = run_cli(capsys, ["run", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert doc["error"]["code"] == "validation"
+    assert doc["error"]["field"] == "commands[0].args"
+    assert "finite number" in doc["error"]["message"]
+
+
 def test_tail_past_the_float_range_exits_2(tmp_path, capsys):
     path = tmp_path / "huge.json"
     tail = {"from_length": 1, "coeff": 10**400, "growth": 1.5}
@@ -375,12 +409,8 @@ def test_run_manifest_unknown_command_exits_2(tmp_path, capsys):
     assert "bogus" in doc["error"]["message"]
 
 
-def test_run_manifest_seed_and_overrides(tmp_path, capsys, monkeypatch):
-    # leftover "seed" and "jobs" keys are unread: --jobs alone sets the pool
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool at the default --jobs 1")
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+def test_run_manifest_seed_and_overrides(tmp_path, capsys):
+    # leftover "seed" and "jobs" keys are unread
     write_graph(tmp_path, "golden.json", families.golden_mean())
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
@@ -498,7 +528,7 @@ def test_run_manifest_bad_entry_flag_exits_2(tmp_path, capsys):
         assert doc["error"]["code"] == "validation"
         assert doc["error"]["field"] == "commands[0].args"
         assert "--no-such-flag" in doc["error"]["message"]
-        # entries parse on worker threads without swapping the process stderr
+        # entries parse without swapping the process stderr
         assert sys.stderr is stderr
 
 

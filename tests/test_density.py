@@ -8,11 +8,7 @@ Oracles:
     free walks: 2^3),
   - a right-resolving presentation preserves entropy, so the labeled
     measure's entropy equals the Perron entropy of the unrolled graph
-    and is bounded below by log(product of block counts) / period,
-  - sampled generic words follow the chain's support and their Birkhoff
-    averages land within beta by construction; on the golden-mean chain
-    no single-symbol frequency can sit within 0.01 of the stationary
-    masses for 10-step words, so sampling must exhaust.
+    and is bounded below by log(product of block counts) / period.
 """
 
 import math
@@ -20,8 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from cmshift import density, measures, thermo
-from cmshift.errors import ConnectorNotFound, SamplingExhausted
+from cmshift import density, thermo
+from cmshift.errors import ConnectorNotFound
 from cmshift.families import full_shift, golden_mean
 from cmshift.graphs import FiniteGraph
 
@@ -114,39 +110,6 @@ def test_connector_inserted_when_needed():
     assert nu.entropy > 0.0
     total = sum(nu.cylinder_mass((a,)) for a in (1, 2, 3))
     assert abs(total - 1.0) < 1e-9
-
-
-def test_generic_words_bernoulli():
-    g = full_shift(2)
-    mu = measures.bernoulli_measure(g, (0.5, 0.5))
-    words = density.generic_words(mu, g, n=200, count=5, beta=0.1, seed=1)
-    assert len(words) == 5
-    assert len(set(words)) == 5
-    for w in words:
-        freq = sum(1 for a in w if a == 1) / len(w)
-        assert abs(freq - 0.5) <= 0.1
-
-
-def test_generic_words_respect_support_and_anchors():
-    g = golden_mean()
-    mu = measures.parry_measure(g)
-    words = density.generic_words(
-        mu, g, n=120, count=4, beta=0.1, anchors=(1,), seed=3
-    )
-    for w in words:
-        assert w[0] == 1 and w[-1] == 1
-        assert all(not (a == 2 and b == 2) for a, b in zip(w, w[1:]))
-
-
-def test_generic_words_exhaustion():
-    g = golden_mean()
-    mu = measures.parry_measure(g)
-    # single-symbol frequencies of 10-step words sit on a grid of step 0.1;
-    # the stationary masses are > 0.02 away from every grid point
-    with pytest.raises(SamplingExhausted):
-        density.generic_words(
-            mu, g, n=10, count=3, beta=0.01, seed=0, max_tries=500
-        )
 
 
 def test_two_component_demo_small():

@@ -163,6 +163,19 @@ def test_schedule_counts_below_their_minimum_are_rejected(check):
     assert exc.value.field == "count"
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: infinity.pressure_indicator(golden_mean(), math.nan),
+        lambda: infinity.pressure_indicator(renewal_shift(), math.nan),
+        lambda: infinity.b_inf_estimate(renewal_shift(), lam=math.nan),
+    ],
+)
+def test_nan_weights_and_levels_are_rejected(check):
+    with pytest.raises(ValidationError):
+        check()
+
+
 def test_pressure_indicator_golden_mean_at_large_t():
     # weight w = e^-t on edges entering symbol 1: lam^2 = w lam + w
     t = 20.0

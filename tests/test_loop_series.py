@@ -39,7 +39,7 @@ from cmshift.graphs import (
 
 
 def _reference(system, length):
-    a = system.explicit_multiplicity(length)
+    a = dict(system.explicit_loops).get(length, 0)
     if system.tail is not None:
         a += system.tail.multiplicity(length)
     return a

@@ -34,7 +34,7 @@ from cmshift.families import (
 )
 from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem
 from cmshift.infinity import drift_schedule
-from cmshift.thermo import gurevich_entropy
+from cmshift.thermo import _rome, adjacency_matrix, gurevich_entropy
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -44,7 +44,7 @@ def test_bernoulli_uniform():
     assert abs(mu.entropy - math.log(2)) < 1e-12
     assert abs(mu.cylinder_mass((1, 2, 1)) - 0.125) < 1e-12
     assert mu.mass == 1.0
-    assert mu.is_stationary
+    assert np.allclose(mu.pi @ mu.P, mu.pi, rtol=0, atol=1e-9)
 
 
 def test_bernoulli_biased():
@@ -63,7 +63,7 @@ def test_parry_golden_mean():
     # pi_1 * P12 * P21 with P12 = 1/phi^2, P21 = 1
     assert abs(mu.cylinder_mass((1, 2, 1)) - want_pi1 / PHI ** 2) < 1e-9
     assert mu.cylinder_mass((2, 2)) == 0.0
-    assert mu.is_stationary
+    assert np.allclose(mu.pi @ mu.P, mu.pi, rtol=0, atol=1e-9)
 
 
 def test_parry_full_shift_uniform():
@@ -100,6 +100,37 @@ def test_parry_rejects_reducible_graphs_on_both_perron_routes():
             measures.parry_measure(g)
 
 
+def test_markov_rejects_reducible_chains_on_both_perron_routes():
+    # the supports of the Parry test above; a stochastic P leaves no vertex
+    # without an out-edge, so the sink keeps a loop at 3 and, like the two
+    # full 2-shifts, has no one-vertex rome, while the source has rome 1
+    two = {e: 0.5 for e in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4), (4, 3), (4, 4)]}
+    sink = {(1, 2): 0.5, (1, 3): 0.5, (2, 1): 1.0, (3, 3): 1.0}
+    source = {(1, 2): 1.0, (2, 1): 1.0, (3, 1): 1.0}
+    routes = []
+    for transitions in (two, sink, source):
+        g = FiniteGraph(max(map(max, transitions)), list(transitions))
+        routes.append(_rome(adjacency_matrix(g)) is not None)
+        with pytest.raises(NotStronglyConnected):
+            measures.markov_measure(g, transitions)
+    assert routes == [False, False, True]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: measures.bernoulli_measure(full_shift(2), (math.nan, 0.5)),
+        lambda: measures.markov_measure(golden_mean(), {(1, 1): math.nan, (1, 2): 1, (2, 1): 1}),
+        lambda: measures.markov_measure(golden_mean(), {(1, 1): 0, (1, 2): 1, (2, 1): math.nan}),
+        lambda: measures.MixtureMeasure([(math.nan, measures.parry_measure(golden_mean()))]),
+        lambda: measures.MixtureMeasure([(math.inf, measures.parry_measure(golden_mean()))]),
+    ],
+)
+def test_non_finite_probabilities_and_weights_are_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_parry_and_bernoulli_carry_mass_classes():
     g = golden_mean()
     mu = measures.parry_measure(g)
@@ -132,7 +163,7 @@ def test_markov_measure_stationary_vector():
     # golden-mean chain with P(1,1) = p: pi = (1, 1 - p) / (2 - p)
     p = 0.3
     mu = measures.markov_measure(golden_mean(), {(1, 1): p, (1, 2): 1 - p, (2, 1): 1.0})
-    assert mu.is_stationary
+    assert np.allclose(mu.pi @ mu.P, mu.pi, rtol=0, atol=1e-9)
     assert abs(mu.pi[0] - 1 / (2 - p)) < 1e-14
     assert abs(mu.pi[1] - (1 - p) / (2 - p)) < 1e-14
 
@@ -222,15 +253,17 @@ def _brute_chain_mass(measure, graph, word):
     the base forward plus backward, and the base enters one loop of length
     l with probability w_l / a_l."""
     system = measure.system
+    # off the base every vertex has one in-edge
+    into = {j: i for i, j in graph.edge_multiplicities() if j != 1}
 
     def share(v):
         if v == 1:
             return 1.0
         steps = 0
-        for step in (graph.out_neighbors, graph.in_neighbors):
+        for step in (lambda u: graph.out_neighbors(u)[0], into.__getitem__):
             u = v
             while u != 1:
-                u = step(u)[0]
+                u = step(u)
                 steps += 1
         return measure.weights.get(steps, 0.0) / system.multiplicity(steps)
 
@@ -255,10 +288,7 @@ def test_loop_chain_masses_match_a_walk_over_the_truncation():
             words.append(w)
             if len(w) < 5:
                 stack.extend(w + (b,) for b in graph.out_neighbors(w[-1]))
-        chains = drift_schedule(system, count=3) + [
-            measures.tail_parry_measure(system, 3, 9),
-            measures.entropy_targeted_measure(system, 0.1, 3, 9),
-        ]
+        chains = drift_schedule(system, count=3) + [measures.tail_parry_measure(system, 3, 9)]
         for mu in chains:
             for w in words:
                 want = _brute_chain_mass(mu, graph, w)
@@ -272,15 +302,6 @@ def test_window_equilibrium_renewal():
     # supported beyond any small truncation except the base
     assert mu.cylinder_mass((2,)) == 0.0
     assert mu.cylinder_mass((3,)) == 0.0
-
-
-def test_entropy_targeted_measure():
-    mu = measures.entropy_targeted_measure(renewal_shift(), 0.05, 25, 75)
-    assert mu.entropy <= 0.05 + 1e-12
-    assert mu.entropy > 0.05 - 1e-6
-    too_high = measures.tail_parry_measure(renewal_shift(), 25, 75).entropy
-    with pytest.raises(ValidationError):
-        measures.entropy_targeted_measure(renewal_shift(), too_high + 0.01, 25, 75)
 
 
 def test_mixture():
@@ -406,37 +427,3 @@ def test_cylinder_limit_without_candidate():
     rep = measures.cylinder_limit(schedule, system, q_max=64)
     assert abs(rep.mass - 0.5) < 1e-3
     assert rep.normalized_entropy is None
-
-
-def test_measure_serialization_shapes():
-    g = golden_mean()
-    mu = measures.parry_measure(g)
-    doc = measures.measure_to_json(mu)
-    assert doc["type"] == "markov"
-    assert doc["symbols"] == 2
-    assert [2, 2] not in doc["support"]
-    assert abs(sum(doc["pi"]) - 1.0) < 1e-12
-    assert all(abs(sum(row) - 1.0) < 1e-12 for row in doc["P"])
-
-    mme = measures.loop_mme(renewal_shift())
-    doc2 = measures.measure_to_json(mme)
-    assert doc2["type"] == "loop-chain"
-    assert abs(doc2["expected_length"] - 2.0) < 1e-9
-
-    mix = measures.MixtureMeasure([(0.5, mu), (0.5, mme)])
-    doc3 = measures.measure_to_json(mix)
-    assert doc3["type"] == "mixture"
-    assert len(doc3["components"]) == 2
-
-
-def test_save_measure_sequence(tmp_path):
-    import json
-
-    g = golden_mean()
-    seq = [measures.parry_measure(g)] * 3
-    manifest = measures.save_measure_sequence(seq, tmp_path / "seq")
-    doc = json.loads(open(manifest).read())
-    assert doc["count"] == 3
-    for name in doc["files"]:
-        entry = json.loads(open(tmp_path / "seq" / name).read())
-        assert entry["type"] == "markov"

@@ -82,7 +82,7 @@ def test_entropy_truncation_trace_increases_to_value():
 def _truncation_loop_lengths(graph):
     """Lengths of the cycles of a loop-system truncation, found by walking
     from each out-neighbour of the base along the unique successors."""
-    lengths = [1] * graph.multiplicity_of(1, 1)
+    lengths = [1] * graph.edge_multiplicities().get((1, 1), 0)
     for u in graph.out_neighbors(1):
         length = 1
         while u != 1 and graph.out_neighbors(u):
