@@ -379,7 +379,8 @@ def _run_entry(index, entry, base_dir, out_root, defaults=None):
             continue
         if key == "graph":
             value = os.path.join(base_dir, str(value))
-        argv.extend([flag, str(value)])
+        # one token: argparse takes a separate "-1e-05" for an option
+        argv.append(f"{flag}={value}")
     try:
         args = _build_parser(_EntryParser).parse_args(argv)
     except ValidationError as exc:

@@ -18,12 +18,16 @@ counts mark the symbols <= q.
 The kernel runs row by row over the number m of marked positions. Row m
 holds one exact count series over time per state, and the next row comes
 from it through the edges into marked states: each (src, dst) group of
-edges is one polynomial in time, multiplied into the series by one
-big-integer product (Kronecker substitution: Schoenhage 1982; Harvey
-2009) or, for a single length, by a shifted and scaled copy. Inside a
-row the unmarked states follow block by block (their strongly connected
-components, in topological order), and only the edges within a cyclic
-block are stepped in time.
+edges is one polynomial in time. Its geometric suffix, the terms
+c*g^(l-L)*x^l for l = L..n with an integer g >= 1 (an integer tail
+c*g^l), is multiplied into the series by the first-order recurrence
+y_t = g*y_(t-1) + c*s_(t-L), O(n) big-integer additions. The other terms
+go by one big-integer product (Kronecker substitution: Schoenhage 1982;
+Harvey 2009) or, for a single length, by a shifted and scaled copy.
+Inside a row the unmarked states follow block by block (their strongly
+connected components, in topological order), and only the edges within
+a cyclic block are stepped in time, a geometric suffix by one running
+value carried across time.
 """
 
 import math
@@ -89,14 +93,16 @@ def _walk_counts(view, marked, starts, ends, n_edges, budget):
     Row by row: row m holds, for each state, the count series over times
     0..n_edges of the walks with m marked positions that stand there (None
     when they are all zero), and only the previous row is kept. The edges
-    of each (src, dst) pair form one polynomial in time. A marked state's
-    series is the sum of the previous row's series times the polynomials
-    of its in-edges (`_times`). The unmarked states follow within the row,
-    one strongly connected block of them at a time in topological order: a
-    block first takes the products from states outside it, then steps
-    through time along its own edges, by one `sum` over the history of a
-    source per lengthed group. Rows 0..budget(e) count at time e, so a
-    nondecreasing budget lets each row add to a suffix of the counts.
+    of each (src, dst) pair form one polynomial in time, split once into a
+    head and a geometric suffix (`_split`). A marked state's series is the
+    sum of the previous row's series times the polynomials of its in-edges
+    (`_times`). The unmarked states follow within the row, one strongly
+    connected block of them at a time in topological order: a block first
+    takes the products from states outside it, then steps through time
+    along its own edges, by one `sum` over the history of a source per
+    lengthed head and one running value per geometric suffix. Rows
+    0..budget(e) count at time e, so a nondecreasing budget lets each row
+    add to a suffix of the counts.
     """
     n = n_edges
     size = view.state_count
@@ -108,7 +114,7 @@ def _walk_counts(view, marked, starts, ends, n_edges, budget):
             poly[length] = poly.get(length, 0) + mult
     into = [[] for _ in range(size)]
     for (src, dst), poly in polys.items():
-        into[dst].append((src, sorted(poly.items())))
+        into[dst].append((src, _split(sorted(poly.items()), n)))
     marked_states = [s for s in range(size) if hits[s]]
     blocks = _unmarked_blocks(hits, into)
     seeds = {s: hits[s] for s in starts}
@@ -127,13 +133,13 @@ def _walk_counts(view, marked, starts, ends, n_edges, budget):
             if seeds.get(s) == m:
                 row[s] = _seeded(row[s], n)
         if m < cap or last_needs_blocks:
-            for block, outer, inner in blocks:
+            for block, outer, inner, tails in blocks:
                 for s in block:
                     row[s] = _inflow(row, outer[s], n)
                     if seeds.get(s) == m:
                         row[s] = _seeded(row[s], n)
-                if inner:
-                    _step(row, block, inner, n)
+                if inner or tails:
+                    _step(row, block, inner, tails, n)
         while budget(e) < m:
             e += 1
         for s in ends:
@@ -145,10 +151,29 @@ def _walk_counts(view, marked, starts, ends, n_edges, budget):
     return counts[1:]
 
 
+def _split(terms, n):
+    """(head, suffix) of one edge group, its (length, mult) terms sorted by
+    length. The suffix is (L, c, g) for the longest run of lengths L..n whose
+    mults are each an integer g >= 1 times the one before, c the mult at L,
+    when that run has two terms or more; the head is the other terms. A run
+    that stops short of n has no suffix: its recurrence would add terms the
+    group does not have."""
+    # lengths are distinct and <= n: the last two are n - 1 and n
+    if len(terms) < 2 or terms[-2][0] != n - 1 or terms[-1][1] % terms[-2][1]:
+        return terms, None
+    g = terms[-1][1] // terms[-2][1]
+    k = len(terms) - 2
+    while k and terms[k - 1][0] == terms[k][0] - 1 and terms[k - 1][1] * g == terms[k][1]:
+        k -= 1
+    return terms[:k], (*terms[k], g)
+
+
 def _unmarked_blocks(hits, into):
     """The strongly connected blocks of the unmarked states, sources first,
-    as (states, outer, inner): outer[s] the in-edge groups of s from outside
-    its block, inner the (s, singles, groups) of its edges within it."""
+    as (states, outer, inner, tails): outer[s] the in-edge groups of s from
+    outside its block, inner the (s, singles, groups) of the heads of its
+    edge groups within it, and tails the (s, src, *suffix) of their
+    geometric suffixes."""
     free = [s for s in range(len(hits)) if not hits[s]]
     index = {s: i + 1 for i, s in enumerate(free)}
     succ = {i: [] for i in range(1, len(free) + 1)}
@@ -162,24 +187,26 @@ def _unmarked_blocks(hits, into):
     for comp in reversed(strongly_connected_components(sub)):
         block = [free[i - 1] for i in comp]
         inside = set(block)
-        outer = {s: [(src, terms) for src, terms in into[s] if src not in inside] for s in block}
-        inner = []
+        outer = {s: [(src, group) for src, group in into[s] if src not in inside] for s in block}
+        inner, tails = [], []
         for s in block:
             singles, groups = [], []
-            for src, terms in into[s]:
+            for src, (head, suffix) in into[s]:
                 if src not in inside:
                     continue
-                if len(terms) == 1:
-                    singles.append((src, *terms[0]))
-                else:
-                    low = terms[0][0]
-                    mults = [0] * (terms[-1][0] - low + 1)
-                    for length, mult in terms:
+                if suffix:
+                    tails.append((s, src, *suffix))
+                if len(head) == 1:
+                    singles.append((src, *head[0]))
+                elif head:
+                    low = head[0][0]
+                    mults = [0] * (head[-1][0] - low + 1)
+                    for length, mult in head:
                         mults[length - low] = mult
                     groups.append((src, low, mults))
             if singles or groups:
                 inner.append((s, singles, groups))
-        blocks.append((block, outer, inner))
+        blocks.append((block, outer, inner, tails))
     return blocks
 
 
@@ -195,43 +222,64 @@ def _inflow(row, groups, n):
     """Coefficients 0..n of the sum of row[src] times each group's
     polynomial, or None when all are zero."""
     total = None
-    for src, terms in groups:
+    for src, group in groups:
         if row[src] is not None:
-            part = _times(row[src], terms, n)
+            part = _times(row[src], group, n)
             if part is not None:
                 total = part if total is None else list(map(add, total, part))
     return total
 
 
-def _times(series, terms, n):
-    """Coefficients 0..n of series(x) * sum(mult * x^length), or None when
-    they are all zero. One term is a shifted, scaled copy. Several are one
-    big-integer product by Kronecker substitution: each polynomial packed
-    into an integer, one coefficient to a slot of `width` bytes, wide enough
-    that none of the slots kept carries into the next."""
+def _times(series, group, n):
+    """Coefficients 0..n of series(x) times the polynomial of a (head,
+    suffix) group from `_split`, or None when they are all zero.
+
+    The suffix (L, c, g), the terms c*g^(l-L)*x^l for l = L..n, is the
+    recurrence y_t = g*y_(t-1) + c*s_(t-L): a running sum when g = 1. In the
+    head one term is a shifted, scaled copy, and several are one big-integer
+    product (`_kronecker`)."""
+    head, suffix = group
     low = next(t for t, c in enumerate(series) if c)
-    if len(terms) == 1:
-        length, mult = terms[0]
-        if low + length > n:
-            return None
-        head = series[:n + 1 - length]
-        return [0] * length + (head if mult == 1 else [c * mult for c in head])
+    total = None
+    if len(head) == 1:
+        length, mult = head[0]
+        if low + length <= n:
+            part = series[:n + 1 - length]
+            total = [0] * length + (part if mult == 1 else [c * mult for c in part])
+    elif head and low + head[0][0] <= n:
+        total = _kronecker(series, head, n, low)
+    if suffix and low + suffix[0] <= n:
+        length, c, g = suffix
+        a = series[low:n + 1 - length]
+        if c != 1:
+            a = [c * v for v in a]
+        ys = accumulate(a) if g == 1 else accumulate(a, lambda y, v: g * y + v)
+        part = [0] * (low + length) + list(ys)
+        total = part if total is None else list(map(add, total, part))
+    return total
+
+
+def _kronecker(series, terms, n, low):
+    """Coefficients 0..n of series(x) * sum(mult * x^length) over several
+    terms, the first of them landing by n, by one big-integer product
+    (Kronecker substitution): each polynomial packed into an integer, one
+    coefficient to a slot of `width` bytes, wide enough that none of the
+    slots kept carries into the next."""
     first = terms[0][0]
     top = n - low - first
-    if top < 0:
-        return None
     a = series[low:low + top + 1]
-    b = [0] * (top + 1)
+    b = [0] * (min(terms[-1][0] - first, top) + 1)
     for length, mult in terms:
         if length - first > top:
             break
         b[length - first] = mult
-    # slot j <= top adds at most top + 1 products a_i b_l with i + l = j,
-    # each below 2^peak, the largest bit_length(a_i) + bit_length(b_l) over
+    # slot j <= top adds at most len(b) products a_i b_l with i + l = j, each
+    # below 2^peak, the largest bit_length(a_i) + bit_length(b_l) over
     # i + l <= top; the slots past top may carry, but only upward
-    b_bits = accumulate([c.bit_length() for c in b], max)
-    peak = max(map(add, [c.bit_length() for c in a], reversed(list(b_bits))))
-    width = (peak + (top + 1).bit_length() + 7) // 8
+    b_bits = list(accumulate([c.bit_length() for c in b], max))
+    b_bits += [b_bits[-1]] * (top + 1 - len(b))
+    peak = max(map(add, [c.bit_length() for c in a], reversed(b_bits)))
+    width = (peak + len(b).bit_length() + 7) // 8
     product = _pack(a, width) * _pack(b, width)
     raw = product.to_bytes((product.bit_length() + 7) // 8, "little")
     return [0] * (low + first) + [int.from_bytes(raw[i:i + width], "little")
@@ -242,12 +290,15 @@ def _pack(coeffs, width):
     return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in coeffs]), "little")
 
 
-def _step(row, block, inner, n):
+def _step(row, block, inner, tails, n):
     """Walks that move within a cyclic block, stepped in time: each state
-    pulls from the history of its sources in the block."""
+    pulls from the history of its sources in the block, and from each
+    geometric suffix (L, c, g) through a running value that time t turns
+    into g * run + c * row[src][t - L]."""
     for s in block:
         if row[s] is None:
             row[s] = [0] * (n + 1)
+    runs = [0] * len(tails)
     for t in range(1, n + 1):
         for s, singles, groups in inner:
             c = 0
@@ -261,6 +312,11 @@ def _step(row, block, inner, n):
                     c += sum(map(mul, mults, past[j::-1] if j < len(mults) else past[j:j - len(mults):-1]))
             if c:
                 row[s][t] += c
+        if tails:  # finite graphs have none, and this loop is their hot path
+            for k, (s, src, length, coeff, g) in enumerate(tails):
+                if length <= t:
+                    runs[k] = g * runs[k] + coeff * row[src][t - length]
+                    row[s][t] += runs[k]
     for s in block:
         if not any(row[s]):
             row[s] = None

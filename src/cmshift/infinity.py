@@ -390,6 +390,8 @@ def mass_bound_check(graph, c, count=6, q_max=64, tol=0.02):
     """
     if count < 3:
         raise ValidationError("cylinder limits need count >= 3 measures", field="count")
+    if not math.isfinite(c):
+        raise ValidationError("the entropy level c must be a finite number", field="c")
     if not isinstance(graph, LoopSystem) or not graph.is_infinite:
         raise NotDrifting("the mass bound check needs an infinite loop system")
     mme = measures.loop_mme(graph)
@@ -445,6 +447,8 @@ def dimension_series(graph, t, m=16, q=1, l_max=60):
     """
     if l_max < 10:
         raise ValidationError("l_max must be >= 10")
+    if not math.isfinite(t):
+        raise ValidationError("the dimension t must be a finite number", field="t")
     s = t * _LOG2
     series = counting.escape_count(graph, m, q, n_max=l_max - 2)
     terms = []

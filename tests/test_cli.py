@@ -328,6 +328,23 @@ def test_manifest_entries_reject_non_finite_float_flags(tmp_path, capsys):
     assert "finite number" in doc["error"]["message"]
 
 
+def test_manifest_value_in_exponent_form_is_one_flag(tmp_path, capsys):
+    # argparse would read a separate "-1e-05" token as an option
+    g = write_graph(tmp_path, "renewal.json", families.renewal_shift())
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "commands": [{"command": "dim-series", "args": {"graph": "renewal.json", "t": -1e-5, "n-max": 20}}],
+    }))
+    out = tmp_path / "out"
+    code, _ = run_cli(capsys, ["run", str(manifest), "--out", str(out)])
+    assert code == 0
+    entry = json.loads((out / "00-dim-series" / "report.json").read_text())
+    code, doc = run_cli(capsys, ["dim-series", "--graph", g, "--t=-1e-05", "--n-max", "20"])
+    assert code == 0
+    assert entry == doc
+    assert entry["params"]["t"] == -1e-05
+
+
 def test_tail_past_the_float_range_exits_2(tmp_path, capsys):
     path = tmp_path / "huge.json"
     tail = {"from_length": 1, "coeff": 10**400, "growth": 1.5}

@@ -270,6 +270,11 @@ def layer_walk_counts(view, marked, starts, ends, n_edges, budget):
     graphs.LoopSystem([(1, 1), (3, 2)], graphs.GeometricTail(4, 1.7, 1.1)),
     graphs.LoopSystem([(2, 1), (5, 3)], graphs.GeometricTail(9, 1.0, 1.3)),
     graphs.FiniteGraph(5, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 4), (5, 1), (2, 2)]),
+    # integer tails take the recurrence: coeff > 1, and explicit loops on
+    # the tail lengths; the floored tail keeps the Kronecker product
+    graphs.LoopSystem([], graphs.GeometricTail(1, 3, 2)),
+    graphs.LoopSystem([(1, 1), (3, 2)], graphs.GeometricTail(4, 1, 2)),
+    graphs.LoopSystem([], graphs.GeometricTail(1, 1.5, 1.08)),
 ])
 def test_walk_counts_match_layer_dp(graph):
     n = 24
@@ -288,6 +293,58 @@ def test_walk_counts_match_layer_dp(graph):
         for marked, budget in (((), 0), ({s}, 2)):
             args = (view, marked, [s], [s], n, lambda e: budget)
             assert counting._walk_counts(*args) == layer_walk_counts(*args), (v, budget)
+
+
+STOCK_INTEGER_TAILS = [
+    renewal_shift(), power_loops(), graphs.LoopSystem([], graphs.GeometricTail(1, 2, 1)),
+    graphs.LoopSystem([], graphs.GeometricTail(1, 1, 3)),
+]
+
+
+def _base_group(graph, n, q):
+    view = graphs.walk_view(graph, n, list(range(1, q + 1)))
+    return sorted((length, mult) for src, dst, mult, length in view.edges if src == dst == 0)
+
+
+@pytest.mark.parametrize("graph", STOCK_INTEGER_TAILS)
+def test_recurrence_matches_the_kronecker_product(graph):
+    # the base -> base group of each stock integer tail, with and without its
+    # geometric suffix, times series with leading zeros and big entries
+    n = 40
+    for q in (1, 2, 4):
+        terms = _base_group(graph, n, q)
+        head, suffix = counting._split(terms, n)
+        assert suffix is not None
+        for low in (0, 1, 7, 39):
+            series = [0] * low + [(3 ** (t % 11) + t) * 2 ** t for t in range(n + 1 - low)]
+            want = counting._times(series, (terms, None), n)
+            assert counting._times(series, (head, suffix), n) == want, (q, low)
+
+
+@pytest.mark.parametrize("graph", STOCK_INTEGER_TAILS)
+def test_counts_with_the_recurrence_match_the_kronecker_path(graph, monkeypatch):
+    def counts(n=40):
+        escapes = [counting.escape_count(graph, M, q, n).counts for M, q in ((1, 1), (3, 1), (2, 2), (5, 3))]
+        loops = [counting.loop_count(graph, v, n).counts for v in (1, 2)]
+        return escapes, loops, counting.first_return_count(graph, 1, n).counts
+
+    got = counts()
+    monkeypatch.setattr(counting, "_split", lambda terms, n: (terms, None))
+    assert got == counts()
+
+
+def test_split_takes_only_a_suffix_that_reaches_n():
+    assert counting._split([(1, 1), (2, 1), (3, 2), (4, 4)], 4) == ([(1, 1)], (2, 1, 2))
+    assert counting._split([(2, 3), (3, 3), (4, 3)], 4) == ([], (2, 3, 1))
+    # the run 1..3 stops short of n = 5: the group has no terms past 3
+    stops_short = [(1, 1), (2, 2), (3, 4)]
+    assert counting._split(stops_short, 5) == (stops_short, None)
+    # one-term runs: a ratio that is not an integer, and a gap before n
+    for terms in ([(1, 2), (2, 3)], [(1, 1), (3, 2)], [(4, 9)]):
+        assert counting._split(terms, terms[-1][0]) == (terms, None)
+    # the floored tail 1.5 * 1.08^l: 8 loops of length 23, 9 of length 24
+    floored = _base_group(graphs.LoopSystem([], graphs.GeometricTail(1, 1.5, 1.08)), 24, 2)
+    assert counting._split(floored, 24) == (floored, None)
 
 
 def test_loop_count_missing_vertex_raises_validation_error():

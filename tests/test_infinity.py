@@ -176,6 +176,18 @@ def test_nan_weights_and_levels_are_rejected(check):
         check()
 
 
+def test_dimension_series_rejects_nan_t():
+    with pytest.raises(ValidationError) as exc:
+        infinity.dimension_series(renewal_shift(), math.nan)
+    assert exc.value.field == "t"
+
+
+def test_mass_bound_check_rejects_nan_c():
+    with pytest.raises(ValidationError) as exc:
+        infinity.mass_bound_check(renewal_shift(), math.nan)
+    assert exc.value.field == "c"
+
+
 def test_pressure_indicator_golden_mean_at_large_t():
     # weight w = e^-t on edges entering symbol 1: lam^2 = w lam + w
     t = 20.0
