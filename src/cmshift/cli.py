@@ -190,7 +190,7 @@ def _cmd_mass_bound(args):
     g = _graph(args)
     c = args.t
     if c is None:
-        c = 0.5 * thermo.gurevich_entropy(g).value
+        c = 0.5 * thermo.pressure(g)
     rep = infinity.mass_bound_check(g, c=c)
     return dataclasses.asdict(rep), {}
 

@@ -391,29 +391,20 @@ class GrowthEstimate:
     points: int
 
 
-def growth_rate(series, method="affine-fit", window=None):
-    """Exponential growth rate of a count series.
-
-    affine-fit: least-squares slope of log c_n against n over the window
-    (zero counts are skipped). tail-max: max of (1/n) log c_n over the
-    window. Default window is the last half of the series.
+def growth_rate(series):
+    """Exponential growth rate of a count series: the least-squares slope
+    of log c_n against n over the last half of the series (zero counts are
+    skipped).
     """
-    if method not in ("affine-fit", "tail-max"):
-        raise ValidationError(f"unknown method {method!r}")
     lo = series.start + len(series) // 2
     hi = series.start + len(series) - 1
-    if window is not None:
-        lo, hi = window
     pts = [(n, c) for n, c in series.items() if lo <= n <= hi and c > 0]
     if not pts:
-        return GrowthEstimate(method, float("-inf"), math.inf, (lo, hi), 0)
-    if method == "tail-max":
-        rate = max(_log_big(c) / n for n, c in pts if n != 0)
-        return GrowthEstimate(method, rate, 0.0, (lo, hi), len(pts))
+        return GrowthEstimate("affine-fit", float("-inf"), math.inf, (lo, hi), 0)
     if len(pts) == 1:
         n, c = pts[0]
         rate = _log_big(c) / n if n else float("-inf")
-        return GrowthEstimate(method, rate, math.inf, (lo, hi), 1)
+        return GrowthEstimate("affine-fit", rate, math.inf, (lo, hi), 1)
     xs = np.array([n for n, _ in pts], dtype=float)
     ys = np.array([_log_big(c) for _, c in pts])
     slope, intercept = np.polyfit(xs, ys, 1)

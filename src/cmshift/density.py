@@ -64,20 +64,20 @@ class ConcatenatedSystem:
     labels: tuple
     n: int
     M: int
-    anchor: int
     block_counts: tuple
     entropy_floor: float
     slot_starts: tuple
 
 
-def concatenated_system(ambient, supports, n, M, anchor=1):
+def concatenated_system(ambient, supports, n, M):
     """Cycle through M slots; slot s holds any length-n word admissible in
-    supports[s % len(supports)] starting at the anchor, then routes back to
-    the next slot's anchor (directly, or through a shortest connector path
-    in the ambient graph).
+    supports[s % len(supports)] starting at the anchor symbol 1, then routes
+    back to the next slot's anchor (directly, or through a shortest connector
+    path in the ambient graph).
 
     Raises ConnectorNotFound when some slot has no way back to the anchor.
     """
+    anchor = 1
     if n < 2:
         raise ValidationError("blocks need length >= 2")
     if M < 1:
@@ -172,7 +172,6 @@ def concatenated_system(ambient, supports, n, M, anchor=1):
         labels=labels,
         n=n,
         M=M,
-        anchor=anchor,
         block_counts=tuple(block_counts),
         entropy_floor=floor,
         slot_starts=tuple(ids[("b", s, 0, anchor)] for s in range(M)),

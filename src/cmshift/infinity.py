@@ -5,11 +5,9 @@ every finite part of the symbol set, and uses those estimates to verify,
 at desk scale, the statements that tie everything together:
 
   - ``pressure_indicator``: the Gurevich pressure of the potential
-    -t * (indicator of the symbols <= q): -log of the root of the loop
-    series with each loop weighted by e^(-t * its visits to those symbols),
-    solved by ``thermo.series_root`` on a finite system and by
-    ``thermo.bracket_root`` on certified bounds past an infinite tail (or a
-    weighted transfer matrix on finite graphs),
+    -t * (indicator of the symbols <= q), checked and handed to
+    ``thermo.pressure``, the one kernel behind every first-return root and
+    every entropy: h = P(0),
   - ``b_inf_estimate``: the dual bound min_t [P(-t 1_F) + t*lam] on the
     entropy of measures giving the finite part F mass at most lam,
   - ``h_inf_lower_bound``: entropy carried by explicitly constructed
@@ -39,82 +37,14 @@ from .graphs import FiniteGraph, LoopSystem, _log_big, strongly_connected_compon
 
 _LOG2 = math.log(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the symbols <= _Q_MAX whose limit masses the verifiers fit
+_Q_MAX = 64
+# how far the mass bound and the spot check let a measured value miss
+_TOL = 0.02
 
 
 # ---------------------------------------------------------------------------
 # pressure of -t * indicator(symbols <= q)
-
-
-def _finite_pressure(graph, t, q):
-    """log of the Perron root of the transfer matrix with weight e^-t on
-    every edge entering a symbol <= q. Blocks with a one-vertex rome add -t
-    to the log weights of those edges, so the pressure stays finite at any
-    t; other blocks scale the matrix, which underflows past t = 745."""
-    shift = np.zeros(graph.symbols)
-    shift[:q] = -t
-    return thermo._max_block_root(graph, thermo.adjacency_matrix(graph), shift)[1]
-
-
-def _visit_exponents(system, t, q):
-    """{l: exponents}: -t times the visits to the symbols <= q (the base and
-    the interior ids first..min(last, q)) of every loop of length l with an
-    interior symbol <= q. Every other loop visits only the base among them."""
-    inner = {}
-    for length, first, last in system.enumeration(q).rows:
-        if first > q:
-            break
-        inside = min(last, q) - first + 1
-        inner.setdefault(length, []).append(-t * (1 + inside))
-    return inner
-
-
-def _loop_pressure(system, t, q):
-    """-log of the root of the loop series with each loop weighted by
-    e^(-t * its visits to the symbols <= q). A finite system sums each
-    length's weights from their exponents by log-sum-exp for series_root.
-    With an infinite tail the loops up to the longest one with an interior
-    symbol <= q are summed with their own nonnegative weights, every longer
-    loop from the certified bounds of the loop series past it at e^-t."""
-    inner = _visit_exponents(system, t, q)
-    # the base is a symbol <= q unless F is empty
-    base = -t if q >= 1 else 0.0
-    if not system.is_infinite:
-        lengths, logs, size = [], [], 0.0
-        for length, a in system.explicit_loops:
-            exps = inner.get(length, [])
-            if a > len(exps):
-                exps = exps + [base + _log_big(a - len(exps))]
-            lengths.append(length)
-            logs.append(thermo.log_sum(exps))
-            size = max(size, max(map(abs, exps)) + len(exps))
-        # each exponent, and each log-sum-exp of them, is good to a few ulps
-        # of the magnitudes it handles
-        return -thermo.series_root(np.array(lengths), np.array(logs), 4 * thermo._ULP * size)
-    gf = thermo.LoopGF(system)
-    base_weight = math.exp(base)
-    longest = max(inner, default=0)
-    head = []
-    for length, a in enumerate(system.counts(longest)):
-        if a:
-            ws = [math.exp(e) for e in inner.get(length, [])]
-            head.append((length, math.fsum(ws + [(a - len(ws)) * base_weight])))
-
-    def side(x):
-        # x <= R <= 1, so no power leaves the float range
-        near = math.fsum([w * x**length for length, w in head])
-        lo, hi = gf.value_bounds(x, beyond=longest)
-        # the nonnegative head terms are each good to a few ulps
-        return thermo.side_of_one(
-            near * (1.0 - thermo.RELATIVE_SLACK) + base_weight * lo,
-            near * (1.0 + thermo.RELATIVE_SLACK) + base_weight * hi,
-        )
-
-    if side(gf.radius)[0] < 0:
-        # the weighted series never reaches 1: the critical point is the
-        # convergence radius itself
-        return -math.log(gf.radius)
-    lo, hi = thermo.bracket_root(side, 0.0, gf.radius)
-    return -math.log(0.5 * (lo + hi))
 
 
 def pressure_indicator(graph, t, q=1):
@@ -127,11 +57,9 @@ def pressure_indicator(graph, t, q=1):
         raise ValidationError("the weight t must be >= 0")
     if q < 0:
         raise ValidationError("the finite part q must be >= 0", field="q")
-    if isinstance(graph, FiniteGraph):
-        return _finite_pressure(graph, t, q)
-    if isinstance(graph, LoopSystem):
-        return _loop_pressure(graph, t, q)
-    raise ValidationError(f"unsupported graph type {type(graph).__name__}")
+    if not isinstance(graph, (FiniteGraph, LoopSystem)):
+        raise ValidationError(f"unsupported graph type {type(graph).__name__}")
+    return thermo.pressure(graph, t, q)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +156,16 @@ class HInfReport:
     base_masses: tuple
 
 
-def h_inf_lower_bound(graph, windows=None, count=4, k0=30, ratio=2, span=3):
+def h_inf_lower_bound(graph, windows=None, count=4):
     """Entropy retained along an explicitly escaping sequence of measures.
 
     Builds equilibrium measures supported on loops with lengths in windows
-    pushed further and further out, checks that the mass of every fixed
-    cylinder decays along the sequence, and reports the limsup proxy
-    (the best entropy over the final third of the sequence).  The finite
-    windows retain a sliver of excess entropy, so the proxy can sit
-    slightly above the true limit; it converges as the windows deepen.
+    pushed further and further out (by default [30 * 2^j, 90 * 2^j] for
+    j < count), checks that the mass of every fixed cylinder decays along
+    the sequence, and reports the limsup proxy (the best entropy over the
+    final third of the sequence). The finite windows retain a sliver of
+    excess entropy, so the proxy can sit slightly above the true limit; it
+    converges as the windows deepen.
     """
     if windows is None and count < 1:
         raise ValidationError("count must be >= 1", field="count")
@@ -247,7 +176,7 @@ def h_inf_lower_bound(graph, windows=None, count=4, k0=30, ratio=2, span=3):
     if not isinstance(graph, LoopSystem) or not graph.is_infinite:
         raise NotDrifting("no escaping sequences exist on a finite loop system")
     if windows is None:
-        windows = [(k0 * ratio**j, span * k0 * ratio**j) for j in range(count)]
+        windows = [(30 * 2**j, 90 * 2**j) for j in range(count)]
     windows = [(int(lo), int(hi)) for lo, hi in windows]
     seq = [measures.tail_parry_measure(graph, lo, hi) for lo, hi in windows]
     entropies = [m.entropy for m in seq]
@@ -275,8 +204,8 @@ def _length_with_loops(system, target):
     raise ValidationError(f"no loops found near length {target}")
 
 
-def drift_schedule(system, count=6, base_length=4, ratio=2):
-    """Escaping measures riding single loop-length classes L, 2L, 4L, ...
+def drift_schedule(system, count=6):
+    """Escaping measures riding single loop-length classes near 4, 8, 16, ...
 
     Each measure spreads uniformly over the loops of one length, so its
     entropy is exactly log(a_L)/L and the mass of every fixed cylinder
@@ -286,7 +215,7 @@ def drift_schedule(system, count=6, base_length=4, ratio=2):
         raise NotDrifting("escaping schedules need an infinite loop system")
     out = []
     for j in range(count):
-        length = _length_with_loops(system, base_length * ratio**j)
+        length = _length_with_loops(system, 4 * 2**j)
         label = f"window-mme[{length},{length}]"
         out.append(measures.LoopMarkovMeasure(system, {length: 1.0}, label=label))
     return out
@@ -296,7 +225,7 @@ def _limsup_proxy(values):
     return max(values[-max(1, len(values) // 3):])
 
 
-def _measure_limit(schedule, graph, candidate, q_max):
+def _measure_limit(schedule, graph, candidate):
     """Cylinder-wise limit of the schedule with a candidate-measure fit.
 
     Returns (mass, entropy of the normalized limit, limit report). The
@@ -305,7 +234,7 @@ def _measure_limit(schedule, graph, candidate, q_max):
     and then the ladder mass is used.
     """
     rep = measures.cylinder_limit(
-        schedule, graph, q_max=q_max, candidate=candidate, tol=1e-4
+        schedule, graph, q_max=_Q_MAX, candidate=candidate, tol=1e-4
     )
     return min(max(rep.mass, 0.0), 1.0), candidate.entropy, rep
 
@@ -323,7 +252,7 @@ class MainInequalityReport:
     meta: dict = field(default_factory=dict)
 
 
-def verify_main_inequality(graph, family="mixture", count=6, q_max=64):
+def verify_main_inequality(graph, family="mixture", count=6):
     """Check limsup h(mu_k) <= |mu| h(mu/|mu|) + (1 - |mu|) delta_inf.
 
     Families: "mme" repeats the measure of maximal entropy (no escape,
@@ -351,7 +280,7 @@ def verify_main_inequality(graph, family="mixture", count=6, q_max=64):
         raise ValidationError(f"unknown family {family!r}")
     entropies = [m.entropy for m in schedule]
     lhs = _limsup_proxy(entropies)
-    mass, h_hat, rep = _measure_limit(schedule, graph, mme, q_max)
+    mass, h_hat, rep = _measure_limit(schedule, graph, mme)
     rhs = mass * h_hat + (1.0 - mass) * delta
     return MainInequalityReport(
         family=family,
@@ -363,7 +292,7 @@ def verify_main_inequality(graph, family="mixture", count=6, q_max=64):
         limit_entropy=h_hat,
         delta_inf=delta,
         meta={
-            "q_max": q_max,
+            "q_max": _Q_MAX,
             "candidate_residual": rep.candidate_residual,
             "count": count,
         },
@@ -381,12 +310,12 @@ class MassBoundReport:
     satisfied: bool
 
 
-def mass_bound_check(graph, c, count=6, q_max=64, tol=0.02):
+def mass_bound_check(graph, c, count=6):
     """Quantitative mass bound along a half-retained, half-escaping schedule.
 
     When every h(mu_k) >= c, any weak* limit keeps mass at least
     (c - delta_inf) / (h_top - delta_inf); the stock schedule pins the
-    measured limit mass against that floor.
+    measured limit mass against that floor, within _TOL.
     """
     if count < 3:
         raise ValidationError("cylinder limits need count >= 3 measures", field="count")
@@ -406,8 +335,8 @@ def mass_bound_check(graph, c, count=6, q_max=64, tol=0.02):
     schedule = [measures.MixtureMeasure([(0.5, mme), (0.5, d)]) for d in drift]
     entropies = [m.entropy for m in schedule]
     entropies_ok = all(h >= c - 1e-9 for h in entropies)
-    measured, _, _ = _measure_limit(schedule, graph, mme, q_max)
-    satisfied = entropies_ok and measured >= bound - tol
+    measured, _, _ = _measure_limit(schedule, graph, mme)
+    satisfied = entropies_ok and measured >= bound - _TOL
     return MassBoundReport(
         bound=bound,
         measured=measured,
@@ -536,11 +465,11 @@ class USCReport:
     trials: int
 
 
-def usc_spot_check(graph, trials=10, seed=0, ks=range(2, 12), tol=0.02):
+def usc_spot_check(graph, trials=10, seed=0):
     """Entropy cannot jump up along weak*-convergent sequences: sample
     random Markov targets on a finite graph, approach each along a
-    geometric mixing path (so every cylinder mass converges and no mass
-    escapes), and check limsup h(mu_k) <= h(limit) + tol.
+    geometric mixing path mu_k, k = 2..11 (so every cylinder mass converges
+    and no mass escapes), and check limsup h(mu_k) <= h(limit) + _TOL.
     """
     if not isinstance(graph, FiniteGraph):
         raise ValidationError("the spot check runs on a finite graph")
@@ -567,7 +496,7 @@ def usc_spot_check(graph, trials=10, seed=0, ks=range(2, 12), tol=0.02):
         p_star = random_transitions()
         target = measures.markov_measure(graph, p_star)
         schedule = []
-        for k in ks:
+        for k in range(2, 12):
             eps = 2.0**-k
             mixed = {
                 e: (1.0 - eps) * p_star[e] + eps * uniform[e] for e in p_star
@@ -583,7 +512,7 @@ def usc_spot_check(graph, trials=10, seed=0, ks=range(2, 12), tol=0.02):
     worst = max(gaps)
     return USCReport(
         gaps=tuple(gaps),
-        ok=worst <= tol,
+        ok=worst <= _TOL,
         worst=worst,
         max_mass_error=mass_err,
         trials=trials,

@@ -370,5 +370,5 @@ def katok_estimate(measure, graph, delta, n_max, n_min=1, cap=2**20):
         counts=values,
         meta={"delta": delta},
     )
-    est = counting.growth_rate(series, method="affine-fit")
+    est = counting.growth_rate(series)
     return KatokReport(rate=est.rate, delta=delta, counts=series, window=est.window)

@@ -250,13 +250,17 @@ class LoopMarkovMeasure:
         return out
 
 
-def loop_mme(system, weight_cutoff=1e-13):
-    """The maximal-entropy loop chain: weights a_l x*^l, with the verdict
-    and x* from thermo.classify.
+# the weight of the loop series past the last length loop_mme keeps
+WEIGHT_CUTOFF = 1e-13
+
+
+def loop_mme(system):
+    """The maximal-entropy loop chain: weights a_l x*^l, with the verdict,
+    x* and the entropy -log x* from thermo.classify.
 
     The weights run to the first length >= 8 beyond which the series' tail
-    is below weight_cutoff, or to the longest loop; NonConvergent when the
-    tail is still above weight_cutoff past length 99999.
+    is below WEIGHT_CUTOFF, or to the longest loop; NonConvergent when the
+    tail is still above WEIGHT_CUTOFF past length 99999.
     """
     verdict = classify(system)
     if verdict.verdict == "transient":
@@ -267,19 +271,17 @@ def loop_mme(system, weight_cutoff=1e-13):
     gf = LoopGF(system)
     lim = system.max_loop_length()
     stop = 1
-    while not (stop >= 8 and gf._tail_bounds(stop, root)[1] < weight_cutoff):
+    while not (stop >= 8 and gf._tail_bounds(stop, root)[1] < WEIGHT_CUTOFF):
         if lim is not None and stop >= lim:
             break
         if stop >= 99999:
             raise NonConvergent(
                 f"the loop series past length {stop} still weighs up to "
-                f"{gf._tail_bounds(stop, root)[1]}, above weight_cutoff {weight_cutoff}"
+                f"{gf._tail_bounds(stop, root)[1]}, above WEIGHT_CUTOFF {WEIGHT_CUTOFF}"
             )
         stop += 1
     weights = _weights(*system.log_counts(1, stop), root)
-    return LoopMarkovMeasure(
-        system, weights, entropy=math.log(1.0 / root), label="loop-mme"
-    )
+    return LoopMarkovMeasure(system, weights, entropy=verdict.entropy, label="loop-mme")
 
 
 def _weights(lengths, logs, y):
@@ -297,15 +299,14 @@ def tail_parry_measure(system, lo, hi):
     return LoopMarkovMeasure(system, _weights(lengths, logs, x0), label=f"window-mme[{lo},{hi}]")
 
 
-def periodic_loop_measure(system, length, ordinal=0):
-    """The orbit measure of a single loop: entropy zero."""
-    a = system.multiplicity(length)
-    if a < 1 or ordinal >= a:
-        raise ValidationError(f"no loop ({length}, {ordinal})")
+def periodic_loop_measure(system, length):
+    """The orbit measure of the first loop of a length: entropy zero."""
+    if system.multiplicity(length) < 1:
+        raise ValidationError(f"no loop of length {length}")
     if length == 1:
         orbit = [1]
     else:
-        _, first, last = loop_record(system, length, ordinal)
+        _, first, last = loop_record(system, length, 0)
         orbit = [1] + list(range(first, last + 1))
     return _PeriodicOrbitMeasure(system, orbit)
 
@@ -362,13 +363,13 @@ class MixtureMeasure:
 # the cylinder metric
 
 
-def rho_distance(mu, nu, graph, depth=3, symbol_cap=32):
+def rho_distance(mu, nu, graph, depth=3):
     """Weighted cylinder distance: the k-th canonical cylinder (1-indexed)
     contributes 2**-k of the mass difference. The weight not covered by the
     enumeration is at most 2**-(number of cylinders)."""
     total = 0.0
     weight = 0.5
-    for cyl in canonical_cylinders(graph, depth, symbol_cap):
+    for cyl in canonical_cylinders(graph, depth):
         total += weight * abs(mu.cylinder_mass(cyl) - nu.cylinder_mass(cyl))
         weight *= 0.5
     return total

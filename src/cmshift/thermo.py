@@ -1,9 +1,9 @@
-"""Gurevich entropy, loop generating functions, recurrence classification,
-and entropy at infinity.
+"""Gurevich pressure and entropy, loop generating functions, recurrence
+classification, and entropy at infinity.
 
 For a loop system with counts a_l, the first-return generating function is
 f(x) = sum a_l x**l, with radius of convergence R = 1/growth. The entropy is
-log(1/x_c) where x_c = min(x*, R) and x* is the root of f(x) = 1 when it
+-log x_c where x_c = min(x*, R) and x* is the root of f(x) = 1 when it
 exists. The classification follows the shape of f at its radius:
 
 * f(R) < 1 (certified by partial sums plus a tail bound): transient,
@@ -12,18 +12,25 @@ exists. The classification follows the shape of f at its radius:
 * root exactly at the radius: null recurrent when the mean loop length
   diverges there, positive recurrent when it converges.
 
-Every finite first-return series (a Perron root at a one-vertex rome, x* of
-a finite loop system, the window chains of `measures`, the pressures of a
-finite loop system) is solved by `series_root`, in log x; one with an
-infinite tail is solved in x on the certified bounds of
-`LoopGF.value_bounds`. Both run `bracket_root`. Its test returns a certified
-sign and the computed value behind it; it takes secant steps through the
-last two values while they stay inside the certified bracket and shrink
-(Brent's safeguard, else the midpoint), and once the sign can no longer
-tell the value from 1 it finishes at the float root of the computed value,
-inside the certified bracket. Those bounds are a function of the system, x
-and the summed range alone, so each is computed once per system: the
-`LoopSystem` keeps the summation slices of its count table and up to
+`pressure(graph, t, q)` is the one kernel for the Gurevich pressure
+P(-t 1_F), F the symbols <= q, and the entropy is its value at t = 0:
+`gurevich_entropy`, `classify`, `perron_root`, `is_spr` and
+`measures.loop_mme` all read it. On a finite graph it is the largest log
+Perron root of the weighted blocks; on a loop system it is -log of the root
+of the loop series with each loop weighted by e^(-t * its visits to F).
+
+Every finite first-return series (a Perron root at a one-vertex rome, the
+weighted series of a finite loop system, the window chains of `measures`)
+is solved by `series_root`, in log x; one with an infinite tail by
+`LoopGF.root`, in x on the certified bounds of `LoopGF.value_bounds`, whose
+unweighted case is `x_star`. Both run `bracket_root`. Its test returns a
+certified sign and the computed value behind it; it takes secant steps
+through the last two values while they stay inside the certified bracket
+and shrink (Brent's safeguard, else the midpoint), and once the sign can no
+longer tell the value from 1 it finishes at the float root of the computed
+value, inside the certified bracket. Those bounds are a function of the
+system, x and the summed range alone, so each is computed once per system:
+the `LoopSystem` keeps the summation slices of its count table and up to
 `BOUNDS_MEMO` bounds, which every query of the same system object (x*,
 pressures, `b_inf_estimate`'s search) shares.
 
@@ -45,6 +52,7 @@ from .graphs import (
     FiniteGraph,
     GeometricTail,
     LoopSystem,
+    _log_big,
     is_strongly_connected,
     strongly_connected_components,
 )
@@ -248,10 +256,9 @@ def _perron(a, rome):
 
 
 def _max_block_root(graph, mat, shift=None):
-    """(root, log root) of the largest Perron root over the strongly
-    connected blocks of mat, a matrix indexed by the symbols of graph;
-    (0.0, -inf) when graph has no cycle. A block with a one-vertex rome
-    needs only its first-return root.
+    """The log of the largest Perron root over the strongly connected blocks
+    of mat, a matrix indexed by the symbols of graph; -inf when graph has no
+    cycle. A block with a one-vertex rome needs only its first-return root.
 
     With shift, an array over the symbols, the matrix is mat with column j
     scaled by e^shift[j]. A block whose support has a one-vertex rome adds
@@ -261,7 +268,7 @@ def _max_block_root(graph, mat, shift=None):
     and top is added back to the log root: a block whose columns all carry
     the same shift keeps every entry.
     """
-    best = (0.0, -math.inf)
+    best = -math.inf
     for comp in strongly_connected_components(graph):
         idx = np.array(comp) - 1
         block = mat[np.ix_(idx, idx)]
@@ -277,7 +284,7 @@ def _max_block_root(graph, mat, shift=None):
             y = math.log(_dense_perron(block)[0]) + top
         else:
             continue
-        best = max(best, (math.exp(y), y))
+        best = max(best, y)
     return best
 
 
@@ -290,9 +297,9 @@ def adjacency_matrix(graph):
 
 
 def perron_root(graph):
-    """Spectral radius of the adjacency (multiplicity) matrix: the largest
-    Perron root over the strongly connected components."""
-    return _max_block_root(graph, adjacency_matrix(graph))[0]
+    """Spectral radius of the adjacency (multiplicity) matrix, the largest
+    Perron root over the strongly connected components: e^pressure(graph)."""
+    return math.exp(pressure(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -582,43 +589,130 @@ class LoopGF:
         hi = (partial + tail_hi) * (1.0 + RELATIVE_SLACK) + err
         return (max(math.nextafter(lo, -math.inf), 0.0), math.nextafter(hi, math.inf))
 
-    def series_at_radius(self):
-        """Certified bounds for f(R); (inf, inf) when R is infinite."""
-        if self.radius == math.inf:
-            return (math.inf, math.inf)
-        return self.value_bounds(self.radius)
+    def root(self, head, weight, beyond):
+        """The root in (0, R] of g(x) = 1, or None when g(R) < 1, for the
+        weighted series g(x) = sum of w x**l over the (l, w) of head, plus
+        weight times the terms of f(x) with length > beyond.
 
-    def x_star(self):
-        """The root of f(x) = 1 in (0, R], or None when f(R) < 1.
-
-        A finite system's root comes from series_root; with an infinite
-        tail, from bracket_root in x on the certified bounds of f, whose
-        side_of_one estimate 1 - 1/f keeps the secant steps fast up to a
-        pole of f at R, and whose float root finish closes on the floats
-        where the midpoint of the bounds crosses 1.
+        bracket_root runs in x on certified bounds of g: the nonnegative head
+        terms are each good to a few ulps, and the rest is value_bounds.
+        Their side_of_one estimate 1 - 1/g keeps the secant steps fast up to
+        a pole of g at R, and the float root finish closes on the floats
+        where the midpoint of the bounds crosses 1. Where the bounds at R
+        cannot tell g from 1, a tail's declared `series_at_radius` settles
+        the unweighted series f (no head, weight 1).
         """
-        system = self.system
-        if not system.is_infinite:
-            return math.exp(_finite_log_root(system))
-        lo_r, hi_r = self.series_at_radius()
-        if hi_r < 1.0:
+
+        def side(x):
+            # x <= R <= 1, so no power leaves the float range
+            near = math.fsum([w * x**length for length, w in head])
+            lo, hi = self.value_bounds(x, beyond)
+            return side_of_one(
+                near * (1.0 - RELATIVE_SLACK) + weight * lo,
+                near * (1.0 + RELATIVE_SLACK) + weight * hi,
+            )
+
+        at_radius = side(self.radius)[0]
+        if at_radius < 0:
             return None
-        if lo_r <= 1.0 <= hi_r:
-            declared = getattr(system.tail, "series_at_radius", None)
-            if declared is not None:
-                if declared < 1.0:
-                    return None
-                if declared == 1.0:
-                    return self.radius
+        if at_radius == 0 and not head and weight == 1.0:
+            declared = getattr(self.system.tail, "series_at_radius", None)
+            if declared is not None and declared <= 1.0:
+                return None if declared < 1.0 else self.radius
             # fall through: the root closes next to R, where the bounds
             # cannot tell f from 1
-        lo, hi = bracket_root(lambda x: side_of_one(*self.value_bounds(x)), 0.0, self.radius)
+        lo, hi = bracket_root(side, 0.0, self.radius)
         return 0.5 * (lo + hi)
 
+    def x_star(self):
+        """The root of f(x) = 1 in (0, R], or None when f(R) < 1: the
+        unweighted root of `pressure`."""
+        return _critical(self.system)[0]
 
-def _finite_log_root(system):
-    """y = log x* of a loop system with no infinite tail, from series_root."""
-    return series_root(*system.log_counts(1, system.longest_explicit))
+
+# ---------------------------------------------------------------------------
+# pressure of -t * indicator(symbols <= q)
+
+
+def _visit_exponents(system, t, q):
+    """{l: exponents}: -t times the visits to the symbols <= q (the base and
+    the interior ids first..min(last, q)) of every loop of length l with an
+    interior symbol <= q. Every other loop visits only the base among them,
+    and the interior ids start at 2."""
+    inner = {}
+    if q < 2:
+        return inner
+    for length, first, last in system.enumeration(q).rows:
+        if first > q:
+            break
+        inside = min(last, q) - first + 1
+        inner.setdefault(length, []).append(-t * (1 + inside))
+    return inner
+
+
+def _critical(system, t=0.0, q=0):
+    """(x, P) for the loop series of a loop system with each loop weighted by
+    e^(-t * its visits to the symbols <= q): x its root (None when it stays
+    below 1 at the radius R, inf past the floats) and P = -log min(x, R),
+    the pressure.
+
+    A finite system sums each length's weights from their exponents by
+    log-sum-exp for series_root, which returns y = log x. With an infinite
+    tail the loops up to the longest one with an interior symbol <= q are
+    summed with their own weights, every longer loop from the certified
+    bounds of the loop series past it at the base weight, by LoopGF.root.
+    """
+    inner = _visit_exponents(system, t, q)
+    # the base is a symbol <= q unless F is empty
+    base = -t if q >= 1 else 0.0
+    if not system.is_infinite:
+        lengths, logs, size = [], [], 0.0
+        for length, a in system.explicit_loops:
+            exps = inner.get(length, [])
+            if a > len(exps):
+                exps = exps + [base + _log_big(a - len(exps))]
+            lengths.append(length)
+            logs.append(log_sum(exps))
+            size = max(size, max(map(abs, exps)) + len(exps))
+        # each exponent, and each log-sum-exp of them, is good to a few ulps
+        # of the magnitudes it handles
+        y = series_root(np.array(lengths), np.array(logs), 4 * _ULP * size)
+        try:
+            x = math.exp(y)
+        except OverflowError:  # heavy weights put the root past the floats
+            x = math.inf
+    else:
+        gf = LoopGF(system)
+        base_weight = math.exp(base)
+        longest = max(inner, default=0)
+        # without a loop through an interior symbol <= q the head is empty
+        head = []
+        for length, a in enumerate(system.counts(longest) if inner else ()):
+            if a:
+                ws = [math.exp(e) for e in inner.get(length, [])]
+                head.append((length, math.fsum(ws + [(a - len(ws)) * base_weight])))
+        x = gf.root(head, base_weight, longest)
+        y = math.log(gf.radius if x is None else x)
+    # -log x takes one rounding where log(1 / x) takes two; 0.0 - y is -y,
+    # but a zero pressure reads 0.0, not -0.0
+    return x, 0.0 - y
+
+
+def pressure(graph, t=0.0, q=0):
+    """Gurevich pressure of the potential -t on the symbols <= q, 0
+    elsewhere; at t = 0 or q = 0 the Gurevich entropy.
+
+    On a finite graph the log of the largest Perron root over its blocks
+    with weight e^-t on every edge entering a symbol <= q; on a loop system
+    -log of the root of its weighted loop series (`_critical`).
+    """
+    if not isinstance(graph, FiniteGraph):
+        return _critical(graph, t, q)[1]
+    shift = None
+    if t and q:
+        shift = np.zeros(graph.symbols)
+        shift[:q] = -t
+    return _max_block_root(graph, adjacency_matrix(graph), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -635,38 +729,29 @@ class EntropyReport:
 
 
 def gurevich_entropy(graph, n_max=40, trace_qs=(4, 8, 16, 32, 64)):
-    """Exponential growth rate of loop counts at a vertex.
+    """Exponential growth rate of loop counts at a vertex: the pressure at
+    t = 0, pressure(graph).
 
-    Finite graphs use the largest Perron root over their strongly
-    connected blocks (perron_root: the first-return root at a one-vertex
-    rome, else dense eig). Loop systems solve f(x_c) = 1 on the
-    first-return series (x_c capped at the radius) and corroborate with a
-    truncation trace and, when n_max allows, a direct growth fit on exact
-    loop counts. Every cycle of a truncation is a whole loop through the
-    base, so its entropy is that of the finite loop system of its whole
-    loops. A finite system's entropy is -y for the log root y from
-    series_root, without a round trip through x* = e^y.
+    Finite graphs take the largest log Perron root over their strongly
+    connected blocks (the first-return root at a one-vertex rome, else dense
+    eig). Loop systems solve f(x_c) = 1 on the first-return series (x_c
+    capped at the radius) and corroborate with a truncation trace and, when
+    n_max allows, a direct growth fit on exact loop counts. Every cycle of a
+    truncation is a whole loop through the base, so its entropy is that of
+    the finite loop system of its whole loops.
     """
     if isinstance(graph, FiniteGraph):
-        lam = perron_root(graph)
-        value = math.log(lam) if lam > 0 else float("-inf")
+        value = pressure(graph)
         return EntropyReport(value, "perron", [(graph.symbols, value)])
-    gf = LoopGF(graph)
-    if graph.is_infinite:
-        root = gf.x_star()
-        x_c = gf.radius if root is None else min(root, gf.radius)
-        value = math.log(1.0 / x_c)
-    else:
-        value = -_finite_log_root(graph)
-        root = math.exp(-value)
+    root, value = _critical(graph)
     trace = []
     for q in trace_qs:
         _, loops = graph.whole_loops(q)
-        trace.append((q, -_finite_log_root(LoopSystem(loops)) if loops else float("-inf")))
+        trace.append((q, pressure(LoopSystem(loops)) if loops else float("-inf")))
     count_rate = None
     if n_max and n_max >= 8:
         count_rate = growth_rate(loop_count(graph, 1, n_max)).rate
-    meta = {"x_star": root, "radius": gf.radius}
+    meta = {"x_star": root, "radius": LoopGF(graph).radius}
     return EntropyReport(value, "generating-function", trace, count_rate, meta)
 
 
@@ -684,49 +769,32 @@ class Classification:
 
 
 def classify(graph):
-    """Vere-Jones recurrence classification of an irreducible presentation."""
+    """Vere-Jones recurrence classification of an irreducible presentation.
+    The entropy is the pressure at t = 0."""
     if isinstance(graph, FiniteGraph):
         if not is_strongly_connected(graph):
             raise NotStronglyConnected("classification needs a strongly connected graph")
-        h = gurevich_entropy(graph).value
+        h = pressure(graph)
         return Classification(
             "positive-recurrent", h, x_star=math.exp(-h), radius=None,
             reason="finite strongly connected graph",
         )
-    gf = LoopGF(graph)
-    if not graph.is_infinite:
-        y = _finite_log_root(graph)
-        return Classification(
-            "positive-recurrent", -y, x_star=math.exp(y), radius=gf.radius,
-            reason="root strictly inside the radius, mean loop length finite",
-        )
-    root = gf.x_star()
-    if root is None:
-        return Classification(
-            "transient", math.log(1.0 / gf.radius), x_star=None, radius=gf.radius,
-            reason="first-return series stays below 1 at its radius",
-        )
-    h = math.log(1.0 / min(root, gf.radius))
-    if gf.radius == math.inf or root < gf.radius * (1 - 1e-12):
-        return Classification(
-            "positive-recurrent", h, x_star=root, radius=gf.radius,
-            reason="root strictly inside the radius, mean loop length finite",
-        )
+    radius = LoopGF(graph).radius
+    root, h = _critical(graph)
     diverges = getattr(graph.tail, "mean_diverges", None)
-    if diverges is True:
-        return Classification(
-            "null-recurrent", h, x_star=root, radius=gf.radius,
-            reason="root at the radius with divergent mean loop length",
-        )
-    if diverges is False:
-        return Classification(
-            "positive-recurrent", h, x_star=root, radius=gf.radius,
-            reason="root at the radius with convergent mean loop length",
-        )
-    return Classification(
-        "inconclusive", h, x_star=root, radius=gf.radius,
-        reason="root at the radius, mean behaviour not certified",
-    )
+    if root is None:
+        verdict, reason = "transient", "first-return series stays below 1 at its radius"
+    elif radius == math.inf or root < radius * (1 - 1e-12):
+        verdict = "positive-recurrent"
+        reason = "root strictly inside the radius, mean loop length finite"
+    elif diverges is True:
+        verdict, reason = "null-recurrent", "root at the radius with divergent mean loop length"
+    elif diverges is False:
+        verdict = "positive-recurrent"
+        reason = "root at the radius with convergent mean loop length"
+    else:
+        verdict, reason = "inconclusive", "root at the radius, mean behaviour not certified"
+    return Classification(verdict, h, x_star=root, radius=radius, reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +848,9 @@ class DeltaInfGrid:
         }
 
 
-def delta_inf(graph, Ms=(8, 16), qs=(1, 2, 4), n_max=40,
-              method="affine-fit", window=None):
-    """Escape-rate grid: fit the growth of z_n(M, q) per cell.
+def delta_inf(graph, Ms=(8, 16), qs=(1, 2, 4), n_max=40):
+    """Escape-rate grid: fit the growth of z_n(M, q) per cell, by the
+    affine fit of growth_rate over the last half of the series.
 
     The headline is the smallest fitted rate over the non-empty cells
     (larger budgets M give tighter cells); -inf when every cell is empty.
@@ -792,15 +860,20 @@ def delta_inf(graph, Ms=(8, 16), qs=(1, 2, 4), n_max=40,
         for q in qs:
             series = escape_count(graph, M=M, q=q, n_max=n_max)
             nonzero = sum(1 for c in series.counts if c)
-            est = growth_rate(series, method=method, window=window)
+            est = growth_rate(series)
             cells[(M, q)] = DeltaCell(M, q, est.rate, nonzero == 0, nonzero, est)
     live = [c.rate for c in cells.values() if not c.empty]
     headline = min(live) if live else float("-inf")
-    return DeltaInfGrid(cells, headline, n_max, method)
+    return DeltaInfGrid(cells, headline, n_max, "affine-fit")
 
 
 # ---------------------------------------------------------------------------
 # strong positive recurrence
+
+
+# the least entropy gap h - Delta_inf that is_spr calls strongly positive
+# recurrent
+SPR_THRESHOLD = 0.02
 
 
 @dataclass
@@ -812,11 +885,11 @@ class SprVerdict:
     threshold: float
 
 
-def is_spr(graph, threshold=0.02):
-    """Entropy gap at infinity: SPR when h - Delta_inf exceeds the threshold."""
-    h = gurevich_entropy(graph).value
+def is_spr(graph):
+    """Entropy gap at infinity: SPR when h - Delta_inf exceeds SPR_THRESHOLD."""
+    h = pressure(graph)
     d = big_delta_inf(graph)
     if h == float("-inf"):
         raise NotStronglyConnected("the SPR verdict needs a graph with a cycle")
     margin = h - d
-    return SprVerdict(margin > threshold, h, d, margin, threshold)
+    return SprVerdict(margin > SPR_THRESHOLD, h, d, margin, SPR_THRESHOLD)

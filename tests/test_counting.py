@@ -380,25 +380,9 @@ def test_growth_rate_affine_exact_line():
     assert est.residual < 1e-9
 
 
-def test_growth_rate_tail_max():
-    series = counting.CountSeries("test", 1, [2 ** (n - 1) for n in range(1, 25)], {})
-    est = counting.growth_rate(series, method="tail-max")
-    assert abs(est.rate - 23 / 24 * math.log(2)) < 1e-12
-
-
 def test_growth_rate_all_zero():
     series = counting.CountSeries("test", 0, [0] * 10, {})
-    for method in ("affine-fit", "tail-max"):
-        assert counting.growth_rate(series, method=method).rate == float("-inf")
-
-
-def test_growth_rate_window():
-    counts = [1] * 10 + [2 ** n for n in range(10)]
-    series = counting.CountSeries("test", 1, counts, {})
-    est = counting.growth_rate(series, window=(1, 10))
-    assert abs(est.rate) < 1e-12
-    est = counting.growth_rate(series, window=(12, 20))
-    assert abs(est.rate - math.log(2)) < 1e-9
+    assert counting.growth_rate(series).rate == float("-inf")
 
 
 def test_growth_rate_skips_zeros():

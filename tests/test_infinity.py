@@ -23,6 +23,7 @@ Oracles used here, independent of the implementation under test:
 """
 
 import math
+import random
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -287,10 +288,56 @@ def test_pressure_indicator_block_system_sweep_returns_values():
             assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+def _random_loop_systems(seed, count):
+    """Seeded loop systems, every other one with a geometric tail."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        loops = [(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))]
+        tail = None
+        if k % 2 == 0:
+            coeff = rng.choice([1, 2, 0.5, 1.7, 0.6])
+            tail = GeometricTail(rng.randint(1, 6), coeff, rng.choice([1, 2, 1.1, 1.5, 1.03]))
+        out.append(LoopSystem(loops, tail))
+    return out
+
+
+ENTROPY_SYSTEMS = [
+    renewal_shift(),
+    golden_mean(),
+    LoopSystem([(1, 1), (3, 2)], GeometricTail(4, 1.7, 1.1)),
+    LoopSystem([(1, 1), (2, 1), (3, 1)]),
+] + _random_loop_systems(20, 16)
+
+
 def test_pressure_at_zero_is_entropy():
-    for g in (renewal_shift(), golden_mean()):
+    # the entropy of every reader is P(0), bit for bit: at q = 0 for any t,
+    # and at t = 0
+    for g in ENTROPY_SYSTEMS:
         want = thermo.gurevich_entropy(g).value
-        assert abs(infinity.pressure_indicator(g, 0.0, q=1) - want) < 1e-9
+        assert thermo.classify(g).entropy == want, g
+        if isinstance(g, LoopSystem):
+            assert measures.loop_mme(g).entropy == want, g
+        for t in (0.0, 0.05, 3.0, 800.0):
+            assert infinity.pressure_indicator(g, t, 0) == want, (g, t)
+        assert infinity.pressure_indicator(g, 0.0, 1) == want, g
+
+
+@pytest.mark.parametrize(
+    "g", [LoopSystem([(3, 1)]), LoopSystem([(1, 1)]), full_shift(1)],
+    ids=["one-3-loop", "one-self-loop", "full-1-shift"],
+)
+def test_zero_entropy_reads_positive_zero(g):
+    # -y of a log root y = 0.0 would be -0.0, which JSON prints as -0.0
+    for h in (
+        thermo.gurevich_entropy(g).value,
+        thermo.classify(g).entropy,
+        infinity.pressure_indicator(g, 0.0, 0),
+        *[v for _, v in thermo.gurevich_entropy(g).truncations],
+    ):
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
+    if isinstance(g, LoopSystem):
+        assert math.copysign(1.0, measures.loop_mme(g).entropy) == 1.0
 
 
 @pytest.mark.parametrize("t", [0.5, 2.0, 8.0, 30.0])

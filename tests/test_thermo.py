@@ -302,12 +302,13 @@ def test_classify(graph, verdict):
     "loops", [[(1, 1), (2, 1), (3, 1)], [(2, 1), (3, 1)]]
 )
 def test_classify_reads_a_finite_system_entropy_from_its_log_root(loops):
-    # log(1 / e^y) and -y can differ in the last digit; both readings are -y
+    # log(1 / e^y) and -y can differ in the last digit; every reading is
+    # the pressure at t = 0, -y
     system = LoopSystem(loops)
     c = thermo.classify(system)
     assert c.verdict == "positive-recurrent"
     assert c.entropy == thermo.gurevich_entropy(system).value
-    assert c.entropy == -thermo._finite_log_root(system)
+    assert c.entropy == thermo.pressure(system)
 
 
 def test_classify_detail_renewal():
