@@ -387,7 +387,14 @@ def _run_entry(index, entry, base_dir, out_root, defaults=None):
         raise ValidationError(
             f"manifest entry {index}: {exc.message}", field=f"commands[{index}].args"
         ) from exc
-    result, tables = _COMMANDS[command](args)
+    try:
+        result, tables = _COMMANDS[command](args)
+    except CmshiftError as exc:
+        inner = "" if exc.field is None else f" [{exc.field}]"
+        raise type(exc)(
+            f"manifest entry {index} ({command}){inner}: {exc.message}",
+            field=f"commands[{index}]",
+        ) from exc
     report = {
         "schema": SCHEMA_ID,
         "command": command,

@@ -180,7 +180,13 @@ class FormulaTail:
 
 
 class FiniteGraph:
-    """Directed graph on symbols 1..symbols, with edge multiplicities."""
+    """Directed graph on symbols 1..symbols, with edge multiplicities.
+
+    The graph has no mutator, so `perron_plan` holds the Perron plan of
+    `thermo` (its strongly connected blocks, their one-vertex romes and
+    first-return series) once a Perron query has built it, and every later
+    query of the same graph object reads it.
+    """
 
     def __init__(self, symbols, edges):
         if not isinstance(symbols, int) or symbols < 1:
@@ -208,6 +214,7 @@ class FiniteGraph:
             self._out[i].append(j)
         for v in self._out:
             self._out[v].sort()
+        self.perron_plan = None
 
     def is_edge(self, i, j):
         return (i, j) in self._mult
@@ -577,34 +584,6 @@ def walk_view(graph, n_edges, ids):
 
 # ---------------------------------------------------------------------------
 # words and cylinders
-
-
-def enumerate_words(graph, n, start=None, end=None, cap=1_000_000):
-    """All admissible words with n symbols, lexicographic order.
-
-    Requires a simple FiniteGraph: on a multigraph, words and walks are not
-    in bijection.
-    """
-    if not isinstance(graph, FiniteGraph):
-        raise ValidationError("enumerate_words needs a finite graph; truncate first")
-    if not graph.is_simple:
-        raise ValidationError("enumerate_words needs a simple graph (no parallel edges)")
-    if n < 1:
-        raise ValidationError("word length must be >= 1")
-    starts = [start] if start is not None else list(range(1, graph.symbols + 1))
-    out = []
-    stack = [(v,) for v in reversed(starts) if 1 <= v <= graph.symbols]
-    while stack:
-        w = stack.pop()
-        if len(w) == n:
-            if end is None or w[-1] == end:
-                out.append(w)
-                if len(out) > cap:
-                    raise CapacityError(f"more than {cap} words of length {n}")
-            continue
-        for v in reversed(graph.out_neighbors(w[-1])):
-            stack.append(w + (v,))
-    return out
 
 
 def canonical_cylinders(graph, depth, symbol_cap=32):

@@ -34,7 +34,15 @@ from .graphs import (
     is_strongly_connected,
     loop_record,
 )
-from .thermo import LoopGF, _perron, _rome, adjacency_matrix, classify, series_root
+from .thermo import (
+    LoopGF,
+    _first_returns,
+    _perron,
+    _rome,
+    classify,
+    perron,
+    series_root,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +101,9 @@ class MarkovMeasure:
 
 
 def _perron_data(a):
-    """perron(a) for a nonnegative matrix, or NotStronglyConnected.
+    """Perron data (lam, left, right) of a nonnegative matrix, or
+    NotStronglyConnected: the transition matrices of markov_measure, which
+    have no graph to keep a plan.
 
     Positive Perron vectors from the rome route certify strong connectivity;
     dense eig can return positive vectors on a reducible matrix, so that
@@ -103,7 +113,7 @@ def _perron_data(a):
     rome = _rome(a)
     if rome is not None or _support_connected(a):
         try:
-            return _perron(a, rome)
+            return _perron(a, rome, None if rome is None else _first_returns(rome))
         except NonConvergent:
             # the dense route has already passed Tarjan's algorithm
             if rome is None or _support_connected(a):
@@ -138,11 +148,11 @@ def markov_measure(graph, transitions):
 
 
 def parry_measure(graph):
-    """The maximal-entropy Markov chain of a strongly connected graph."""
+    """The maximal-entropy Markov chain of a strongly connected graph, from
+    the Perron data of its plan; NotStronglyConnected on any other graph."""
     if not isinstance(graph, FiniteGraph):
         raise ValidationError("parry_measure needs a finite graph")
-    a = adjacency_matrix(graph)
-    _, u, v = _perron_data(a)
+    a, _, u, v = perron(graph)
     # P(i, j) = a_ij v_j / (Av)_i: rows sum to 1 whatever the bracket width
     P = a * v[None, :]
     P /= P.sum(axis=1)[:, None]
@@ -202,6 +212,7 @@ class LoopMarkovMeasure:
             )
         self.entropy = float(entropy)
         self.mass = 1.0
+        self._symbol_masses = {}
 
     def _per_loop(self, length):
         """Choice probability of one individual loop of this length."""
@@ -240,13 +251,23 @@ class LoopMarkovMeasure:
 
     def symbol_masses(self, q):
         """[1] has mass 1/E; every interior id of a loop of length l has the
-        mass of that loop, _per_loop(l) / E; ids past the loops have none."""
-        out = np.zeros(q)
-        out[:1] = 1.0 / self.expected_length
-        for length, first, last in self.system.enumeration(q).rows:
-            if first > q:
-                break
-            out[first - 1 : last] = self._per_loop(length) / self.expected_length
+        mass of that loop, _per_loop(l) / E; ids past the loops have none.
+        The rows of one length are adjacent, so each length takes one
+        _per_loop. Built once per q and kept, read-only: the measure shared
+        by every mixture of a schedule is summed once."""
+        out = self._symbol_masses.get(q)
+        if out is None:
+            out = np.zeros(q)
+            out[:1] = 1.0 / self.expected_length
+            prev = None
+            for length, first, last in self.system.enumeration(q).rows:
+                if first > q:
+                    break
+                if length != prev:
+                    mass, prev = self._per_loop(length) / self.expected_length, length
+                out[first - 1 : last] = mass
+            out.flags.writeable = False
+            self._symbol_masses[q] = out
         return out
 
 

@@ -16,8 +16,10 @@ exists. The classification follows the shape of f at its radius:
 P(-t 1_F), F the symbols <= q, and the entropy is its value at t = 0:
 `gurevich_entropy`, `classify`, `perron_root`, `is_spr` and
 `measures.loop_mme` all read it. On a finite graph it is the largest log
-Perron root of the weighted blocks; on a loop system it is -log of the root
-of the loop series with each loop weighted by e^(-t * its visits to F).
+Perron root of the weighted blocks of the graph's Perron plan, which
+`perron` (the Perron vectors behind `measures.parry_measure`) reads too; on
+a loop system it is -log of the root of the loop series with each loop
+weighted by e^(-t * its visits to F).
 
 Every finite first-return series (a Perron root at a one-vertex rome, the
 weighted series of a finite loop system, the window chains of `measures`)
@@ -42,6 +44,7 @@ smallest fitted rate as the headline estimate.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +56,6 @@ from .graphs import (
     GeometricTail,
     LoopSystem,
     _log_big,
-    is_strongly_connected,
     strongly_connected_components,
 )
 
@@ -67,6 +69,12 @@ from .graphs import (
 # base). There the Perron root solves the first-return series at r,
 # sum_L c_L x**L = 1, with lam = 1/x, and the Perron vectors follow from one
 # pass each over the acyclic rest: no eigensolver is needed.
+#
+# A finite block with a rome is a finite loop system at that rome, so a
+# graph keeps its blocks, their romes and (from the first unshifted query
+# on) their first-return series in one Perron plan (`_plan`), as a
+# LoopSystem keeps its count table; a query then runs only what depends on
+# its potential.
 
 # widest accepted Collatz-Wielandt bracket, relative to the Perron root
 PERRON_BRACKET = 1e-9
@@ -224,26 +232,98 @@ def _dense_perron(a):
     )
 
 
-def perron(a):
-    """Perron root and positive left and right eigenvectors of an
-    irreducible nonnegative matrix: (lam, left, right).
+@dataclass(frozen=True)
+class Block:
+    """A strongly connected block of a finite graph, as its queries read it:
+    `idx` its symbols - 1, ascending; `rome` a one-vertex rome of its
+    support (`_rome`), or None; and `matrix` its adjacency matrix where
+    there is no rome (the dense route's input; the graph's own matrix when
+    the block is the whole graph), else None. Its arrays are read-only."""
 
-    Through a one-vertex rome of the support when there is one, else by
-    dense eig. Either way the vectors must pass the Collatz-Wielandt check
-    to PERRON_BRACKET * lam; NonConvergent on a zero vector entry (a
-    reducible matrix) or a bracket still too wide.
+    idx: np.ndarray
+    rome: tuple
+    matrix: np.ndarray
+
+    @cached_property
+    def returns(self):
+        """The unweighted first-return series at the rome
+        (`_first_returns`), read-only: built on the block's first unshifted
+        query and kept, so a graph queried only at shifted potentials never
+        builds it."""
+        returns = _first_returns(self.rome)
+        for array in returns[:2]:
+            array.flags.writeable = False
+        return returns
+
+
+def _block(idx, matrix, rome):
+    """The Block of the symbols idx + 1, given their adjacency matrix and
+    rome = _rome(matrix)."""
+    idx.flags.writeable = False
+    if rome is not None:
+        return Block(idx, rome, None)
+    matrix.flags.writeable = False
+    return Block(idx, None, matrix)
+
+
+def _plan(graph):
+    """The Perron plan of a finite graph: a tuple of the Blocks of its
+    strongly connected components, in the order of
+    strongly_connected_components; one block, whose matrix is the graph's
+    own, when the graph is strongly connected.
+
+    It depends on the graph alone, so the graph keeps it in `perron_plan`:
+    built on the first Perron query and attached with one assignment, then
+    read by every later pressure, Perron root, classification and Parry
+    chain of the same graph object.
     """
-    return _perron(a, _rome(a))
+    plan = graph.perron_plan
+    if plan is None:
+        a = adjacency_matrix(graph)
+        comps = strongly_connected_components(graph)
+        if len(comps) == 1:
+            plan = (_block(np.arange(graph.symbols), a, _rome(a)),)
+        else:
+            plan = []
+            for comp in comps:
+                idx = np.array(sorted(comp)) - 1
+                block = a[np.ix_(idx, idx)]
+                plan.append(_block(idx, block, _rome(block)))
+            plan = tuple(plan)
+        graph.perron_plan = plan
+    return plan
 
 
-def _perron(a, rome):
-    """perron(a) given rome = _rome(a). On the rome route positive vectors
-    also certify that the support is strongly connected: the right vector is
-    positive exactly at the vertices that reach the rome, the left one at
-    those it reaches."""
+def perron(graph):
+    """The adjacency matrix of a strongly connected finite graph with its
+    Perron root and positive left and right eigenvectors: (a, lam, left,
+    right), from the graph's plan.
+
+    Through the first-return series at a one-vertex rome when there is one,
+    else by dense eig. Either way the vectors must pass the Collatz-Wielandt
+    check to PERRON_BRACKET * lam; NotStronglyConnected on any other graph,
+    NonConvergent on a bracket still too wide.
+    """
+    plan = _plan(graph)
+    if len(plan) != 1:
+        raise NotStronglyConnected("Perron vectors need a strongly connected support")
+    block = plan[0]
+    if block.rome is None:
+        return (block.matrix, *_dense_perron(block.matrix))
+    a = adjacency_matrix(graph)
+    return (a, *_perron(a, block.rome, block.returns))
+
+
+def _perron(a, rome, returns):
+    """Perron data of an irreducible nonnegative matrix a, given rome =
+    _rome(a) and returns = _first_returns(rome) (None without a rome). On the
+    rome route positive vectors also certify that the support is strongly
+    connected: the right vector is positive exactly at the vertices that
+    reach the rome, the left one at those it reaches; NonConvergent on a
+    zero vector entry."""
     if rome is None:
         return _dense_perron(a)
-    y = series_root(*_first_returns(rome))
+    y = series_root(*returns)
     lam = math.exp(-y)
     left, right = _rome_vectors(*rome, math.exp(y))
     width = _collatz_width(a, lam, left, right)
@@ -255,33 +335,40 @@ def _perron(a, rome):
     return lam, left, right
 
 
-def _max_block_root(graph, mat, shift=None):
-    """The log of the largest Perron root over the strongly connected blocks
-    of mat, a matrix indexed by the symbols of graph; -inf when graph has no
-    cycle. A block with a one-vertex rome needs only its first-return root.
+def _max_block_root(plan, shift=None):
+    """The log of the largest Perron root over the blocks of a plan; -inf
+    when the graph has no cycle. A block with a one-vertex rome needs only
+    its first-return root.
 
-    With shift, an array over the symbols, the matrix is mat with column j
-    scaled by e^shift[j]. A block whose support has a one-vertex rome adds
-    shift[j] to the log weight of each edge into j, so its log root stays
-    finite where the scaled entries underflow. Any other block is scaled as
-    a matrix by e^(shift[j] - top), top the largest shift of its columns,
-    and top is added back to the log root: a block whose columns all carry
-    the same shift keeps every entry.
+    With shift, an array over the symbols, each block's matrix has column j
+    scaled by e^shift[j]. A block with a one-vertex rome adds shift[j] to
+    the log weight of each edge into j, so its log root stays finite where
+    the scaled entries underflow. Any other block is scaled as a matrix by
+    e^(shift[j] - top), top the largest shift of its columns, and top is
+    added back to the log root: a block whose columns all carry the same
+    shift keeps every entry. Its vertices are ordered by falling shift
+    first, heaviest columns leading, where eig leaves fewer Collatz-Wielandt
+    brackets too wide at moderate t than in symbol order.
     """
     best = -math.inf
-    for comp in strongly_connected_components(graph):
-        idx = np.array(comp) - 1
-        block = mat[np.ix_(idx, idx)]
-        logs = None if shift is None else shift[idx].tolist()
-        rome, top = _rome(block), 0.0
-        if rome is None and logs is not None:
+    for block in plan:
+        a, returns, top = block.matrix, None, 0.0
+        if block.rome is not None:
+            if shift is None:
+                returns = block.returns
+            else:
+                returns = _first_returns(block.rome, shift[block.idx].tolist())
+        elif shift is not None:
+            logs = shift[block.idx].tolist()
             top = max(logs)
-            block = block * [math.exp(v - top) for v in logs]
-            rome, logs = _rome(block), None
-        if rome:
-            y = top - series_root(*_first_returns(rome, logs))
-        elif block.any():
-            y = math.log(_dense_perron(block)[0]) + top
+            order = np.argsort([-v for v in logs], kind="stable")
+            a = a[np.ix_(order, order)] * [math.exp(logs[k] - top) for k in order]
+            rome = _rome(a)
+            returns = None if rome is None else _first_returns(rome)
+        if returns is not None:
+            y = top - series_root(*returns)
+        elif a.any():
+            y = math.log(_dense_perron(a)[0]) + top
         else:
             continue
         best = max(best, y)
@@ -712,7 +799,7 @@ def pressure(graph, t=0.0, q=0):
     if t and q:
         shift = np.zeros(graph.symbols)
         shift[:q] = -t
-    return _max_block_root(graph, adjacency_matrix(graph), shift)
+    return _max_block_root(_plan(graph), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +859,7 @@ def classify(graph):
     """Vere-Jones recurrence classification of an irreducible presentation.
     The entropy is the pressure at t = 0."""
     if isinstance(graph, FiniteGraph):
-        if not is_strongly_connected(graph):
+        if len(_plan(graph)) != 1:
             raise NotStronglyConnected("classification needs a strongly connected graph")
         h = pressure(graph)
         return Classification(

@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 
+from cmshift.errors import CapacityError, ValidationError
 from cmshift.graphs import FiniteGraph, is_strongly_connected
 from cmshift.measures import LimitReport
 
@@ -43,6 +44,35 @@ def random_two_out_graph(rng, symbols):
         edges.add((v, nxt))
         edges.add((v, rng.choice([u for u in order if u != nxt])))
     return FiniteGraph(symbols, sorted(edges))
+
+
+def enumerate_words(graph, n, start=None, end=None, cap=1_000_000):
+    """All admissible words with n symbols, lexicographic order: the
+    brute-force word oracle.
+
+    Requires a simple FiniteGraph: on a multigraph, words and walks are not
+    in bijection.
+    """
+    if not isinstance(graph, FiniteGraph):
+        raise ValidationError("enumerate_words needs a finite graph; truncate first")
+    if not graph.is_simple:
+        raise ValidationError("enumerate_words needs a simple graph (no parallel edges)")
+    if n < 1:
+        raise ValidationError("word length must be >= 1")
+    starts = [start] if start is not None else list(range(1, graph.symbols + 1))
+    out = []
+    stack = [(v,) for v in reversed(starts) if 1 <= v <= graph.symbols]
+    while stack:
+        w = stack.pop()
+        if len(w) == n:
+            if end is None or w[-1] == end:
+                out.append(w)
+                if len(out) > cap:
+                    raise CapacityError(f"more than {cap} words of length {n}")
+            continue
+        for v in reversed(graph.out_neighbors(w[-1])):
+            stack.append(w + (v,))
+    return out
 
 
 def walks(graph, length, start=None):

@@ -471,7 +471,27 @@ def test_run_manifest_failing_entry_exits_2(tmp_path, capsys):
         errors.append(doc["error"])
     assert errors[0] == errors[1]
     assert errors[0]["code"] == "validation"
-    assert errors[0]["field"] == "graph"
+    assert errors[0]["field"] == "commands[1]"
+    assert errors[0]["message"].startswith("manifest entry 1 (katok) [graph]: ")
+
+
+def test_run_manifest_entry_error_names_its_entry(tmp_path, capsys):
+    # a value that parses but fails inside the command names the entry too
+    write_graph(tmp_path, "renewal.json", families.renewal_shift())
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "commands": [
+            {"command": "classify", "args": {"graph": "renewal.json"}},
+            {"command": "b-inf", "args": {"graph": "renewal.json", "delta": -1}},
+        ],
+    }))
+    code, doc = run_cli(capsys, ["run", str(manifest), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert doc["error"] == {
+        "code": "validation",
+        "message": "manifest entry 1 (b-inf): lam must be > 0",
+        "field": "commands[1]",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from cmshift import graphs
 from cmshift.errors import CapacityError, SchemaError, ValidationError
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
 
+from properties import enumerate_words
+
 
 def test_finite_graph_basics():
     g = golden_mean()
@@ -179,9 +181,9 @@ def test_truncation_finite_graph():
 
 def test_enumerate_words_golden_mean():
     g = golden_mean()
-    words = graphs.enumerate_words(g, 3, start=1, end=1)
+    words = enumerate_words(g, 3, start=1, end=1)
     assert sorted(words) == [(1, 1, 1), (1, 2, 1)]
-    words = graphs.enumerate_words(g, 4)
+    words = enumerate_words(g, 4)
     # all admissible 4-words avoid the factor 22
     assert all("22" not in "".join(map(str, w)) for w in words)
     assert len(words) == 8  # F(6) = 8 words of length 4
@@ -190,13 +192,13 @@ def test_enumerate_words_golden_mean():
 def test_enumerate_words_capacity():
     g = full_shift(2)
     with pytest.raises(CapacityError):
-        graphs.enumerate_words(g, 12, cap=100)
+        enumerate_words(g, 12, cap=100)
 
 
 def test_enumerate_words_rejects_parallel_edges():
     t = power_loops().truncate(3)
     with pytest.raises(ValidationError):
-        graphs.enumerate_words(t.as_graph(), 2)
+        enumerate_words(t.as_graph(), 2)
 
 
 def test_load_graph_finite():

@@ -365,6 +365,31 @@ def test_symbol_masses_of_loop_chains_with_skipped_lengths():
     _assert_symbol_masses(drift_schedule(renewal_shift())[2], 40)
 
 
+def test_symbol_masses_take_one_loop_mass_per_length_and_are_kept(monkeypatch):
+    # runs of several loops of one length, cut by q anywhere inside a run
+    systems = [power_loops(), LoopSystem([(1, 2), (2, 3), (4, 5)], GeometricTail(6, 2, 1.5))]
+    for system in systems:
+        mu = measures.loop_mme(system)
+        for q in range(1, 71):
+            _assert_symbol_masses(mu, q)
+            assert mu.symbol_masses(q) is mu.symbol_masses(q)
+            assert not mu.symbol_masses(q).flags.writeable
+    # a mixture schedule sums its shared maximal measure once
+    calls = []
+    per_loop = measures.LoopMarkovMeasure._per_loop
+    monkeypatch.setattr(
+        measures.LoopMarkovMeasure, "_per_loop",
+        lambda self, length: calls.append((id(self), length)) or per_loop(self, length),
+    )
+    system = power_loops()
+    mme = measures.loop_mme(system)
+    schedule = [measures.MixtureMeasure([(0.5, mme), (0.5, d)]) for d in drift_schedule(system)]
+    measures.cylinder_limit(schedule, system, q_max=64, candidate=mme)
+    mme_lengths = [length for key, length in calls if key == id(mme)]
+    assert mme_lengths == sorted(set(mme_lengths))
+    assert len(calls) == len(set(calls))
+
+
 def test_loop_chain_log_counts_come_from_the_count_table():
     # a_l = 2**l exactly on the powers system
     weights = {3: 0.25, 8: 0.5, 40: 0.25}

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from cmshift import counting, density, infinity, katok, measures, thermo
+from cmshift.errors import CmshiftError
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
-from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem, enumerate_words
+from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem
 
 from properties import (
     brute_escape_count,
@@ -22,6 +23,7 @@ from properties import (
     brute_loop_count,
     brute_markov_masses,
     brute_min_cover,
+    enumerate_words,
     marked_preserving_permutation,
     per_id_cylinder_limit,
     scalar_aitken_limit,
@@ -187,6 +189,104 @@ def test_perron_root_matches_eigvals():
     for s in systems:
         rate = math.fsum(math.log(c) for c in s.block_counts) / (s.M * s.n)
         assert abs(math.log(thermo.perron_root(s.graph)) - rate) < 1e-12
+
+
+def _plan_test_graph(rng, kind):
+    """A random multigraph: "rome", every cycle through symbol 1 (loops at 1
+    plus forward chords); "dense", a cycle through every symbol plus random
+    edges; "reducible", two random parts joined one way."""
+    s = rng.randint(2, 7)
+    edges = {}
+    if kind == "rome":
+        rest = list(range(2, s + 1))
+        rng.shuffle(rest)
+        cuts = sorted(rng.sample(range(1, s - 1), rng.randint(0, s - 2))) if s > 2 else []
+        parts = [rest[i:j] for i, j in zip([0] + cuts, cuts + [len(rest)])]
+        parts += [rng.sample(rest, rng.randint(0, len(rest))) for _ in range(rng.randint(0, 2))]
+        for part in parts:
+            cycle = [1] + sorted(part) + [1]
+            for e in zip(cycle, cycle[1:]):
+                edges[e] = rng.choice((1, 1, 2))
+        for i in range(2, s):
+            if rng.random() < 0.5:
+                edges.setdefault((i, rng.randint(i + 1, s)), 1)
+    elif kind == "dense":
+        edges = {(i, j): rng.choice((1, 1, 2)) for i in range(1, s + 1) for j in range(1, s + 1)
+                 if rng.random() < 0.5}
+        edges.update({(i, i % s + 1): 1 for i in range(1, s + 1)})
+    else:
+        cut = rng.randint(1, s - 1)
+        for lo, hi in ((1, cut), (cut + 1, s)):
+            for i in range(lo, hi + 1):
+                edges[(i, rng.randint(lo, hi))] = 1
+                edges[(i, rng.randint(lo, hi))] = rng.choice((1, 2))
+        edges[(rng.randint(1, cut), rng.randint(cut + 1, s))] = 1
+    return FiniteGraph(s, edges or {(1, 1): 1})
+
+
+def _outcome(call):
+    """A query's result in a form that compares bit for bit, or its error."""
+    try:
+        value = call()
+    except CmshiftError as exc:
+        return type(exc).__name__, exc.message
+    if isinstance(value, measures.MarkovMeasure):
+        return value.pi.tobytes(), value.P.tobytes(), value.entropy
+    return value
+
+
+def test_perron_plan_answers_a_reused_graph_as_a_fresh_one():
+    # every finite Perron query reads the plan its graph keeps; shuffled
+    # queries on one graph object must equal the same queries on a fresh copy
+    rng = random.Random(2121)
+    kinds = {"rome": 0, "dense": 0, "reducible": 0}
+    for k in range(120):
+        g = _plan_test_graph(rng, ("rome", "dense", "reducible")[k % 3])
+        queries = [("pressure", t, q) for t in (0.0, 0.4, 3.0, 25.0) for q in (0, 1, 2, g.symbols)]
+        queries += [("perron_root",), ("classify",), ("parry",)]
+        rng.shuffle(queries)
+
+        def run(graph, query):
+            name, *args = query
+            if name == "pressure":
+                return _outcome(lambda: infinity.pressure_indicator(graph, *args))
+            if name == "perron_root":
+                return _outcome(lambda: thermo.perron_root(graph))
+            if name == "classify":
+                return _outcome(lambda: thermo.classify(graph))
+            return _outcome(lambda: measures.parry_measure(graph))
+
+        for query in queries:
+            fresh = FiniteGraph(g.symbols, g.edge_multiplicities())
+            assert run(g, query) == run(fresh, query), (g.edge_multiplicities(), query)
+        plan = g.perron_plan
+        assert plan is thermo._plan(g)
+        kind = "reducible" if len(plan) > 1 else "dense" if plan[0].rome is None else "rome"
+        kinds[kind] += 1
+        if kind == "reducible":
+            for query in (("classify",), ("parry",)):
+                assert run(g, query)[0] == "NotStronglyConnected"
+        for block in plan:
+            arrays = [block.idx] + ([block.matrix] if block.rome is None else list(block.returns[:2]))
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_perron_plan_builds_a_series_only_for_an_unshifted_query():
+    # a graph asked only for shifted pressures never sums the unweighted
+    # first-return series of its rome blocks; the first unshifted query
+    # builds and keeps it
+    rng = random.Random(2122)
+    for _ in range(30):
+        g = _plan_test_graph(rng, rng.choice(("rome", "reducible")))
+        infinity.pressure_indicator(g, 0.7, 1)
+        romes = [block for block in g.perron_plan if block.rome is not None]
+        assert all("returns" not in vars(block) for block in romes)
+        thermo.perron_root(g)
+        assert all("returns" in vars(block) for block in romes)
 
 
 # ---------------------------------------------------------------------------

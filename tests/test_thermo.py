@@ -377,16 +377,19 @@ def test_is_spr_rejects_graph_without_cycle():
 
 
 def test_perron_golden_mean_vectors():
-    lam, left, right = thermo.perron(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    _, lam, left, right = thermo.perron(golden_mean())
     assert abs(lam - PHI) < 1e-14
     assert abs(right[0] / right[1] - PHI) < 1e-14
     assert abs(left[0] / left[1] - PHI) < 1e-14
 
 
 def test_perron_rejects_reducible_matrix():
-    # the Perron vector of a Jordan block has a zero entry
+    # the plan of a Jordan block's graph has two blocks; on the matrix
+    # kernel behind markov_measure the Perron vector has a zero entry
+    with pytest.raises(NotStronglyConnected):
+        thermo.perron(FiniteGraph(2, [(1, 1), (1, 2), (2, 2)]))
     with pytest.raises(NonConvergent):
-        thermo.perron(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        thermo._perron(np.array([[1.0, 1.0], [0.0, 1.0]]), None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +397,10 @@ def test_perron_rejects_reducible_matrix():
 # the fallback of the same kernel) is the oracle
 
 
-def _assert_rome_matches_dense(a):
+def _assert_rome_matches_dense(graph):
+    a = thermo.adjacency_matrix(graph)
     assert thermo._rome(a) is not None
-    lam, left, right = thermo.perron(a)
+    _, lam, left, right = thermo.perron(graph)
     want, want_left, want_right = thermo._dense_perron(a)
     assert abs(lam - want) < 1e-12
     assert np.abs(left / left.sum() - want_left / want_left.sum()).max() < 1e-12
@@ -415,7 +419,7 @@ def test_perron_rome_route_matches_dense_on_block_systems(supports):
     for n in (2, 3, 5, 8, 13, 21, 32):
         for M in (1, 2, 3, 4, 5):
             system = density.concatenated_system(ambient, sets[supports], n=n, M=M)
-            _assert_rome_matches_dense(thermo.adjacency_matrix(system.graph))
+            _assert_rome_matches_dense(system.graph)
 
 
 @pytest.mark.parametrize(
@@ -427,25 +431,30 @@ def test_perron_rome_route_matches_dense_on_whole_loop_truncations(system):
     # every cycle of a whole-loop truncation passes through the base
     for q in (4, 8, 16, 32):
         boundary, _ = system.whole_loops(q)
-        graph = system.truncate(boundary).as_graph()
-        _assert_rome_matches_dense(thermo.adjacency_matrix(graph))
+        _assert_rome_matches_dense(system.truncate(boundary).as_graph())
 
 
 def test_perron_rome_route_on_golden_mean():
-    _assert_rome_matches_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    _assert_rome_matches_dense(golden_mean())
 
 
 def test_perron_rome_route_rejects_reducible_matrix():
     # vertex 1 is a rome (removing it leaves no edge), but no path from
-    # vertex 1 reaches vertex 3: the left vector has a zero entry
-    a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    assert thermo._rome(a) is not None
+    # vertex 1 reaches vertex 3: the plan splits the graph into blocks, and
+    # on the matrix kernel the left vector has a zero entry
+    g = FiniteGraph(3, [(1, 2), (2, 1), (3, 1)])
+    a = thermo.adjacency_matrix(g)
+    rome = thermo._rome(a)
+    assert rome is not None
+    with pytest.raises(NotStronglyConnected):
+        thermo.perron(g)
+    assert len(thermo._plan(g)) == 2
     with pytest.raises(NonConvergent):
-        thermo.perron(a)
+        thermo._perron(a, rome, thermo._first_returns(rome))
 
 
 def test_perron_without_a_rome_falls_back_to_eig():
     # every row has two nonzero entries: no one-vertex rome
-    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
-    assert thermo._rome(a) is None
-    assert abs(thermo.perron(a)[0] - 2.0) < 1e-12
+    g = FiniteGraph(3, [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (3, 3)])
+    assert thermo._plan(g)[0].rome is None
+    assert abs(thermo.perron(g)[1] - 2.0) < 1e-12
