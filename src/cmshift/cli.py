@@ -17,7 +17,7 @@ import sys
 import tempfile
 
 from . import counting, density, infinity, katok, measures, thermo
-from .errors import CmshiftError, ValidationError
+from .errors import CmshiftError, SchemaError, ValidationError
 from .graphs import FiniteGraph, load_graph_file
 
 SCHEMA_ID = "cmshift/output/v1"
@@ -274,8 +274,9 @@ class _EntryParser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser(parser_class=argparse.ArgumentParser):
-    """The argument tree, built on first use and shared by every later call
-    and thread: parsing writes only into a fresh Namespace."""
+    """The argument tree of a parser class, built on first use and shared by
+    every later call (a manifest parses all its entries with one): parsing
+    writes only into a fresh Namespace."""
     parser = parser_class(
         prog="cmshift",
         description="Entropy, escape of mass, and verification for countable Markov shifts.",
@@ -361,15 +362,30 @@ def _build_parser(parser_class=argparse.ArgumentParser):
 # the manifest runner
 
 
-def _run_entry(index, entry, base_dir, out_root, defaults=None):
+def _object(doc, key, field):
+    """doc[key] when it is a JSON object, {} when it is missing or null;
+    SchemaError naming `field` otherwise."""
+    value = doc.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise SchemaError(f"field {field!r} must be an object", field=field)
+    return value
+
+
+def _run_entry(index, entry, base_dir, out_root, defaults):
+    if not isinstance(entry, dict):
+        raise SchemaError(
+            f"manifest entry {index} must be an object", field=f"commands[{index}]"
+        )
     command = entry.get("command")
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise ValidationError(
             f"manifest entry {index}: unknown command {command!r}",
             field=f"commands[{index}].command",
         )
-    merged = dict(defaults or {})
-    merged.update(entry.get("args") or {})
+    merged = dict(defaults)
+    merged.update(_object(entry, "args", f"commands[{index}].args"))
     argv = [command]
     for key, value in merged.items():
         flag = "--" + str(key)
@@ -412,13 +428,20 @@ def _cmd_run(args):
     if jobs < 1:
         raise ValidationError("--jobs must be >= 1", field="jobs")
     with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON: {exc}", field="") from exc
+    if not isinstance(manifest, dict):
+        raise SchemaError("manifest must be an object", field="")
     commands = manifest.get("commands")
     if not isinstance(commands, list) or not commands:
         raise ValidationError("manifest needs a non-empty commands list", field="commands")
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
     out_root = args.out or manifest.get("out") or "cmshift-run"
-    defaults = dict(manifest.get("overrides") or {})
+    if not isinstance(out_root, str):
+        raise SchemaError("field 'out' must be a string", field="out")
+    defaults = _object(manifest, "overrides", "overrides")
     entries = [
         _run_entry(i, entry, base_dir, out_root, defaults) for i, entry in enumerate(commands)
     ]
@@ -463,7 +486,9 @@ def main(argv=None):
         _emit(report, {}, getattr(args, "out", None))
         return 2
     except FileNotFoundError as exc:
-        report["error"] = {"code": "not-found", "message": str(exc), "field": "graph"}
+        # `run` opens its manifest itself; every other file read is a graph
+        missing = "manifest" if exc.filename == getattr(args, "manifest", None) else "graph"
+        report["error"] = {"code": "not-found", "message": str(exc), "field": missing}
         _emit(report, {}, getattr(args, "out", None))
         return 2
     report["result"] = result

@@ -349,33 +349,17 @@ def first_return_count(graph, vertex, n_max):
     return CountSeries("first_return", 1, counts, {"vertex": vertex})
 
 
-def _escape_series(graph, M, q, n_max, a=None, b=None):
-    if M < 1 or q < 1 or n_max < 0:
-        raise ValidationError("need M >= 1, q >= 1, n_max >= 0")
-    pins = [p for p in (a, b) if p is not None]
-    view = walk_view(graph, n_max + 1, list(range(1, q + 1)) + pins)
-    marked = {i for i, v in enumerate(view.ids) if v <= q}
-    if a is None:
-        starts = ends = sorted(marked)
-    else:
-        starts, ends = [_state(view, a)], [_state(view, b)]
-    # a word x_0..x_{n+1} is a walk of e = n + 1 edges
-    counts = _walk_counts(view, marked, starts, ends, n_max + 1, lambda e: (e + 1) // M)
-    meta = {"M": M, "q": q, "states": view.state_count}
-    if a is not None:
-        meta["pinned"] = [a, b]
-    return CountSeries("escape_count", 0, counts, meta)
-
-
 def escape_count(graph, M, q, n_max):
     """z_n(M, q) for n = 0..n_max: words x_0..x_{n+1} with x_0, x_{n+1} <= q
     and at most floor((n+2)/M) positions at symbols <= q."""
-    return _escape_series(graph, M, q, n_max)
-
-
-def escape_count_pinned(graph, M, q, a, b, n_max):
-    """Like escape_count but with x_0 = a and x_{n+1} = b exactly."""
-    return _escape_series(graph, M, q, n_max, a=a, b=b)
+    if M < 1 or q < 1 or n_max < 0:
+        raise ValidationError("need M >= 1, q >= 1, n_max >= 0")
+    view = walk_view(graph, n_max + 1, list(range(1, q + 1)))
+    marked = {i for i, v in enumerate(view.ids) if v <= q}
+    endpoints = sorted(marked)
+    # a word x_0..x_{n+1} is a walk of e = n + 1 edges
+    counts = _walk_counts(view, marked, endpoints, endpoints, n_max + 1, lambda e: (e + 1) // M)
+    return CountSeries("escape_count", 0, counts, {"M": M, "q": q, "states": view.state_count})
 
 
 # ---------------------------------------------------------------------------

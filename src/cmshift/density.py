@@ -24,7 +24,7 @@ import numpy as np
 from . import measures
 from .errors import ConnectorNotFound, ValidationError
 from .families import full_shift, golden_mean
-from .graphs import FiniteGraph, _log_big, strongly_connected_components
+from .graphs import FiniteGraph, _log_big
 from .measures import rho_distance
 
 
@@ -140,21 +140,23 @@ def concatenated_system(ambient, supports, n, M):
         # through the slot starts, so pruning keeps all these words
         block_counts.append(sum(layers[n - 1][v] for v in conn_lengths[s]))
 
-    # number the states in repr order and keep only the strongly connected
-    # component of the first slot start
-    order = sorted(state_label, key=repr)
+    # every state is reachable from the first slot start, so its strongly
+    # connected component is the states that lead back to it: one backward
+    # search, numbered in repr order (an edge stays when its head does)
+    start0 = ("b", 0, 0, anchor)
+    into = {}
+    for a, b in edges:
+        into.setdefault(b, []).append(a)
+    kept = {start0}
+    stack = [start0]
+    while stack:
+        for a in into.get(stack.pop(), ()):
+            if a not in kept:
+                kept.add(a)
+                stack.append(a)
+    order = sorted(kept, key=repr)
     ids = {key: i + 1 for i, key in enumerate(order)}
-    graph = FiniteGraph(len(order), {(ids[a], ids[b]): 1 for a, b in edges})
-    start0 = ids[("b", 0, 0, anchor)]
-    comp = next(c for c in strongly_connected_components(graph) if start0 in c)
-    if len(comp) < len(order):
-        order = [order[i - 1] for i in sorted(comp)]
-        ids = {key: i + 1 for i, key in enumerate(order)}
-        kept = {(ids[a], ids[b]): 1 for a, b in edges if a in ids and b in ids}
-        graph = FiniteGraph(len(order), kept)
-    for s in range(M):
-        if ("b", s, 0, anchor) not in ids:
-            raise ConnectorNotFound(f"slot {s} is unreachable after pruning")
+    graph = FiniteGraph(len(order), {(ids[a], ids[b]): 1 for a, b in edges if b in ids})
     labels = tuple(state_label[key] for key in order)
 
     # the certified entropy floor

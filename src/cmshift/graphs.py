@@ -392,8 +392,8 @@ class LoopSystem:
 
     def count_table(self, upto):
         """The cached table, extended to cover min(upto, SERIES_TERMS, the
-        longest loop). An extension is built whole and swapped in with one
-        assignment, so threads sharing the system never see half a table."""
+        longest loop). An extension is a new table that replaces the old one,
+        so a table already handed out never changes under its reader."""
         table = self._table
         upto = min(upto, self._cap)
         if upto > table.upto:
@@ -442,9 +442,8 @@ class LoopSystem:
     def enumeration(self, max_id):
         """The system's one Enumeration, covering at least the ids <= max_id.
 
-        Its rows can run past max_id. An extension doubles the covered ids
-        and is swapped in with one assignment, so threads sharing the system
-        never see half an enumeration.
+        Its rows can run past max_id. An extension doubles the covered ids,
+        so a run of growing queries builds only logarithmically many.
         """
         enum = self._enum
         if enum is None or enum.max_id < max_id:
@@ -739,34 +738,3 @@ def load_graph_file(path):
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON: {exc}", field="") from exc
     return load_graph(doc)
-
-
-def graph_spec(graph):
-    """The JSON document form of a graph (inverse of load_graph)."""
-    if isinstance(graph, FiniteGraph):
-        if not graph.is_simple:
-            raise ValidationError("multigraphs have no document form")
-        edges = sorted(graph.edge_multiplicities())
-        return {
-            "kind": "finite",
-            "finite": {"symbols": graph.symbols, "edges": [[i, j] for i, j in edges]},
-        }
-    if isinstance(graph, LoopSystem):
-        tail = graph.tail
-        if tail is not None and not isinstance(tail, GeometricTail):
-            raise ValidationError("formula tails have no document form")
-        tail_doc = None
-        if tail is not None:
-            tail_doc = {
-                "from_length": tail.from_length,
-                "coeff": tail.coeff,
-                "growth": tail.growth,
-            }
-        return {
-            "kind": "loop_system",
-            "loop_system": {
-                "loops": [{"length": l, "multiplicity": m} for l, m in graph.loops],
-                "tail": tail_doc,
-            },
-        }
-    raise ValidationError(f"not a graph: {graph!r}")

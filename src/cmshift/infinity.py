@@ -225,18 +225,26 @@ def _limsup_proxy(values):
     return max(values[-max(1, len(values) // 3):])
 
 
-def _measure_limit(schedule, graph, candidate):
-    """Cylinder-wise limit of the schedule with a candidate-measure fit.
+def _escape_limit(graph, mme, family, count):
+    """A schedule of `count` measures on an infinite loop system and the mass
+    of its cylinder-wise limit: (schedule, mass, limit report).
 
-    Returns (mass, entropy of the normalized limit, limit report). The
-    normalized limit is the candidate: by construction of the stock
-    schedules the limit is a multiple of it even when the fit is rejected,
-    and then the ladder mass is used.
+    "mme" repeats mme, "drift" is drift_schedule, and "mixture" keeps half
+    the mass on mme while the other half drifts. The limit is fitted against
+    mme: by construction of these schedules it is a multiple of mme even
+    when the fit is rejected, and then the ladder mass is used.
     """
-    rep = measures.cylinder_limit(
-        schedule, graph, q_max=_Q_MAX, candidate=candidate, tol=1e-4
-    )
-    return min(max(rep.mass, 0.0), 1.0), candidate.entropy, rep
+    if family == "mme":
+        schedule = [mme] * count
+    elif family == "drift":
+        schedule = drift_schedule(graph, count=count)
+    elif family == "mixture":
+        drift = drift_schedule(graph, count=count)
+        schedule = [measures.MixtureMeasure([(0.5, mme), (0.5, d)]) for d in drift]
+    else:
+        raise ValidationError(f"unknown family {family!r}")
+    rep = measures.cylinder_limit(schedule, graph, q_max=_Q_MAX, candidate=mme, tol=1e-4)
+    return schedule, min(max(rep.mass, 0.0), 1.0), rep
 
 
 @dataclass(frozen=True)
@@ -267,21 +275,10 @@ def verify_main_inequality(graph, family="mixture", count=6):
         raise NotDrifting("the escape-of-mass check needs an infinite loop system")
     mme = measures.loop_mme(graph)
     delta = thermo.big_delta_inf(graph)
-    if family == "mme":
-        schedule = [mme] * count
-    elif family == "drift":
-        schedule = drift_schedule(graph, count=count)
-    elif family == "mixture":
-        drift = drift_schedule(graph, count=count)
-        schedule = [
-            measures.MixtureMeasure([(0.5, mme), (0.5, d)]) for d in drift
-        ]
-    else:
-        raise ValidationError(f"unknown family {family!r}")
+    schedule, mass, rep = _escape_limit(graph, mme, family, count)
     entropies = [m.entropy for m in schedule]
     lhs = _limsup_proxy(entropies)
-    mass, h_hat, rep = _measure_limit(schedule, graph, mme)
-    rhs = mass * h_hat + (1.0 - mass) * delta
+    rhs = mass * mme.entropy + (1.0 - mass) * delta
     return MainInequalityReport(
         family=family,
         entropies=tuple(entropies),
@@ -289,7 +286,7 @@ def verify_main_inequality(graph, family="mixture", count=6):
         rhs=rhs,
         slack=rhs - lhs,
         mass=mass,
-        limit_entropy=h_hat,
+        limit_entropy=mme.entropy,
         delta_inf=delta,
         meta={
             "q_max": _Q_MAX,
@@ -331,11 +328,8 @@ def mass_bound_check(graph, c, count=6):
     else:
         bound = (c - delta) / (h_top - delta)
     bound = min(max(bound, 0.0), 1.0)
-    drift = drift_schedule(graph, count=count)
-    schedule = [measures.MixtureMeasure([(0.5, mme), (0.5, d)]) for d in drift]
-    entropies = [m.entropy for m in schedule]
-    entropies_ok = all(h >= c - 1e-9 for h in entropies)
-    measured, _, _ = _measure_limit(schedule, graph, mme)
+    schedule, measured, _ = _escape_limit(graph, mme, "mixture", count)
+    entropies_ok = all(m.entropy >= c - 1e-9 for m in schedule)
     satisfied = entropies_ok and measured >= bound - _TOL
     return MassBoundReport(
         bound=bound,

@@ -34,15 +34,7 @@ from .graphs import (
     is_strongly_connected,
     loop_record,
 )
-from .thermo import (
-    LoopGF,
-    _first_returns,
-    _perron,
-    _rome,
-    classify,
-    perron,
-    series_root,
-)
+from .thermo import LoopGF, _dense_perron, classify, perron, series_root
 
 
 # ---------------------------------------------------------------------------
@@ -100,37 +92,12 @@ class MarkovMeasure:
         return out
 
 
-def _perron_data(a):
-    """Perron data (lam, left, right) of a nonnegative matrix, or
-    NotStronglyConnected: the transition matrices of markov_measure, which
-    have no graph to keep a plan.
-
-    Positive Perron vectors from the rome route certify strong connectivity;
-    dense eig can return positive vectors on a reducible matrix, so that
-    route, and a failing Perron computation, ask Tarjan's algorithm on the
-    support of a.
-    """
-    rome = _rome(a)
-    if rome is not None or _support_connected(a):
-        try:
-            return _perron(a, rome, None if rome is None else _first_returns(rome))
-        except NonConvergent:
-            # the dense route has already passed Tarjan's algorithm
-            if rome is None or _support_connected(a):
-                raise
-    raise NotStronglyConnected("Perron vectors need a strongly connected support")
-
-
-def _support_connected(a):
-    support = FiniteGraph(len(a), [(i + 1, j + 1) for i, j in np.argwhere(a > 0).tolist()])
-    return is_strongly_connected(support)
-
-
 def markov_measure(graph, transitions):
     """Markov measure from a transition dict {(i, j): prob}.
 
-    The stationary vector is the left Perron vector of P, which needs a
-    strongly connected support.
+    The stationary vector is the left Perron vector of P (`_dense_perron`,
+    certified by its Collatz-Wielandt check), which needs a strongly
+    connected support: NotStronglyConnected on any other.
     """
     n = graph.symbols
     P = np.zeros((n, n))
@@ -143,7 +110,10 @@ def markov_measure(graph, transitions):
     rows = P.sum(axis=1)
     if not np.max(np.abs(rows - 1.0)) <= 1e-9:
         raise ValidationError("transition rows must sum to 1")
-    left = _perron_data(P)[1]
+    support = FiniteGraph(n, [(i + 1, j + 1) for i, j in np.argwhere(P > 0).tolist()])
+    if not is_strongly_connected(support):
+        raise NotStronglyConnected("Perron vectors need a strongly connected support")
+    left = _dense_perron(P)[1]
     return MarkovMeasure(graph, left / left.sum(), P)
 
 

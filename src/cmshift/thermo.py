@@ -311,28 +311,16 @@ def perron(graph):
     if block.rome is None:
         return (block.matrix, *_dense_perron(block.matrix))
     a = adjacency_matrix(graph)
-    return (a, *_perron(a, block.rome, block.returns))
-
-
-def _perron(a, rome, returns):
-    """Perron data of an irreducible nonnegative matrix a, given rome =
-    _rome(a) and returns = _first_returns(rome) (None without a rome). On the
-    rome route positive vectors also certify that the support is strongly
-    connected: the right vector is positive exactly at the vertices that
-    reach the rome, the left one at those it reaches; NonConvergent on a
-    zero vector entry."""
-    if rome is None:
-        return _dense_perron(a)
-    y = series_root(*returns)
+    y = series_root(*block.returns)
     lam = math.exp(-y)
-    left, right = _rome_vectors(*rome, math.exp(y))
+    left, right = _rome_vectors(*block.rome, math.exp(y))
     width = _collatz_width(a, lam, left, right)
     if width > PERRON_BRACKET * lam:
         raise NonConvergent(
             f"Collatz-Wielandt bracket of width {width} around the first-return "
             f"root {lam} is wider than {PERRON_BRACKET} relative"
         )
-    return lam, left, right
+    return a, lam, left, right
 
 
 def _max_block_root(plan, shift=None):
@@ -635,9 +623,8 @@ class LoopGF:
 
         The bounds are a function of the system, x and beyond alone, so the
         system keeps them in series_bounds. A full memo is replaced by a new
-        one holding only the newest entry, and the slices go with it: threads
-        sharing the system each see some whole dict, never half of one, and a
-        store lost to a race costs only a second summation.
+        one holding only the newest entry, and the slices go with it, which
+        bounds the memory a long search leaves on the system.
         """
         if x < 0:
             raise ValidationError("x must be >= 0")

@@ -9,9 +9,20 @@ so exhaustive enumeration is exact and fast.
 import itertools
 import math
 import random
+from collections import Counter
 
-from cmshift.errors import CapacityError, ValidationError
-from cmshift.graphs import FiniteGraph, is_strongly_connected
+from cmshift.counting import CountSeries, _state, _walk_counts
+from cmshift.density import _shortest_path
+from cmshift.errors import CapacityError, ConnectorNotFound, ValidationError
+from cmshift.graphs import (
+    FiniteGraph,
+    GeometricTail,
+    LoopSystem,
+    _log_big,
+    is_strongly_connected,
+    strongly_connected_components,
+    walk_view,
+)
 from cmshift.measures import LimitReport
 
 
@@ -217,3 +228,109 @@ def per_id_cylinder_limit(schedule, graph, q_max=32, candidate=None, tol=1e-9):
                 mass = scale * candidate.mass
                 entropy = candidate.entropy
     return LimitReport(limits, mass, ladder, scale, residual, entropy)
+
+
+def graph_spec(graph):
+    """The JSON document form of a graph (inverse of load_graph)."""
+    if isinstance(graph, FiniteGraph):
+        if not graph.is_simple:
+            raise ValidationError("multigraphs have no document form")
+        edges = sorted(graph.edge_multiplicities())
+        return {
+            "kind": "finite",
+            "finite": {"symbols": graph.symbols, "edges": [[i, j] for i, j in edges]},
+        }
+    if isinstance(graph, LoopSystem):
+        tail = graph.tail
+        if tail is not None and not isinstance(tail, GeometricTail):
+            raise ValidationError("formula tails have no document form")
+        tail_doc = None
+        if tail is not None:
+            tail_doc = {
+                "from_length": tail.from_length,
+                "coeff": tail.coeff,
+                "growth": tail.growth,
+            }
+        return {
+            "kind": "loop_system",
+            "loop_system": {
+                "loops": [{"length": l, "multiplicity": m} for l, m in graph.loops],
+                "tail": tail_doc,
+            },
+        }
+    raise ValidationError(f"not a graph: {graph!r}")
+
+
+def escape_count_pinned(graph, M, q, a, b, n_max):
+    """counting.escape_count with x_0 = a and x_{n+1} = b exactly: the same
+    count kernel on the walk view, started at a's state and ended at b's."""
+    if M < 1 or q < 1 or n_max < 0:
+        raise ValidationError("need M >= 1, q >= 1, n_max >= 0")
+    view = walk_view(graph, n_max + 1, list(range(1, q + 1)) + [a, b])
+    marked = {i for i, v in enumerate(view.ids) if v <= q}
+    starts, ends = [_state(view, a)], [_state(view, b)]
+    counts = _walk_counts(view, marked, starts, ends, n_max + 1, lambda e: (e + 1) // M)
+    meta = {"M": M, "q": q, "states": view.state_count, "pinned": [a, b]}
+    return CountSeries("escape_count", 0, counts, meta)
+
+
+def tarjan_pruned_system(ambient, supports, n, M):
+    """density.concatenated_system's presentation built whole and then cut
+    down by Tarjan's algorithm: every block and connector state of the M
+    slots, numbered in repr order, kept when it lies in the strongly
+    connected component of the slot-0 start. ConnectorNotFound where a slot
+    has no block end that reaches the anchor 1, or where a slot start falls
+    outside that component.
+
+    Returns (graph, labels, slot_starts, block_counts, entropy_floor,
+    states), states the number of states before the cut.
+    """
+    label, edges, counts, conns = {("b", 0, 0, 1): 1}, [], [], []
+    for s in range(M):
+        sup = supports[s % len(supports)]
+        ends = Counter({1: 1})
+        for o in range(n - 1):
+            nxt = Counter()
+            for v, c in ends.items():
+                for w in sup.out_neighbors(v):
+                    label[("b", s, o + 1, w)] = w
+                    edges.append((("b", s, o, v), ("b", s, o + 1, w)))
+                    nxt[w] += c
+            ends = nxt
+        start = ("b", (s + 1) % M, 0, 1)
+        label[start] = 1
+        conn = {}
+        for v in sorted(ends):
+            path = (v, 1) if ambient.is_edge(v, 1) else _shortest_path(ambient, v, 1)
+            if path is None:
+                continue
+            keys = [("b", s, n - 1, v)] + [("c", s, v, k) for k in range(len(path) - 2)]
+            for key, u in zip(keys[1:], path[1:-1]):
+                label[key] = u
+            edges.extend(zip(keys, keys[1:] + [start]))
+            conn[v] = len(keys) - 1
+        if not conn:
+            raise ConnectorNotFound(f"slot {s}")
+        counts.append(sum(ends[v] for v in conn))
+        conns.append(conn)
+
+    every = sorted(label, key=repr)
+    whole = {key: i + 1 for i, key in enumerate(every)}
+    graph = FiniteGraph(len(every), {(whole[a], whole[b]): 1 for a, b in edges})
+    comp = next(c for c in strongly_connected_components(graph) if whole[("b", 0, 0, 1)] in c)
+    order = [every[i - 1] for i in sorted(comp)]
+    ids = {key: i + 1 for i, key in enumerate(order)}
+    graph = FiniteGraph(len(order), {
+        (ids[a], ids[b]): 1 for a, b in edges if a in ids and b in ids
+    })
+    starts = []
+    for s in range(M):
+        if ("b", s, 0, 1) not in ids:
+            raise ConnectorNotFound(f"slot {s} is unreachable after pruning")
+        starts.append(ids[("b", s, 0, 1)])
+
+    period = M * n + sum(max(c.values()) for c in conns)
+    spread = sum(max(c.values()) - min(c.values()) for c in conns)
+    floor = (_log_big(math.prod(counts)) - (math.log(spread + 1) if spread else 0.0)) / period
+    labels = tuple(label[key] for key in order)
+    return graph, labels, tuple(starts), tuple(counts), floor, len(every)

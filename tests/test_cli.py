@@ -22,7 +22,9 @@ import threading
 import pytest
 
 from cmshift import cli, families
-from cmshift.graphs import LoopSystem, graph_spec
+from cmshift.graphs import LoopSystem
+
+from properties import graph_spec
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -424,6 +426,31 @@ def test_run_manifest_unknown_command_exits_2(tmp_path, capsys):
     assert code == 2
     assert doc["error"]["code"] == "validation"
     assert "bogus" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        (None, "manifest"),
+        ("{not json", ""),
+        ("[1]", ""),
+        ('{"commands": ["classify"]}', "commands[0]"),
+        ('{"commands": [{"command": "classify", "args": ["graph"]}]}', "commands[0].args"),
+        ('{"overrides": ["graph"], "commands": [{"command": "classify"}]}', "overrides"),
+        ('{"out": 5, "commands": [{"command": "classify"}]}', "out"),
+        ('{"commands": [{"command": ["classify"]}]}', "commands[0].command"),
+    ],
+)
+def test_run_malformed_manifest_exits_2_naming_the_field(tmp_path, capsys, text, field):
+    manifest = tmp_path / "manifest.json"
+    if text is not None:
+        manifest.write_text(text)
+    code, doc = run_cli(capsys, ["run", str(manifest)])
+    assert code == 2
+    assert doc["result"] is None
+    assert doc["error"]["field"] == field
+    want = {"manifest": "not-found", "commands[0].command": "validation"}.get(field, "schema")
+    assert doc["error"]["code"] == want
 
 
 def test_run_manifest_seed_and_overrides(tmp_path, capsys):

@@ -17,6 +17,8 @@ from cmshift import counting, graphs
 from cmshift.errors import ValidationError
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
 
+from properties import escape_count_pinned
+
 
 def matrix_power_closed_walks(g, vertex, n_max):
     """Z_n via exact integer matrix powers (independent route)."""
@@ -155,7 +157,7 @@ def test_escape_count_compact_case():
 
 def test_escape_count_pinned_frozen():
     g = full_shift(2)
-    s = counting.escape_count_pinned(g, M=3, q=1, a=1, b=2, n_max=4)
+    s = escape_count_pinned(g, M=3, q=1, a=1, b=2, n_max=4)
     assert s.value(4) == brute_escape(g, 3, 1, 4, a=1, b=2) == 5
 
 
@@ -230,14 +232,14 @@ def test_escape_count_pinned_unmarked_end():
     # within the last row
     g = full_shift(3)
     for M in (2, 3, 4):
-        s = counting.escape_count_pinned(g, M=M, q=1, a=1, b=3, n_max=7)
+        s = escape_count_pinned(g, M=M, q=1, a=1, b=3, n_max=7)
         assert s.counts == [brute_escape(g, M, 1, n, a=1, b=3) for n in range(8)], M
     loops = graphs.LoopSystem(loops=[(1, 1), (2, 1), (3, 2), (4, 1)], tail=None)
     explicit = loops.truncate(loops.enumeration(100).rows[-1][2]).as_graph()
     for M in (2, 3, 5):
         for a, b in ((1, 6), (4, 9), (9, 1)):
-            want = counting.escape_count_pinned(explicit, M=M, q=2, a=a, b=b, n_max=30).counts
-            got = counting.escape_count_pinned(loops, M=M, q=2, a=a, b=b, n_max=30).counts
+            want = escape_count_pinned(explicit, M=M, q=2, a=a, b=b, n_max=30).counts
+            got = escape_count_pinned(loops, M=M, q=2, a=a, b=b, n_max=30).counts
             assert got == want, (M, a, b)
 
 
@@ -367,9 +369,9 @@ def test_first_return_count_missing_vertex_raises_validation_error():
 def test_escape_count_pinned_missing_pin_raises_validation_error():
     g = graphs.LoopSystem(loops=[(1, 1), (2, 1), (4, 1)], tail=None)
     with pytest.raises(ValidationError):
-        counting.escape_count_pinned(g, M=2, q=1, a=1, b=6, n_max=5)
+        escape_count_pinned(g, M=2, q=1, a=1, b=6, n_max=5)
     with pytest.raises(ValidationError):
-        counting.escape_count_pinned(full_shift(2), M=2, q=1, a=0, b=1, n_max=5)
+        escape_count_pinned(full_shift(2), M=2, q=1, a=0, b=1, n_max=5)
 
 
 def test_growth_rate_affine_exact_line():

@@ -16,7 +16,7 @@ from cmshift import graphs
 from cmshift.errors import CapacityError, SchemaError, ValidationError
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
 
-from properties import enumerate_words
+from properties import enumerate_words, graph_spec
 
 
 def test_finite_graph_basics():
@@ -206,7 +206,7 @@ def test_load_graph_finite():
     g = graphs.load_graph(doc)
     assert isinstance(g, graphs.FiniteGraph)
     assert g.symbols == 2
-    assert graphs.graph_spec(g) == doc
+    assert graph_spec(g) == doc
 
 
 def test_load_graph_loop_system():
@@ -222,7 +222,7 @@ def test_load_graph_loop_system():
     assert g.multiplicity(2) == 3
     assert g.multiplicity(3) == 0
     assert g.multiplicity(5) == 32
-    assert graphs.graph_spec(g) == doc
+    assert graph_spec(g) == doc
 
 
 def test_load_graph_round_trip_renewal():

@@ -33,9 +33,10 @@ from cmshift.graphs import (
     GeometricTail,
     LoopSystem,
     _log_big,
-    graph_spec,
     load_graph,
 )
+
+from properties import graph_spec
 
 
 def _reference(system, length):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cmshift import counting, density, infinity, katok, measures, thermo
-from cmshift.errors import CmshiftError
+from cmshift.errors import CmshiftError, ConnectorNotFound
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
 from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem
 
@@ -24,12 +24,14 @@ from properties import (
     brute_markov_masses,
     brute_min_cover,
     enumerate_words,
+    escape_count_pinned,
     marked_preserving_permutation,
     per_id_cylinder_limit,
     scalar_aitken_limit,
     random_strongly_connected_graph,
     random_two_out_graph,
     relabeled,
+    tarjan_pruned_system,
     walks,
 )
 
@@ -103,7 +105,7 @@ def test_pinned_escape_counts_sum_to_total():
         total = counting.escape_count(g, M=M, q=q, n_max=5)
         for n in range(0, 6):
             split = sum(
-                counting.escape_count_pinned(g, M=M, q=q, a=a, b=b, n_max=5).value(n)
+                escape_count_pinned(g, M=M, q=q, a=a, b=b, n_max=5).value(n)
                 for a in range(1, q + 1)
                 for b in range(1, q + 1)
             )
@@ -160,7 +162,7 @@ def test_lengthed_edges_match_brute_force_on_loop_systems():
             for n in range(n_max):
                 assert series.value(n) == brute_escape_count(g, M, q, n)
             x, y = rng.randint(1, 6), rng.randint(1, 6)
-            pinned = counting.escape_count_pinned(system, M=M, q=q, a=x, b=y, n_max=n_max - 1)
+            pinned = escape_count_pinned(system, M=M, q=q, a=x, b=y, n_max=n_max - 1)
             for n in range(n_max):
                 assert pinned.value(n) == brute_escape_count(g, M, q, n, a=x, b=y)
 
@@ -534,3 +536,64 @@ def test_covering_number_monotone_in_delta():
                 for d in (0.05, 0.1, 0.2, 0.4, 0.6)
             ]
             assert all(a >= b for a, b in zip(ns, ns[1:]))
+
+
+# ---------------------------------------------------------------------------
+# concatenated block systems
+
+
+def _block_system_draw(rng):
+    """An ambient graph on 2..5 symbols with the cycle 1 <-> 2, where edges
+    from symbols above 2 back into {1, 2} are rare, so some block ends
+    cannot reach the anchor; and one or two supports on its edges, most
+    keeping the cycle, whose other vertices are often sinks."""
+    k = rng.randint(2, 5)
+    edges = {(1, 2), (2, 1)}
+    edges |= {
+        (i, j)
+        for i in range(1, k + 1)
+        for j in range(1, k + 1)
+        if rng.random() < (0.15 if i > 2 >= j else 0.45)
+    }
+    supports = []
+    for _ in range(rng.randint(1, 2)):
+        m = rng.randint(2, k)
+        kept = [
+            (i, j)
+            for i, j in sorted(edges)
+            if i <= m and j <= m and rng.random() < (0.9 if i + j == 3 else 0.6)
+        ]
+        supports.append(FiniteGraph(m, kept))
+    return FiniteGraph(k, sorted(edges)), supports, rng.randint(2, 5), rng.randint(1, 3)
+
+
+def test_concatenated_system_keeps_the_tarjan_component_of_the_first_start():
+    # the backward search from the slot-0 start keeps exactly the states of
+    # its strongly connected component, numbered alike, and no slot start
+    # falls outside it. In 55 of the 262 draws that build, some block ends
+    # cannot reach the anchor or some states lead nowhere, and the cut drops
+    # states; the other 38 draws have a slot with no joined end
+    rng = random.Random(2201)
+    built = cut = 0
+    for _ in range(300):
+        ambient, supports, n, M = _block_system_draw(rng)
+        try:
+            graph, labels, starts, counts, floor, states = tarjan_pruned_system(
+                ambient, supports, n, M
+            )
+        except ConnectorNotFound:
+            with pytest.raises(ConnectorNotFound):
+                density.concatenated_system(ambient, supports, n, M)
+            continue
+        got = density.concatenated_system(ambient, supports, n, M)
+        assert got.graph.symbols == graph.symbols
+        assert list(got.graph.edge_multiplicities().items()) == list(
+            graph.edge_multiplicities().items()
+        )
+        assert got.labels == labels
+        assert got.slot_starts == starts
+        assert got.block_counts == counts
+        assert got.entropy_floor == floor
+        built += 1
+        cut += states > graph.symbols
+    assert (built, cut) == (262, 55)

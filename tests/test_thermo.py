@@ -384,12 +384,12 @@ def test_perron_golden_mean_vectors():
 
 
 def test_perron_rejects_reducible_matrix():
-    # the plan of a Jordan block's graph has two blocks; on the matrix
-    # kernel behind markov_measure the Perron vector has a zero entry
+    # the plan of a Jordan block's graph has two blocks; on the dense kernel
+    # behind markov_measure the Perron vector has a zero entry
     with pytest.raises(NotStronglyConnected):
         thermo.perron(FiniteGraph(2, [(1, 1), (1, 2), (2, 2)]))
     with pytest.raises(NonConvergent):
-        thermo._perron(np.array([[1.0, 1.0], [0.0, 1.0]]), None, None)
+        thermo._dense_perron(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +441,8 @@ def test_perron_rome_route_on_golden_mean():
 def test_perron_rome_route_rejects_reducible_matrix():
     # vertex 1 is a rome (removing it leaves no edge), but no path from
     # vertex 1 reaches vertex 3: the plan splits the graph into blocks, and
-    # on the matrix kernel the left vector has a zero entry
+    # the rome's left vector has a zero entry, which the Collatz-Wielandt
+    # check rejects
     g = FiniteGraph(3, [(1, 2), (2, 1), (3, 1)])
     a = thermo.adjacency_matrix(g)
     rome = thermo._rome(a)
@@ -449,8 +450,10 @@ def test_perron_rome_route_rejects_reducible_matrix():
     with pytest.raises(NotStronglyConnected):
         thermo.perron(g)
     assert len(thermo._plan(g)) == 2
+    left, right = thermo._rome_vectors(*rome, 1.0)
+    assert left[2] == 0.0
     with pytest.raises(NonConvergent):
-        thermo._perron(a, rome, thermo._first_returns(rome))
+        thermo._collatz_width(a, 1.0, left, right)
 
 
 def test_perron_without_a_rome_falls_back_to_eig():
