@@ -37,10 +37,9 @@ def _check_support(ambient, support):
 
 
 def _shortest_path(graph, src, dst):
-    """Shortest vertex path src -> dst, or None."""
-    if src == dst:
-        return (src,)
-    prev = {src: None}
+    """Shortest vertex path of at least one edge from src to dst (a shortest
+    cycle through src when dst is src), or None."""
+    prev = {}
     queue = deque([src])
     while queue:
         v = queue.popleft()
@@ -48,7 +47,7 @@ def _shortest_path(graph, src, dst):
             if w not in prev:
                 prev[w] = v
                 if w == dst:
-                    path = [w]
+                    path = [w, v]
                     while path[-1] != src:
                         path.append(prev[path[-1]])
                     return tuple(reversed(path))
@@ -73,7 +72,9 @@ def concatenated_system(ambient, supports, n, M):
     """Cycle through M slots; slot s holds any length-n word admissible in
     supports[s % len(supports)] starting at the anchor symbol 1, then routes
     back to the next slot's anchor (directly, or through a shortest connector
-    path in the ambient graph).
+    path in the ambient graph; a block that ends at the anchor takes a
+    shortest cycle through it when the ambient graph has no anchor
+    self-loop), so every edge joins labels that the ambient graph joins.
 
     Raises ConnectorNotFound when some slot has no way back to the anchor.
     """

@@ -184,7 +184,7 @@ class FiniteGraph:
 
     The graph has no mutator, so `perron_plan` holds the Perron plan of
     `thermo` (its strongly connected blocks, their one-vertex romes and
-    first-return series) once a Perron query has built it, and every later
+    t = 0 Perron data) once a Perron query has built it, and every later
     query of the same graph object reads it.
     """
 

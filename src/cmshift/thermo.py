@@ -71,10 +71,13 @@ from .graphs import (
 # pass each over the acyclic rest: no eigensolver is needed.
 #
 # A finite block with a rome is a finite loop system at that rome, so a
-# graph keeps its blocks, their romes and (from the first unshifted query
-# on) their first-return series in one Perron plan (`_plan`), as a
-# LoopSystem keeps its count table; a query then runs only what depends on
-# its potential.
+# graph keeps its blocks and their romes in one Perron plan (`_plan`), as a
+# LoopSystem keeps its count table. The t = 0 answer of a block depends on
+# the graph alone too: from the block's first unshifted query on, the plan
+# keeps its first-return series, its log Perron root and, once `perron`
+# asks, its certified root and Perron vectors. A query then runs only what
+# depends on its potential, and every entropy, Perron root and Parry chain
+# of one graph object shares one Perron solve per block.
 
 # widest accepted Collatz-Wielandt bracket, relative to the Perron root
 PERRON_BRACKET = 1e-9
@@ -238,7 +241,13 @@ class Block:
     `idx` its symbols - 1, ascending; `rome` a one-vertex rome of its
     support (`_rome`), or None; and `matrix` its adjacency matrix where
     there is no rome (the dense route's input; the graph's own matrix when
-    the block is the whole graph), else None. Its arrays are read-only."""
+    the block is the whole graph), else None. Its arrays are read-only.
+
+    Its t = 0 Perron data is built on the block's first unshifted query
+    and kept: `returns` and `log_root`, and `perron(a)` once the Perron
+    vectors are asked for. A graph queried only at shifted potentials
+    builds none of it, and a query that raises keeps nothing, so it raises
+    again on the next one."""
 
     idx: np.ndarray
     rome: tuple
@@ -247,13 +256,54 @@ class Block:
     @cached_property
     def returns(self):
         """The unweighted first-return series at the rome
-        (`_first_returns`), read-only: built on the block's first unshifted
-        query and kept, so a graph queried only at shifted potentials never
-        builds it."""
+        (`_first_returns`), read-only."""
         returns = _first_returns(self.rome)
         for array in returns[:2]:
             array.flags.writeable = False
         return returns
+
+    @cached_property
+    def log_root(self):
+        """The log of the block's Perron root: -log of the first-return
+        root at the rome, else the log of the dense root; -inf for an
+        edgeless block, which has no cycle."""
+        if self.rome is not None:
+            # a zero entropy reads 0.0, not -0.0
+            return 0.0 - series_root(*self.returns)
+        if not self.matrix.any():
+            return -math.inf
+        return math.log(self.perron(self.matrix)[0])
+
+    def perron(self, a):
+        """(lam, left, right): the Perron root and positive left and right
+        vectors of the block, certified by the Collatz-Wielandt check
+        against a, its adjacency matrix (`matrix` where the block keeps
+        one; a rome block keeps none, so its caller builds it). The vectors
+        are read-only.
+
+        A rome block takes lam from `log_root` and its vectors from one
+        pass each over the acyclic rest; any other block takes all three
+        from `_dense_perron`. NonConvergent on a bracket still too wide.
+        """
+        data = vars(self).get("_perron")
+        if data is None:
+            if self.rome is None:
+                data = _dense_perron(a)
+            else:
+                lam = math.exp(self.log_root)
+                left, right = _rome_vectors(*self.rome, math.exp(-self.log_root))
+                width = _collatz_width(a, lam, left, right)
+                if width > PERRON_BRACKET * lam:
+                    raise NonConvergent(
+                        f"Collatz-Wielandt bracket of width {width} around the "
+                        f"first-return root {lam} is wider than {PERRON_BRACKET} relative"
+                    )
+                data = lam, left, right
+            for array in data[1:]:
+                array.flags.writeable = False
+            # kept as cached_property keeps a value: the dataclass is frozen
+            vars(self)["_perron"] = data
+        return data
 
 
 def _block(idx, matrix, rome):
@@ -300,33 +350,24 @@ def perron(graph):
     right), from the graph's plan.
 
     Through the first-return series at a one-vertex rome when there is one,
-    else by dense eig. Either way the vectors must pass the Collatz-Wielandt
-    check to PERRON_BRACKET * lam; NotStronglyConnected on any other graph,
-    NonConvergent on a bracket still too wide.
+    else by dense eig, once per graph (`Block.perron`); a is built on every
+    call where the plan keeps no matrix. NotStronglyConnected on any other
+    graph, NonConvergent on a Collatz-Wielandt bracket wider than
+    PERRON_BRACKET * lam.
     """
     plan = _plan(graph)
     if len(plan) != 1:
         raise NotStronglyConnected("Perron vectors need a strongly connected support")
     block = plan[0]
-    if block.rome is None:
-        return (block.matrix, *_dense_perron(block.matrix))
-    a = adjacency_matrix(graph)
-    y = series_root(*block.returns)
-    lam = math.exp(-y)
-    left, right = _rome_vectors(*block.rome, math.exp(y))
-    width = _collatz_width(a, lam, left, right)
-    if width > PERRON_BRACKET * lam:
-        raise NonConvergent(
-            f"Collatz-Wielandt bracket of width {width} around the first-return "
-            f"root {lam} is wider than {PERRON_BRACKET} relative"
-        )
-    return a, lam, left, right
+    a = adjacency_matrix(graph) if block.matrix is None else block.matrix
+    return (a, *block.perron(a))
 
 
 def _max_block_root(plan, shift=None):
     """The log of the largest Perron root over the blocks of a plan; -inf
-    when the graph has no cycle. A block with a one-vertex rome needs only
-    its first-return root.
+    when the graph has no cycle. Without shift it reads each block's kept
+    `log_root`; a block with a one-vertex rome needs only its first-return
+    root.
 
     With shift, an array over the symbols, each block's matrix has column j
     scaled by e^shift[j]. A block with a one-vertex rome adds shift[j] to
@@ -338,15 +379,14 @@ def _max_block_root(plan, shift=None):
     first, heaviest columns leading, where eig leaves fewer Collatz-Wielandt
     brackets too wide at moderate t than in symbol order.
     """
+    if shift is None:
+        return max(block.log_root for block in plan)
     best = -math.inf
     for block in plan:
         a, returns, top = block.matrix, None, 0.0
         if block.rome is not None:
-            if shift is None:
-                returns = block.returns
-            else:
-                returns = _first_returns(block.rome, shift[block.idx].tolist())
-        elif shift is not None:
+            returns = _first_returns(block.rome, shift[block.idx].tolist())
+        else:
             logs = shift[block.idx].tolist()
             top = max(logs)
             order = np.argsort([-v for v in logs], kind="stable")

@@ -112,6 +112,38 @@ def test_connector_inserted_when_needed():
     assert abs(total - 1.0) < 1e-9
 
 
+def _label_pairs(cs):
+    return {(cs.labels[i - 1], cs.labels[j - 1]) for i, j in cs.graph.edge_multiplicities()}
+
+
+def test_every_edge_joins_labels_the_ambient_joins():
+    # without an anchor self-loop a block ending at the anchor takes a
+    # shortest cycle through it as its connector, not the label pair (1, 1)
+    ambient = FiniteGraph(2, [(1, 2), (2, 1), (2, 2)])
+    cs = density.concatenated_system(ambient, [ambient], n=3, M=1)
+    assert cs.labels == (1, 2, 1, 2, 2)
+    assert _label_pairs(cs) == {(1, 2), (2, 1), (2, 2)}
+    assert cs.block_counts == (2,)
+    # the connector is the whole cycle 1 -> 2 -> 3 -> 1
+    longer = FiniteGraph(3, [(1, 2), (2, 3), (3, 1), (2, 2)])
+    for ambient, supports in (
+        (longer, [longer]),
+        (full_shift(2), [golden_mean(), full_shift(2)]),
+    ):
+        for n in (2, 3, 5):
+            cs = density.concatenated_system(ambient, supports, n=n, M=2)
+            assert _label_pairs(cs) <= set(ambient.edge_multiplicities())
+
+
+def test_shortest_path_has_at_least_one_edge():
+    g = FiniteGraph(3, [(1, 2), (2, 3), (3, 1), (3, 3)])
+    assert density._shortest_path(g, 1, 1) == (1, 2, 3, 1)
+    assert density._shortest_path(g, 3, 3) == (3, 3)
+    assert density._shortest_path(g, 2, 1) == (2, 3, 1)
+    assert density._shortest_path(FiniteGraph(2, [(1, 2)]), 1, 1) is None
+    assert density._shortest_path(FiniteGraph(2, [(1, 2)]), 2, 1) is None
+
+
 def test_two_component_demo_small():
     rep = density.two_component_demo(n=16, M=4, depth=4)
     assert rep.rho < 0.1

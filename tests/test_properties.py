@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cmshift import counting, density, infinity, katok, measures, thermo
-from cmshift.errors import CmshiftError, ConnectorNotFound
+from cmshift.errors import CmshiftError, ConnectorNotFound, NonConvergent, NotStronglyConnected
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
 from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem
 
@@ -245,18 +245,16 @@ def test_perron_plan_answers_a_reused_graph_as_a_fresh_one():
     for k in range(120):
         g = _plan_test_graph(rng, ("rome", "dense", "reducible")[k % 3])
         queries = [("pressure", t, q) for t in (0.0, 0.4, 3.0, 25.0) for q in (0, 1, 2, g.symbols)]
-        queries += [("perron_root",), ("classify",), ("parry",)]
+        queries += [("perron_root",), ("classify",), ("parry",), ("gurevich_entropy",), ("is_spr",)]
         rng.shuffle(queries)
 
         def run(graph, query):
             name, *args = query
             if name == "pressure":
                 return _outcome(lambda: infinity.pressure_indicator(graph, *args))
-            if name == "perron_root":
-                return _outcome(lambda: thermo.perron_root(graph))
-            if name == "classify":
-                return _outcome(lambda: thermo.classify(graph))
-            return _outcome(lambda: measures.parry_measure(graph))
+            if name == "parry":
+                return _outcome(lambda: measures.parry_measure(graph))
+            return _outcome(lambda: getattr(thermo, name)(graph))
 
         for query in queries:
             fresh = FiniteGraph(g.symbols, g.edge_multiplicities())
@@ -268,8 +266,12 @@ def test_perron_plan_answers_a_reused_graph_as_a_fresh_one():
         if kind == "reducible":
             for query in (("classify",), ("parry",)):
                 assert run(g, query)[0] == "NotStronglyConnected"
+        else:
+            # the Parry chain kept the block's certified Perron vectors
+            assert "_perron" in vars(plan[0])
         for block in plan:
             arrays = [block.idx] + ([block.matrix] if block.rome is None else list(block.returns[:2]))
+            arrays += list(vars(block).get("_perron", ())[1:])
             for array in arrays:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -279,16 +281,85 @@ def test_perron_plan_answers_a_reused_graph_as_a_fresh_one():
 
 def test_perron_plan_builds_a_series_only_for_an_unshifted_query():
     # a graph asked only for shifted pressures never sums the unweighted
-    # first-return series of its rome blocks; the first unshifted query
-    # builds and keeps it
+    # first-return series of its rome blocks, nor solves any block at t = 0;
+    # the first unshifted query builds and keeps its t = 0 data
     rng = random.Random(2122)
-    for _ in range(30):
-        g = _plan_test_graph(rng, rng.choice(("rome", "reducible")))
+    kept = ("returns", "log_root", "_perron")
+    for _ in range(45):
+        g = _plan_test_graph(rng, rng.choice(("rome", "dense", "reducible")))
         infinity.pressure_indicator(g, 0.7, 1)
-        romes = [block for block in g.perron_plan if block.rome is not None]
-        assert all("returns" not in vars(block) for block in romes)
+        infinity.pressure_indicator(g, 3.0, g.symbols)
+        assert not any(name in vars(block) for block in g.perron_plan for name in kept)
         thermo.perron_root(g)
-        assert all("returns" in vars(block) for block in romes)
+        for block in g.perron_plan:
+            assert "log_root" in vars(block)
+            if block.rome is not None:
+                assert "returns" in vars(block)
+            elif block.matrix.any():
+                assert "_perron" in vars(block)
+
+
+@pytest.mark.parametrize("kind", ["rome", "dense", "reducible"])
+def test_perron_plan_solves_each_block_once_at_t_0(monkeypatch, kind):
+    # the entropy, Perron root, classification, SPR verdict, unshifted
+    # pressures and Parry chain of one graph object share one t = 0 solve
+    # per block: one first-return root at a rome, one dense eig elsewhere
+    calls = {"series_root": 0, "_dense_perron": 0}
+    for name in calls:
+        solve = getattr(thermo, name)
+
+        def counted(*args, name=name, solve=solve):
+            calls[name] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(thermo, name, counted)
+    rng = random.Random(2123)
+    for _ in range(20):
+        g = _plan_test_graph(rng, kind)
+        queries = [
+            lambda: measures.parry_measure(g),
+            lambda: thermo.perron_root(g),
+            lambda: thermo.classify(g),
+            lambda: thermo.gurevich_entropy(g),
+            lambda: thermo.is_spr(g),
+        ]
+        queries += [lambda q=q: infinity.pressure_indicator(g, 0.0, q) for q in range(g.symbols + 1)]
+        queries += [lambda t=t: infinity.pressure_indicator(g, t, 0) for t in (0.5, 4.0)]
+        rng.shuffle(queries)
+        for k in calls:
+            calls[k] = 0
+        for query in queries + queries:
+            try:
+                query()
+            except NotStronglyConnected:
+                assert kind == "reducible"
+        plan = g.perron_plan
+        assert (len(plan) > 1) == (kind == "reducible")
+        romes = sum(block.rome is not None for block in plan)
+        dense = sum(block.rome is None and bool(block.matrix.any()) for block in plan)
+        assert calls == {"series_root": romes, "_dense_perron": dense}, g.edge_multiplicities()
+
+
+def test_perron_plan_keeps_no_failed_solve(monkeypatch):
+    # a NonConvergent is raised again on the next query, which solves anew
+    g = FiniteGraph(3, [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (3, 3)])
+    solve, calls = thermo._dense_perron, []
+
+    def flaky(a):
+        calls.append(a)
+        if len(calls) <= 2:
+            raise NonConvergent("bracket too wide")
+        return solve(a)
+
+    monkeypatch.setattr(thermo, "_dense_perron", flaky)
+    for query in (thermo.perron_root, measures.parry_measure):
+        with pytest.raises(NonConvergent):
+            query(g)
+    block = g.perron_plan[0]
+    assert "_perron" not in vars(block) and "log_root" not in vars(block)
+    assert abs(thermo.perron_root(g) - 2.0) < 1e-12
+    measures.parry_measure(g)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +662,7 @@ def test_concatenated_system_keeps_the_tarjan_component_of_the_first_start():
             graph.edge_multiplicities().items()
         )
         assert got.labels == labels
+        assert all(ambient.is_edge(labels[i - 1], labels[j - 1]) for i, j in graph.edge_multiplicities())
         assert got.slot_starts == starts
         assert got.block_counts == counts
         assert got.entropy_floor == floor
