@@ -20,6 +20,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -224,6 +225,19 @@ class FiniteGraph:
 
     def edge_multiplicities(self):
         return dict(self._mult)
+
+    @cached_property
+    def edge_index(self):
+        """(flat, parallel): the edges as the ascending row-major indices
+        (i - 1) * symbols + j - 1 of a symbols x symbols matrix, a read-only
+        int array, and the (i - 1, j - 1, multiplicity) of every edge of
+        multiplicity > 1. Built on the first call and kept: O(edges), where
+        a dense mask would hold symbols x symbols entries."""
+        n = self.symbols
+        flat = np.array(sorted((i - 1) * n + j - 1 for i, j in self._mult), dtype=np.int64)
+        flat.flags.writeable = False
+        parallel = tuple((i - 1, j - 1, m) for (i, j), m in self._mult.items() if m > 1)
+        return flat, parallel
 
     @property
     def is_simple(self):

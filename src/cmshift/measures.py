@@ -34,7 +34,7 @@ from .graphs import (
     is_strongly_connected,
     loop_record,
 )
-from .thermo import LoopGF, _dense_perron, classify, perron, series_root
+from .thermo import LoopGF, _perron_vector, classify, perron, series_root
 
 
 # ---------------------------------------------------------------------------
@@ -63,19 +63,26 @@ class MarkovMeasure:
         self.P = np.asarray(P, dtype=float)
         if self.pi.shape != (n,) or self.P.shape != (n, n):
             raise ValidationError("pi/P shapes do not match the graph")
-        rows, cols = np.nonzero(self.P > 0)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            if not graph.is_edge(i + 1, j + 1):
-                raise ValidationError(f"P({i + 1},{j + 1}) > 0 off the graph")
+        # the support of P, row-major, each entry against the graph's edge
+        # index at its sorted place
+        flat, parallel = graph.edge_index
+        support = off = np.flatnonzero(self.P > 0)
+        if len(flat):
+            off = support[flat.take(np.searchsorted(flat, support), mode="clip") != support]
+        if len(off):
+            i, j = divmod(int(off[0]), n)
+            raise ValidationError(f"P({i + 1},{j + 1}) > 0 off the graph")
         self.mass = 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(self.P > 0, np.log(np.where(self.P > 0, self.P, 1.0)), 0.0)
-        self.entropy = float(-np.sum(self.pi[:, None] * self.P * logs))
+        # -sum pi_i P_ij log P_ij, summed over all n x n entries, zeros
+        # included, as the dense sum did, so its rounding is the same
+        values = self.P.ravel()[support]
+        terms = np.zeros(n * n)
+        terms[support] = self.pi[support // n] * values * np.log(values)
+        self.entropy = float(-np.sum(terms))
         # P(i, j) spreads evenly over the m_ij parallel edges from i to j
-        parallel = [(i, j, m) for (i, j), m in graph.edge_multiplicities().items() if m > 1]
         if parallel:
             self.entropy += math.fsum(
-                self.pi[i - 1] * self.P[i - 1, j - 1] * math.log(m) for i, j, m in parallel
+                self.pi[i] * self.P[i, j] * math.log(m) for i, j, m in parallel
             )
 
     def cylinder_mass(self, word):
@@ -95,9 +102,10 @@ class MarkovMeasure:
 def markov_measure(graph, transitions):
     """Markov measure from a transition dict {(i, j): prob}.
 
-    The stationary vector is the left Perron vector of P (`_dense_perron`,
-    certified by its Collatz-Wielandt check), which needs a strongly
-    connected support: NotStronglyConnected on any other.
+    The stationary vector is the left Perron vector of P, the one vector
+    `_perron_vector` solves for on P.T (one eig call a pass, certified by
+    its own Collatz-Wielandt bracket). It needs a strongly connected
+    support: NotStronglyConnected on any other.
     """
     n = graph.symbols
     P = np.zeros((n, n))
@@ -113,7 +121,7 @@ def markov_measure(graph, transitions):
     support = FiniteGraph(n, [(i + 1, j + 1) for i, j in np.argwhere(P > 0).tolist()])
     if not is_strongly_connected(support):
         raise NotStronglyConnected("Perron vectors need a strongly connected support")
-    left = _dense_perron(P)[1]
+    left = _perron_vector(P.T)[1]
     return MarkovMeasure(graph, left / left.sum(), P)
 
 

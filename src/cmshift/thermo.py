@@ -78,11 +78,22 @@ from .graphs import (
 # asks, its certified root and Perron vectors. A query then runs only what
 # depends on its potential, and every entropy, Perron root and Parry chain
 # of one graph object shares one Perron solve per block.
+#
+# A block without a rome goes to numpy.linalg.eig. The Collatz-Wielandt
+# bracket of any one positive vector contains the Perron root (Seneta,
+# Non-negative Matrices and Markov Chains, ch. 1), so a certified root needs
+# one vector and one eig call per pass (`_perron_vector`): a shifted
+# pressure, or the stationary vector of `measures.markov_measure` (the
+# vector of P.T), solves for that vector alone. Only a Parry chain reads
+# both Perron vectors, so only a block's t = 0 solve, which the plan keeps
+# for its Parry chain, solves for the left one too (`_dense_perron`, two
+# calls).
 
 # widest accepted Collatz-Wielandt bracket, relative to the Perron root
 PERRON_BRACKET = 1e-9
-# eig passes before NonConvergent; each rescaling recovers vector entries
-# that the previous pass had only to absolute accuracy
+# eig calls on one vector before NonConvergent; each rescaling by the last
+# vector recovers entries that the previous pass had only to absolute
+# accuracy
 PERRON_PASSES = 4
 # the spacing of floats at 1
 _ULP = 2.0 ** -52
@@ -197,42 +208,49 @@ def _top_eigenpair(b):
     return float(vals[k].real), np.abs(vecs[:, k])
 
 
-def _collatz_width(a, lam, left, right):
-    """Width of the hull of lam and the Collatz-Wielandt brackets
-    [min (Av)_i/v_i, max (Av)_i/v_i] of both nonnegative vectors, which
-    contain the Perron root for every positive v; NonConvergent on a vector
-    entry that is zero or out of float range (a reducible matrix), where a
-    ratio is not finite."""
+def _collatz_width(a, lam, v):
+    """Width of the hull of lam and the Collatz-Wielandt bracket
+    [min (av)_i/v_i, max (av)_i/v_i] of a nonnegative vector v, which
+    contains the Perron root of a for every positive v (for a left vector,
+    pass a.T); NonConvergent on an entry of v that is zero or out of float
+    range (a reducible matrix), where a ratio is not finite."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratios = np.concatenate([(a @ right) / right, (left @ a) / left])
+        ratios = (a @ v) / v
     if not np.isfinite(ratios).all():
         raise NonConvergent("a Perron vector entry is zero or out of float range")
     return max(ratios.max(), lam) - min(ratios.min(), lam)
 
 
-def _dense_perron(a):
-    """Perron data from numpy.linalg.eig of a and of a.T; their moduli drop
-    any complex phase.
+def _perron_vector(a):
+    """(lam, v): the Perron root and positive right vector of a, from
+    numpy.linalg.eig, whose modulus drops any complex phase, certified by
+    v's own Collatz-Wielandt bracket.
 
     eig gets entries far below the largest only to absolute accuracy, so a
     bracket wider than PERRON_BRACKET * lam is retried on the similar matrix
-    D^-1 a D, D = diag(sqrt(right / left)), whose left and right Perron
-    vectors are both sqrt(left * right).
+    D^-1 a D, D = diag(v), whose Perron vector is close to all ones.
     """
     scale = np.ones(len(a))
     for _ in range(PERRON_PASSES):
-        b = a * scale / scale[:, None]
-        lam, right = _top_eigenpair(b)
-        right = right * scale
-        left = _top_eigenpair(b.T)[1] / scale
-        width = _collatz_width(a, lam, left, right)
-        scale = np.sqrt(right / left)
+        lam, v = _top_eigenpair(a * scale / scale[:, None])
+        v = v * scale
+        width = _collatz_width(a, lam, v)
         if width <= PERRON_BRACKET * lam:
-            return lam, left, right
+            return lam, v
+        scale = v
     raise NonConvergent(
         f"Collatz-Wielandt bracket of width {width} around the root {lam} is "
         f"wider than {PERRON_BRACKET} relative after {PERRON_PASSES} passes"
     )
+
+
+def _dense_perron(a):
+    """(lam, left, right): the Perron root of a with its positive left and
+    right vectors, for a Parry chain, the one reader of both. Each vector
+    comes from its own `_perron_vector` call, on a.T and on a, and is
+    certified by its own bracket; lam is the root of the call on a."""
+    lam, right = _perron_vector(a)
+    return lam, _perron_vector(a.T)[1], right
 
 
 @dataclass(frozen=True)
@@ -276,14 +294,15 @@ class Block:
 
     def perron(self, a):
         """(lam, left, right): the Perron root and positive left and right
-        vectors of the block, certified by the Collatz-Wielandt check
-        against a, its adjacency matrix (`matrix` where the block keeps
-        one; a rome block keeps none, so its caller builds it). The vectors
-        are read-only.
+        vectors of the block, each vector certified by its own
+        Collatz-Wielandt bracket against a, its adjacency matrix (`matrix`
+        where the block keeps one; a rome block keeps none, so its caller
+        builds it), the left one on a.T. The vectors are read-only.
 
         A rome block takes lam from `log_root` and its vectors from one
         pass each over the acyclic rest; any other block takes all three
-        from `_dense_perron`. NonConvergent on a bracket still too wide.
+        from `_dense_perron`, one eig call per vector. NonConvergent on a
+        bracket still too wide.
         """
         data = vars(self).get("_perron")
         if data is None:
@@ -292,7 +311,7 @@ class Block:
             else:
                 lam = math.exp(self.log_root)
                 left, right = _rome_vectors(*self.rome, math.exp(-self.log_root))
-                width = _collatz_width(a, lam, left, right)
+                width = max(_collatz_width(a, lam, right), _collatz_width(a.T, lam, left))
                 if width > PERRON_BRACKET * lam:
                     raise NonConvergent(
                         f"Collatz-Wielandt bracket of width {width} around the "
@@ -396,7 +415,7 @@ def _max_block_root(plan, shift=None):
         if returns is not None:
             y = top - series_root(*returns)
         elif a.any():
-            y = math.log(_dense_perron(a)[0]) + top
+            y = math.log(_perron_vector(a)[0]) + top
         else:
             continue
         best = max(best, y)

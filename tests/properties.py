@@ -3,13 +3,16 @@
 The oracles here enumerate walks explicitly (word-by-word recursion over
 out-edges), independent of the transfer-matrix and renewal recursions under
 test.  Instances stay tiny — at most 5 symbols and words of length <= 10 —
-so exhaustive enumeration is exact and fast.
+so exhaustive enumeration is exact and fast.  Perron roots are bracketed in
+decimal arithmetic by the Collatz-Wielandt bounds of positive vectors, with
+no float eigensolver.
 """
 
 import itertools
 import math
 import random
 from collections import Counter
+from decimal import Decimal, localcontext
 
 from cmshift.counting import CountSeries, _state, _walk_counts
 from cmshift.density import _shortest_path
@@ -334,3 +337,107 @@ def tarjan_pruned_system(ambient, supports, n, M):
     floor = (_log_big(math.prod(counts)) - (math.log(spread + 1) if spread else 0.0)) / period
     labels = tuple(label[key] for key in order)
     return graph, labels, tuple(starts), tuple(counts), floor, len(every)
+
+
+def pressure_sweep_graphs():
+    """The seeded pressure sweep: 293 random simple graphs of 2..6 symbols,
+    each ordered pair an edge with probability 1/2 (edgeless draws
+    redrawn), from random.Random(11)."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < 293:
+        s = rng.randint(2, 6)
+        edges = [(i, j) for i in range(1, s + 1) for j in range(1, s + 1) if rng.random() < 0.5]
+        if edges:
+            out.append(FiniteGraph(s, edges))
+    return out
+
+
+def _decimal_solve(m, b):
+    """x with m x = b, by Gaussian elimination with partial pivoting in the
+    current decimal context; None on a zero pivot."""
+    n = len(m)
+    m = [row[:] + [bi] for row, bi in zip(m, b)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if not m[p][k]:
+            return None
+        m[k], m[p] = m[p], m[k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n + 1):
+                m[i][j] -= f * m[k][j]
+    x = [Decimal(0)] * n
+    for i in reversed(range(n)):
+        x[i] = (m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
+    return x
+
+
+def _collatz_wielandt(rows, v):
+    """[min, max] of (A v)_i / v_i for a positive vector v: it contains the
+    Perron root of the nonnegative matrix A = rows."""
+    ratios = [sum(a * x for a, x in zip(row, v)) / vi for row, vi in zip(rows, v)]
+    return min(ratios), max(ratios)
+
+
+def decimal_perron_bracket(rows):
+    """[lo, hi] around the Perron root of an irreducible nonnegative matrix
+    of Decimals, in the current decimal context: the intersection of the
+    Collatz-Wielandt brackets of the positive vectors met, closed to 1e-25
+    relative or after 200 steps.
+
+    The vectors come from a shifted power iteration: each step solves
+    (sigma - A) y = v, a power step of (sigma - A)^-1, whose iterates stay
+    positive for sigma above the root. sigma is the upper end of the bracket
+    (Noda's iteration), or the geometric mean of the ends while they are
+    more than a factor 2 apart (a bisection in log sigma, since the root can
+    sit e^-t below the largest entry); a step whose iterate is not positive
+    put sigma at or below the root. Each solve is on D^-1 A D, D = diag(v),
+    whose Perron vector is near all ones, so entries far below the largest
+    keep their digits. Whatever the steps do, the bracket is certified by
+    the Collatz-Wielandt bracket of a positive vector alone.
+    """
+    n = len(rows)
+    v = [Decimal(1)] * n
+    lo, hi = _collatz_wielandt(rows, v)
+    below, rel = lo, Decimal("1e-25")
+    for _ in range(200):
+        if hi - lo <= rel * hi:
+            break
+        close = hi <= 2 * below
+        sigma = hi * (1 + rel / 10**5) if close else (below * hi).sqrt()
+        m = [[(sigma if i == j else 0) - rows[i][j] * v[j] / v[i] for j in range(n)]
+             for i in range(n)]
+        y = _decimal_solve(m, [Decimal(1)] * n)
+        if y is None or min(y) <= 0:
+            if close:
+                break
+            below = sigma
+            continue
+        y = [a * b for a, b in zip(y, v)]
+        top = max(y)
+        v = [x / top for x in y]
+        l2, h2 = _collatz_wielandt(rows, v)
+        lo, hi = max(lo, l2), min(hi, h2)
+        below = max(below, lo)
+    return lo, hi
+
+
+def decimal_pressure_bracket(graph, t, q):
+    """[lo, hi] around e^P, P the pressure of -t on the symbols <= q of a
+    finite graph, or None without a cycle: the largest Perron root over the
+    strongly connected blocks of A_t, a_ij e^-t where j <= q, each bracketed
+    by decimal_perron_bracket at 40 digits."""
+    mult = graph.edge_multiplicities()
+    with localcontext() as ctx:
+        ctx.prec = 40
+        weight = [Decimal(-t).exp() if j <= q else Decimal(1) for j in range(1, graph.symbols + 1)]
+        best = None
+        for comp in strongly_connected_components(graph):
+            idx = sorted(comp)
+            rows = [[mult.get((i, j), 0) * weight[j - 1] for j in idx] for i in idx]
+            if not any(any(row) for row in rows):
+                continue
+            lo, hi = decimal_perron_bracket(rows)
+            best = (lo, hi) if best is None else (max(best[0], lo), max(best[1], hi))
+    return best

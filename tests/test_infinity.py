@@ -32,7 +32,7 @@ import pytest
 from cmshift import density, infinity, measures, thermo
 from cmshift.errors import ValidationError
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
-from cmshift.graphs import GeometricTail, LoopSystem
+from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem
 
 LOG2 = math.log(2)
 
@@ -215,6 +215,19 @@ def test_dense_route_pressure_past_the_float_range_of_its_weights(t):
     # matrix; with both columns inside F every cycle weighs e^-t per step and
     # the pressure is log 2 - t, although e^-t is subnormal or 0
     assert infinity.pressure_indicator(full_shift(2), t, q=2) == LOG2 - t
+
+
+def test_dense_pressure_certified_by_its_right_vector_alone():
+    # no one-vertex rome; at t = 10, q = 2 the top two eigenvalues are
+    # 3.0000151 and 2.9999...: eig's left vector kept the two-vector bracket
+    # at 1.4e-8 after four passes, while the right vector alone certifies;
+    # exact value from a 60-digit eigenvalue
+    g = FiniteGraph(5, {
+        (1, 2): 1, (1, 4): 1, (2, 2): 2, (2, 3): 1, (2, 5): 2, (3, 1): 1, (3, 4): 3,
+        (3, 5): 3, (4, 1): 1, (4, 4): 3, (5, 1): 1, (5, 2): 1, (5, 4): 1,
+    })
+    assert thermo._plan(g)[0].rome is None
+    assert abs(infinity.pressure_indicator(g, 10.0, 2) - 1.0986173332192634227) <= 1e-12
 
 
 @pytest.mark.parametrize("t,exact", [(18.0, -17.931962091659646), (300.0, -299.93196209165967)])

@@ -18,6 +18,7 @@ Oracles used here, independent of the implementation under test:
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -153,6 +154,58 @@ def test_markov_measure_names_the_first_transition_off_the_graph():
     g = FiniteGraph(2, [(1, 2), (2, 1)])
     with pytest.raises(ValidationError, match=r"P\(1,1\) > 0 off the graph"):
         measures.MarkovMeasure(g, [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
+
+
+def test_markov_measure_off_graph_check_matches_is_edge():
+    # the support check compares P with the graph's sorted edge index in one
+    # array operation; is_edge over the entries in row-major order is the
+    # oracle, edgeless graphs included
+    rng = random.Random(2425)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        edges = {(i, j): rng.choice((1, 1, 2)) for i in range(1, n + 1) for j in range(1, n + 1)
+                 if rng.random() < 0.4}
+        g = FiniteGraph(n, edges)
+        flat, parallel = g.edge_index
+        assert flat.tolist() == sorted((i - 1) * n + j - 1 for i, j in edges)
+        assert sorted(parallel) == sorted((i - 1, j - 1, m) for (i, j), m in edges.items() if m > 1)
+        P = np.array([[float(rng.random() < 0.4) for _ in range(n)] for _ in range(n)])
+        off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+               if P[i - 1, j - 1] > 0 and not g.is_edge(i, j)]
+        if off:
+            with pytest.raises(ValidationError, match=rf"P\({off[0][0]},{off[0][1]}\) > 0 off"):
+                measures.MarkovMeasure(g, np.full(n, 1 / n), P)
+        else:
+            measures.MarkovMeasure(g, np.full(n, 1 / n), P)
+
+
+def test_markov_measure_entropy_matches_the_dense_sum_bit_for_bit():
+    # the entropy sums its terms over the support only into an n x n array
+    # of zeros; the dense sum over every entry, plus the fsum of the
+    # parallel-edge terms, is the reference, to the last bit
+    rng = random.Random(2426)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        edges = {}
+        for i in range(1, n + 1):
+            edges[(i, i % n + 1)] = rng.choice((1, 2))
+            for j in range(1, n + 1):
+                if rng.random() < 0.2:
+                    edges[(i, j)] = rng.choice((1, 1, 3))
+        g = FiniteGraph(n, edges)
+        P = np.zeros((n, n))
+        for (i, j) in edges:
+            P[i - 1, j - 1] = rng.random()
+        P /= P.sum(axis=1)[:, None]
+        pi = np.array([rng.random() for _ in range(n)])
+        pi /= pi.sum()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(P > 0, np.log(np.where(P > 0, P, 1.0)), 0.0)
+        want = float(-np.sum(pi[:, None] * P * logs))
+        parallel = [(i, j, m) for (i, j), m in edges.items() if m > 1]
+        if parallel:
+            want += math.fsum(pi[i - 1] * P[i - 1, j - 1] * math.log(m) for i, j, m in parallel)
+        assert measures.MarkovMeasure(g, pi, P).entropy == want
 
 
 def test_markov_measure_stationary_vector():

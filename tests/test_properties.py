@@ -7,6 +7,7 @@ tolerance, except where floating point enters (stationarity, entropy).
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +24,12 @@ from properties import (
     brute_loop_count,
     brute_markov_masses,
     brute_min_cover,
+    decimal_pressure_bracket,
     enumerate_words,
     escape_count_pinned,
     marked_preserving_permutation,
     per_id_cylinder_limit,
+    pressure_sweep_graphs,
     scalar_aitken_limit,
     random_strongly_connected_graph,
     random_two_out_graph,
@@ -360,6 +363,137 @@ def test_perron_plan_keeps_no_failed_solve(monkeypatch):
     assert abs(thermo.perron_root(g) - 2.0) < 1e-12
     measures.parry_measure(g)
     assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# dense Perron roots: one right vector certifies a pressure
+
+SWEEP_TS = (0.7, 3.0, 10.0, 30.0, 100.0)
+# NonConvergent pressures of the seeded sweep (2930 in all): 211 when every
+# dense root needed both eig vectors inside the bracket, 145 with the right
+# vector's own bracket
+SWEEP_RAISES = 145
+
+
+def test_sweep_pressures_lie_in_decimal_collatz_wielandt_brackets():
+    # every answered pressure of the seeded sweep lies within 1e-9 relative
+    # of a 40-digit Collatz-Wielandt bracket on the Perron root, and a
+    # pressure that is not answered raises NonConvergent, no other error
+    raised = 0
+    tol = Decimal("1e-9")
+    for g in pressure_sweep_graphs():
+        for t in SWEEP_TS:
+            for q in (1, 2):
+                try:
+                    p = infinity.pressure_indicator(g, t, q)
+                except NonConvergent:
+                    raised += 1
+                    continue
+                bracket = decimal_pressure_bracket(g, t, q)
+                if bracket is None:
+                    assert p == -math.inf
+                    continue
+                lo, hi = bracket
+                with localcontext() as ctx:
+                    ctx.prec = 40
+                    assert hi - lo <= Decimal("1e-20") * hi
+                    where = (g.edge_multiplicities(), t, q)
+                    assert lo * (1 - tol) <= Decimal(p).exp() <= hi * (1 + tol), where
+    assert raised <= SWEEP_RAISES
+
+
+# the 3-symbol family of ROADMAP item 1: lam^2 - e lam - e = 0, e = e^-t, at q = 2
+THREE_SYMBOL = {(1, 3): 1, (2, 1): 1, (2, 2): 1, (3, 1): 1, (3, 2): 1}
+
+
+@pytest.mark.parametrize("t", [0.7, 3.0, 10.0, 30.0, 100.0, 300.0, 600.0, 700.0])
+def test_dense_pressures_match_closed_forms(t):
+    # neither graph has a one-vertex rome, so both take the dense route
+    eps = math.exp(-t)
+    family = FiniteGraph(3, THREE_SYMBOL)
+    assert thermo._plan(family)[0].rome is None
+    want = -t / 2 + math.log(math.sqrt(eps) / 2 + math.sqrt(1 + eps / 4))
+    assert abs(infinity.pressure_indicator(family, t, 2) - want) <= 1e-12 * max(1.0, abs(want))
+    # full_shift(2) at q = 1: P = log(1 + e^-t). From t = 672 on, eig
+    # returns its Perron vector as (1, 0), which no rescaling can follow:
+    # the dense route's loss of tiny scaled entries (ROADMAP item 1)
+    try:
+        got = infinity.pressure_indicator(full_shift(2), t, 1)
+    except NonConvergent:
+        assert t >= 672
+    else:
+        assert abs(got - math.log1p(eps)) <= 1e-12
+
+
+def _count_passes(monkeypatch):
+    """Counters of eig calls and Collatz-Wielandt passes of the one-vector
+    kernel, and whether each pass certified its root."""
+    log = {"eig": 0, "passes": []}
+    top, width = thermo._top_eigenpair, thermo._collatz_width
+
+    def counted_top(b):
+        log["eig"] += 1
+        return top(b)
+
+    def counted_width(a, lam, v):
+        log["passes"].append(False)
+        w = width(a, lam, v)
+        log["passes"][-1] = w <= thermo.PERRON_BRACKET * lam
+        return w
+
+    monkeypatch.setattr(thermo, "_top_eigenpair", counted_top)
+    monkeypatch.setattr(thermo, "_collatz_width", counted_width)
+    return log
+
+
+def test_shifted_dense_pressures_solve_one_eig_per_pass(monkeypatch):
+    # a fresh graph asked for one shifted pressure solves nothing at t = 0:
+    # each dense block makes one eig call per pass, so a block whose first
+    # pass certifies makes exactly one
+    log = _count_passes(monkeypatch)
+    first = 0
+    for g in pressure_sweep_graphs()[:120]:
+        plan = thermo._plan(g)
+        dense = [b for b in plan if b.rome is None and b.matrix.any()]
+        if len(dense) != 1:
+            continue
+        for t in (0.7, 3.0, 10.0, 30.0):
+            for q in (1, 2):
+                fresh = FiniteGraph(g.symbols, g.edge_multiplicities())
+                log["eig"], log["passes"] = 0, []
+                try:
+                    infinity.pressure_indicator(fresh, t, q)
+                except NonConvergent:
+                    pass
+                assert log["eig"] == len(log["passes"]) <= thermo.PERRON_PASSES
+                if log["passes"][0]:
+                    first += 1
+                    assert log["eig"] == 1
+    assert first >= 100
+
+
+def test_markov_chains_solve_one_eig_per_pass(monkeypatch):
+    # markov_measure takes its stationary vector as the one-vector kernel's
+    # vector of P.T; a Parry chain on a fresh dense graph solves its left
+    # and right vectors with one call each
+    log = _count_passes(monkeypatch)
+    rng = random.Random(2424)
+    for _ in range(40):
+        g = random_strongly_connected_graph(rng, max_symbols=6)
+        transitions = {}
+        for i in range(1, g.symbols + 1):
+            outs = g.out_neighbors(i)
+            weights = [rng.uniform(0.1, 1.0) for _ in outs]
+            transitions.update({(i, j): w / sum(weights) for j, w in zip(outs, weights)})
+        log["eig"], log["passes"] = 0, []
+        mu = measures.markov_measure(g, transitions)
+        assert log["eig"] == len(log["passes"]) >= 1 and log["passes"][-1]
+        assert np.allclose(mu.pi @ mu.P, mu.pi, rtol=0, atol=1e-12)
+        if thermo._plan(g)[0].rome is None:
+            log["eig"], log["passes"] = 0, []
+            measures.parry_measure(g)
+            assert log["eig"] == len(log["passes"])
+            assert log["eig"] == 2 or not all(log["passes"])
 
 
 # ---------------------------------------------------------------------------

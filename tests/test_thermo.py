@@ -452,8 +452,11 @@ def test_perron_rome_route_rejects_reducible_matrix():
     assert len(thermo._plan(g)) == 2
     left, right = thermo._rome_vectors(*rome, 1.0)
     assert left[2] == 0.0
+    # the left vector's own bracket is taken on a.T; the right one has no
+    # zero entry and passes
+    assert thermo._collatz_width(a, 1.0, right) == 0.0
     with pytest.raises(NonConvergent):
-        thermo._collatz_width(a, 1.0, left, right)
+        thermo._collatz_width(a.T, 1.0, left)
 
 
 def test_perron_without_a_rome_falls_back_to_eig():
