@@ -33,7 +33,7 @@ import numpy as np
 
 from . import counting, measures, thermo
 from .errors import NotDrifting, ValidationError
-from .graphs import FiniteGraph, LoopSystem, _log_big, strongly_connected_components
+from .graphs import FiniteGraph, LoopSystem, _log_big
 
 _LOG2 = math.log(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -41,6 +41,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _Q_MAX = 64
 # how far the mass bound and the spot check let a measured value miss
 _TOL = 0.02
+# the length of the schedule whose limit mass mass_bound_check measures
+_MASS_SCHEDULE = 6
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +80,9 @@ class BInfReport:
 def _pressure_bounded_below(graph, q):
     """Whether P(-t 1_F), F = symbols <= q, stays bounded below as t grows:
     on an infinite loop system by log growth (measures on ever longer loops),
-    on a finite graph when some cycle avoids F. Every cycle of a finite loop
-    system passes through the base."""
+    on a finite graph when some cycle avoids F, that is when a block of the
+    Perron plan of the graph outside F carries one. Every cycle of a finite
+    loop system passes through the base."""
     if isinstance(graph, LoopSystem):
         return graph.is_infinite
     if q >= graph.symbols:
@@ -88,10 +91,7 @@ def _pressure_bounded_below(graph, q):
         (i - q, j - q): m for (i, j), m in graph.edge_multiplicities().items() if i > q and j > q
     }
     rest = FiniteGraph(graph.symbols - q, outside)
-    return any(
-        len(comp) > 1 or rest.is_edge(comp[0], comp[0])
-        for comp in strongly_connected_components(rest)
-    )
+    return any(block.matrix.any() for block in thermo._plan(rest))
 
 
 def b_inf_estimate(graph, lam=1e-3, q=1, t_max=None):
@@ -156,28 +156,24 @@ class HInfReport:
     base_masses: tuple
 
 
-def h_inf_lower_bound(graph, windows=None, count=4):
+def h_inf_lower_bound(graph, count=4):
     """Entropy retained along an explicitly escaping sequence of measures.
 
     Builds equilibrium measures supported on loops with lengths in windows
-    pushed further and further out (by default [30 * 2^j, 90 * 2^j] for
-    j < count), checks that the mass of every fixed cylinder decays along
-    the sequence, and reports the limsup proxy (the best entropy over the
-    final third of the sequence). The finite windows retain a sliver of
-    excess entropy, so the proxy can sit slightly above the true limit; it
-    converges as the windows deepen.
+    pushed further and further out ([30 * 2^j, 90 * 2^j] for j < count),
+    checks that the mass of every fixed cylinder decays along the sequence,
+    and reports the limsup proxy (the best entropy over the final third of
+    the sequence). The finite windows retain a sliver of excess entropy, so
+    the proxy can sit slightly above the true limit; it converges as the
+    windows deepen.
     """
-    if windows is None and count < 1:
+    if count < 1:
         raise ValidationError("count must be >= 1", field="count")
-    if windows is not None and not windows:
-        raise ValidationError("windows must not be empty", field="windows")
     if isinstance(graph, FiniteGraph):
         return HInfReport(float("-inf"), (), (), False, ())
     if not isinstance(graph, LoopSystem) or not graph.is_infinite:
         raise NotDrifting("no escaping sequences exist on a finite loop system")
-    if windows is None:
-        windows = [(30 * 2**j, 90 * 2**j) for j in range(count)]
-    windows = [(int(lo), int(hi)) for lo, hi in windows]
+    windows = [(30 * 2**j, 90 * 2**j) for j in range(count)]
     seq = [measures.tail_parry_measure(graph, lo, hi) for lo, hi in windows]
     entropies = [m.entropy for m in seq]
     base = [float(m.symbol_masses(1)[0]) for m in seq]
@@ -307,15 +303,14 @@ class MassBoundReport:
     satisfied: bool
 
 
-def mass_bound_check(graph, c, count=6):
+def mass_bound_check(graph, c):
     """Quantitative mass bound along a half-retained, half-escaping schedule.
 
     When every h(mu_k) >= c, any weak* limit keeps mass at least
-    (c - delta_inf) / (h_top - delta_inf); the stock schedule pins the
-    measured limit mass against that floor, within _TOL.
+    (c - delta_inf) / (h_top - delta_inf); the stock schedule of
+    _MASS_SCHEDULE measures pins the measured limit mass against that
+    floor, within _TOL.
     """
-    if count < 3:
-        raise ValidationError("cylinder limits need count >= 3 measures", field="count")
     if not math.isfinite(c):
         raise ValidationError("the entropy level c must be a finite number", field="c")
     if not isinstance(graph, LoopSystem) or not graph.is_infinite:
@@ -328,7 +323,7 @@ def mass_bound_check(graph, c, count=6):
     else:
         bound = (c - delta) / (h_top - delta)
     bound = min(max(bound, 0.0), 1.0)
-    schedule, measured, _ = _escape_limit(graph, mme, "mixture", count)
+    schedule, measured, _ = _escape_limit(graph, mme, "mixture", _MASS_SCHEDULE)
     entropies_ok = all(m.entropy >= c - 1e-9 for m in schedule)
     satisfied = entropies_ok and measured >= bound - _TOL
     return MassBoundReport(

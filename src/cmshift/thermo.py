@@ -71,23 +71,24 @@ from .graphs import (
 # pass each over the acyclic rest: no eigensolver is needed.
 #
 # A finite block with a rome is a finite loop system at that rome, so a
-# graph keeps its blocks and their romes in one Perron plan (`_plan`), as a
-# LoopSystem keeps its count table. The t = 0 answer of a block depends on
-# the graph alone too: from the block's first unshifted query on, the plan
-# keeps its first-return series, its log Perron root and, once `perron`
-# asks, its certified root and Perron vectors. A query then runs only what
-# depends on its potential, and every entropy, Perron root and Parry chain
-# of one graph object shares one Perron solve per block.
+# graph keeps its blocks, each with its adjacency matrix and its rome, in
+# one Perron plan (`_plan`), as a LoopSystem keeps its count table. The
+# t = 0 answer of a block depends on the graph alone too: from the block's
+# first unshifted query on, the plan keeps what it solved, one cached
+# property each: the first-return series or the dense root and right
+# vector, the log Perron root and, once `perron` asks, the Perron vectors.
+# A query then runs only what depends on its potential, and every entropy,
+# Perron root and Parry chain of one graph object shares one Perron solve
+# per block.
 #
 # A block without a rome goes to numpy.linalg.eig. The Collatz-Wielandt
 # bracket of any one positive vector contains the Perron root (Seneta,
 # Non-negative Matrices and Markov Chains, ch. 1), so a certified root needs
-# one vector and one eig call per pass (`_perron_vector`): a shifted
-# pressure, or the stationary vector of `measures.markov_measure` (the
-# vector of P.T), solves for that vector alone. Only a Parry chain reads
-# both Perron vectors, so only a block's t = 0 solve, which the plan keeps
-# for its Parry chain, solves for the left one too (`_dense_perron`, two
-# calls).
+# one vector and one eig call per pass (`_perron_vector`): a pressure, or
+# the stationary vector of `measures.markov_measure` (the vector of P.T),
+# solves for that vector alone. Only a Parry chain reads both Perron
+# vectors, so only it adds the left vector, one more `_perron_vector` call
+# on the block's transpose.
 
 # widest accepted Collatz-Wielandt bracket, relative to the Perron root
 PERRON_BRACKET = 1e-9
@@ -244,28 +245,21 @@ def _perron_vector(a):
     )
 
 
-def _dense_perron(a):
-    """(lam, left, right): the Perron root of a with its positive left and
-    right vectors, for a Parry chain, the one reader of both. Each vector
-    comes from its own `_perron_vector` call, on a.T and on a, and is
-    certified by its own bracket; lam is the root of the call on a."""
-    lam, right = _perron_vector(a)
-    return lam, _perron_vector(a.T)[1], right
-
-
 @dataclass(frozen=True)
 class Block:
     """A strongly connected block of a finite graph, as its queries read it:
     `idx` its symbols - 1, ascending; `rome` a one-vertex rome of its
-    support (`_rome`), or None; and `matrix` its adjacency matrix where
-    there is no rome (the dense route's input; the graph's own matrix when
-    the block is the whole graph), else None. Its arrays are read-only.
+    support (`_rome`), or None; and `matrix` its adjacency matrix (the
+    graph's own when the block is the whole graph). Its arrays are
+    read-only, and it carries a cycle exactly when `matrix` has a nonzero
+    entry.
 
     Its t = 0 Perron data is built on the block's first unshifted query
-    and kept: `returns` and `log_root`, and `perron(a)` once the Perron
-    vectors are asked for. A graph queried only at shifted potentials
-    builds none of it, and a query that raises keeps nothing, so it raises
-    again on the next one."""
+    and kept, one cached property per thing solved: `returns` at a rome,
+    `right` elsewhere, `log_root`, and `perron` once the Perron vectors are
+    asked for. A graph queried only at shifted potentials builds none of
+    it, and a query that raises keeps nothing, so it raises again on the
+    next one."""
 
     idx: np.ndarray
     rome: tuple
@@ -281,6 +275,14 @@ class Block:
         return returns
 
     @cached_property
+    def right(self):
+        """(lam, right): the certified Perron root and read-only right
+        vector of a block without a rome (`_perron_vector`)."""
+        lam, right = _perron_vector(self.matrix)
+        right.flags.writeable = False
+        return lam, right
+
+    @cached_property
     def log_root(self):
         """The log of the block's Perron root: -log of the first-return
         root at the rome, else the log of the dense root; -inf for an
@@ -290,56 +292,52 @@ class Block:
             return 0.0 - series_root(*self.returns)
         if not self.matrix.any():
             return -math.inf
-        return math.log(self.perron(self.matrix)[0])
+        return math.log(self.right[0])
 
-    def perron(self, a):
+    @cached_property
+    def perron(self):
         """(lam, left, right): the Perron root and positive left and right
         vectors of the block, each vector certified by its own
-        Collatz-Wielandt bracket against a, its adjacency matrix (`matrix`
-        where the block keeps one; a rome block keeps none, so its caller
-        builds it), the left one on a.T. The vectors are read-only.
+        Collatz-Wielandt bracket against `matrix`, the left one on its
+        transpose. The vectors are read-only.
 
         A rome block takes lam from `log_root` and its vectors from one
-        pass each over the acyclic rest; any other block takes all three
-        from `_dense_perron`, one eig call per vector. NonConvergent on a
-        bracket still too wide.
+        pass each over the acyclic rest; any other block adds only the left
+        vector, from `_perron_vector` on the transpose, to `right`.
+        NonConvergent on a bracket still too wide.
         """
-        data = vars(self).get("_perron")
-        if data is None:
-            if self.rome is None:
-                data = _dense_perron(a)
-            else:
-                lam = math.exp(self.log_root)
-                left, right = _rome_vectors(*self.rome, math.exp(-self.log_root))
-                width = max(_collatz_width(a, lam, right), _collatz_width(a.T, lam, left))
-                if width > PERRON_BRACKET * lam:
-                    raise NonConvergent(
-                        f"Collatz-Wielandt bracket of width {width} around the "
-                        f"first-return root {lam} is wider than {PERRON_BRACKET} relative"
-                    )
-                data = lam, left, right
-            for array in data[1:]:
-                array.flags.writeable = False
-            # kept as cached_property keeps a value: the dataclass is frozen
-            vars(self)["_perron"] = data
-        return data
+        a = self.matrix
+        if self.rome is None:
+            lam, right = self.right
+            left = _perron_vector(a.T)[1]
+        else:
+            lam = math.exp(self.log_root)
+            left, right = _rome_vectors(*self.rome, math.exp(-self.log_root))
+            width = max(_collatz_width(a, lam, right), _collatz_width(a.T, lam, left))
+            if width > PERRON_BRACKET * lam:
+                raise NonConvergent(
+                    f"Collatz-Wielandt bracket of width {width} around the "
+                    f"first-return root {lam} is wider than {PERRON_BRACKET} relative"
+                )
+            right.flags.writeable = False
+        left.flags.writeable = False
+        return lam, left, right
 
 
-def _block(idx, matrix, rome):
-    """The Block of the symbols idx + 1, given their adjacency matrix and
-    rome = _rome(matrix)."""
+def _block(idx, matrix):
+    """The Block of the symbols idx + 1, given their adjacency matrix."""
     idx.flags.writeable = False
-    if rome is not None:
-        return Block(idx, rome, None)
     matrix.flags.writeable = False
-    return Block(idx, None, matrix)
+    return Block(idx, _rome(matrix), matrix)
 
 
 def _plan(graph):
     """The Perron plan of a finite graph: a tuple of the Blocks of its
     strongly connected components, in the order of
-    strongly_connected_components; one block, whose matrix is the graph's
-    own, when the graph is strongly connected.
+    strongly_connected_components, each with its adjacency submatrix; one
+    block, whose matrix is the graph's own, when the graph is strongly
+    connected. It is the one owner of the graph's blocks and of their
+    cycles: a block has one exactly when its matrix is not all zero.
 
     It depends on the graph alone, so the graph keeps it in `perron_plan`:
     built on the first Perron query and attached with one assignment, then
@@ -351,35 +349,38 @@ def _plan(graph):
         a = adjacency_matrix(graph)
         comps = strongly_connected_components(graph)
         if len(comps) == 1:
-            plan = (_block(np.arange(graph.symbols), a, _rome(a)),)
+            plan = (_block(np.arange(graph.symbols), a),)
         else:
             plan = []
             for comp in comps:
                 idx = np.array(sorted(comp)) - 1
-                block = a[np.ix_(idx, idx)]
-                plan.append(_block(idx, block, _rome(block)))
+                plan.append(_block(idx, a[np.ix_(idx, idx)]))
             plan = tuple(plan)
         graph.perron_plan = plan
     return plan
 
 
+def _irreducible(graph, message):
+    """The one block of a finite graph's plan when it carries a cycle;
+    NotStronglyConnected with message on any other graph."""
+    plan = _plan(graph)
+    if len(plan) != 1 or not plan[0].matrix.any():
+        raise NotStronglyConnected(message)
+    return plan[0]
+
+
 def perron(graph):
     """The adjacency matrix of a strongly connected finite graph with its
     Perron root and positive left and right eigenvectors: (a, lam, left,
-    right), from the graph's plan.
+    right), all read-only, from the graph's plan.
 
     Through the first-return series at a one-vertex rome when there is one,
-    else by dense eig, once per graph (`Block.perron`); a is built on every
-    call where the plan keeps no matrix. NotStronglyConnected on any other
-    graph, NonConvergent on a Collatz-Wielandt bracket wider than
-    PERRON_BRACKET * lam.
+    else by dense eig, once per graph (`Block.perron`). NotStronglyConnected
+    on any other graph, NonConvergent on a Collatz-Wielandt bracket wider
+    than PERRON_BRACKET * lam.
     """
-    plan = _plan(graph)
-    if len(plan) != 1:
-        raise NotStronglyConnected("Perron vectors need a strongly connected support")
-    block = plan[0]
-    a = adjacency_matrix(graph) if block.matrix is None else block.matrix
-    return (a, *block.perron(a))
+    block = _irreducible(graph, "Perron vectors need a strongly connected support")
+    return (block.matrix, *block.perron)
 
 
 def _max_block_root(plan, shift=None):
@@ -905,8 +906,7 @@ def classify(graph):
     """Vere-Jones recurrence classification of an irreducible presentation.
     The entropy is the pressure at t = 0."""
     if isinstance(graph, FiniteGraph):
-        if len(_plan(graph)) != 1:
-            raise NotStronglyConnected("classification needs a strongly connected graph")
+        _irreducible(graph, "classification needs a strongly connected graph")
         h = pressure(graph)
         return Classification(
             "positive-recurrent", h, x_star=math.exp(-h), radius=None,

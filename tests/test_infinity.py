@@ -155,7 +155,6 @@ def test_pressure_indicator_rejects_negative_finite_part(make):
         lambda: infinity.h_inf_lower_bound(renewal_shift(), count=0),
         lambda: infinity.verify_main_inequality(renewal_shift(), family="mme", count=0),
         lambda: infinity.verify_main_inequality(renewal_shift(), family="drift", count=2),
-        lambda: infinity.mass_bound_check(renewal_shift(), 0.3, count=2),
     ],
 )
 def test_schedule_counts_below_their_minimum_are_rejected(check):
@@ -537,12 +536,6 @@ def test_mme_stability_rejects_probes_beyond_every_boundary():
     with pytest.raises(ValidationError) as exc:
         infinity.mme_stability(renewal_shift(), qs=(8,), probe_ids=(8,))
     assert exc.value.field == "probe_ids"
-
-
-def test_h_inf_lower_bound_rejects_empty_windows():
-    with pytest.raises(ValidationError) as exc:
-        infinity.h_inf_lower_bound(renewal_shift(), windows=[])
-    assert exc.value.field == "windows"
 
 
 def test_usc_spot_check():

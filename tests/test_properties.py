@@ -271,10 +271,13 @@ def test_perron_plan_answers_a_reused_graph_as_a_fresh_one():
                 assert run(g, query)[0] == "NotStronglyConnected"
         else:
             # the Parry chain kept the block's certified Perron vectors
-            assert "_perron" in vars(plan[0])
+            assert "perron" in vars(plan[0])
         for block in plan:
-            arrays = [block.idx] + ([block.matrix] if block.rome is None else list(block.returns[:2]))
-            arrays += list(vars(block).get("_perron", ())[1:])
+            arrays = [block.idx, block.matrix]
+            if block.rome is not None:
+                arrays += block.returns[:2]
+            for kept in ("right", "perron"):
+                arrays += list(vars(block).get(kept, ())[1:])
             for array in arrays:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -285,9 +288,10 @@ def test_perron_plan_answers_a_reused_graph_as_a_fresh_one():
 def test_perron_plan_builds_a_series_only_for_an_unshifted_query():
     # a graph asked only for shifted pressures never sums the unweighted
     # first-return series of its rome blocks, nor solves any block at t = 0;
-    # the first unshifted query builds and keeps its t = 0 data
+    # the first unshifted query builds and keeps its t = 0 data, a dense
+    # block's right vector but not its left one
     rng = random.Random(2122)
-    kept = ("returns", "log_root", "_perron")
+    kept = ("returns", "right", "log_root", "perron")
     for _ in range(45):
         g = _plan_test_graph(rng, rng.choice(("rome", "dense", "reducible")))
         infinity.pressure_indicator(g, 0.7, 1)
@@ -299,15 +303,18 @@ def test_perron_plan_builds_a_series_only_for_an_unshifted_query():
             if block.rome is not None:
                 assert "returns" in vars(block)
             elif block.matrix.any():
-                assert "_perron" in vars(block)
+                assert "right" in vars(block)
+            assert "perron" not in vars(block)
 
 
 @pytest.mark.parametrize("kind", ["rome", "dense", "reducible"])
 def test_perron_plan_solves_each_block_once_at_t_0(monkeypatch, kind):
     # the entropy, Perron root, classification, SPR verdict, unshifted
     # pressures and Parry chain of one graph object share one t = 0 solve
-    # per block: one first-return root at a rome, one dense eig elsewhere
-    calls = {"series_root": 0, "_dense_perron": 0}
+    # per block: one first-return root at a rome, one dense right vector
+    # elsewhere, and one left vector more for the Parry chain of an
+    # irreducible dense graph
+    calls = {"series_root": 0, "_perron_vector": 0}
     for name in calls:
         solve = getattr(thermo, name)
 
@@ -340,13 +347,54 @@ def test_perron_plan_solves_each_block_once_at_t_0(monkeypatch, kind):
         assert (len(plan) > 1) == (kind == "reducible")
         romes = sum(block.rome is not None for block in plan)
         dense = sum(block.rome is None and bool(block.matrix.any()) for block in plan)
-        assert calls == {"series_root": romes, "_dense_perron": dense}, g.edge_multiplicities()
+        vectors = dense if kind == "reducible" else 2 * dense
+        assert calls == {"series_root": romes, "_perron_vector": vectors}, g.edge_multiplicities()
+
+
+@pytest.mark.parametrize("query", ["perron_root", "classify", "gurevich_entropy", "is_spr"])
+def test_dense_t_0_root_makes_one_eig_call(monkeypatch, query):
+    # the t = 0 root of a dense block solves its right vector alone; the
+    # first Parry chain adds the left one, and a reused one nothing
+    top, eigs = thermo._top_eigenpair, []
+
+    def counted(b):
+        eigs.append(b)
+        return top(b)
+
+    monkeypatch.setattr(thermo, "_top_eigenpair", counted)
+    g = full_shift(2)
+    getattr(thermo, query)(g)
+    assert thermo._plan(g)[0].rome is None and len(eigs) == 1
+    measures.parry_measure(g)
+    measures.parry_measure(g)
+    assert len(eigs) == 2
+
+
+@pytest.mark.parametrize(
+    "make", [golden_mean, lambda: renewal_shift().truncate(7).as_graph()], ids=["golden", "renewal-7"]
+)
+def test_parry_chain_on_a_rome_graph_builds_the_adjacency_once(monkeypatch, make):
+    # a rome block keeps its matrix: a fresh graph's Parry chain builds the
+    # adjacency once, for the plan, and a reused graph's never again
+    build, calls = thermo.adjacency_matrix, []
+
+    def counted(graph):
+        calls.append(graph)
+        return build(graph)
+
+    monkeypatch.setattr(thermo, "adjacency_matrix", counted)
+    g = make()
+    measures.parry_measure(g)
+    assert g.perron_plan[0].rome is not None and len(calls) == 1
+    for _ in range(3):
+        measures.parry_measure(g)
+    assert len(calls) == 1
 
 
 def test_perron_plan_keeps_no_failed_solve(monkeypatch):
     # a NonConvergent is raised again on the next query, which solves anew
     g = FiniteGraph(3, [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (3, 3)])
-    solve, calls = thermo._dense_perron, []
+    solve, calls = thermo._perron_vector, []
 
     def flaky(a):
         calls.append(a)
@@ -354,15 +402,18 @@ def test_perron_plan_keeps_no_failed_solve(monkeypatch):
             raise NonConvergent("bracket too wide")
         return solve(a)
 
-    monkeypatch.setattr(thermo, "_dense_perron", flaky)
+    monkeypatch.setattr(thermo, "_perron_vector", flaky)
     for query in (thermo.perron_root, measures.parry_measure):
         with pytest.raises(NonConvergent):
             query(g)
     block = g.perron_plan[0]
-    assert "_perron" not in vars(block) and "log_root" not in vars(block)
+    assert not any(name in vars(block) for name in ("right", "log_root", "perron"))
     assert abs(thermo.perron_root(g) - 2.0) < 1e-12
     measures.parry_measure(g)
-    assert len(calls) == 3
+    # the right vector on the block's matrix three times, then the left one
+    # on its transpose
+    assert [a is block.matrix for a in calls] == [True, True, True, False]
+    assert np.array_equal(calls[3], block.matrix.T)
 
 
 # ---------------------------------------------------------------------------

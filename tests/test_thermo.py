@@ -12,8 +12,9 @@ Oracles used here, independent of the implementation under test:
   - escape counts in the single-loop regime are loop counts: z_n = a_{n+1},
     so the fitted escape rate equals the loop growth exactly,
   - a_1 x + a_2 x^2 = 1 has the root 2 / (a_1 + sqrt(a_1^2 + 4 a_2)),
-  - on graphs with a one-vertex rome, the dense eig path of `thermo.perron`
-    checks its first-return route.
+  - on graphs with a one-vertex rome, the dense kernel
+    `thermo._perron_vector` on the adjacency matrix and on its transpose
+    checks the first-return route of `thermo.perron`.
 """
 
 import math
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmshift import density, infinity, thermo
+from cmshift import density, infinity, measures, thermo
 from cmshift.errors import NonConvergent, NotStronglyConnected
 from cmshift.families import (
     full_shift,
@@ -389,19 +390,32 @@ def test_perron_rejects_reducible_matrix():
     with pytest.raises(NotStronglyConnected):
         thermo.perron(FiniteGraph(2, [(1, 1), (1, 2), (2, 2)]))
     with pytest.raises(NonConvergent):
-        thermo._dense_perron(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        thermo._perron_vector(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_edgeless_one_symbol_graph_is_not_irreducible():
+    # the one-symbol truncation of LoopSystem([(2, 1), (3, 1)]) keeps no
+    # edge: its one block has no cycle, so no Perron data, Parry chain or
+    # recurrence class exists, as for is_spr
+    g = LoopSystem([(2, 1), (3, 1)]).truncate(1).as_graph()
+    assert g.symbols == 1 and not g.edge_multiplicities()
+    for query in (thermo.perron, measures.parry_measure, thermo.classify, thermo.is_spr):
+        with pytest.raises(NotStronglyConnected):
+            query(g)
+    assert thermo.pressure(g) == -math.inf
 
 
 # ---------------------------------------------------------------------------
-# Perron data through a one-vertex rome; dense eig (thermo._dense_perron,
-# the fallback of the same kernel) is the oracle
+# Perron data through a one-vertex rome; dense eig (thermo._perron_vector
+# on a and on a.T, the fallback of the same kernel) is the oracle
 
 
 def _assert_rome_matches_dense(graph):
     a = thermo.adjacency_matrix(graph)
     assert thermo._rome(a) is not None
     _, lam, left, right = thermo.perron(graph)
-    want, want_left, want_right = thermo._dense_perron(a)
+    want, want_right = thermo._perron_vector(a)
+    want_left = thermo._perron_vector(a.T)[1]
     assert abs(lam - want) < 1e-12
     assert np.abs(left / left.sum() - want_left / want_left.sum()).max() < 1e-12
     assert np.abs(right / right.sum() - want_right / want_right.sum()).max() < 1e-12
