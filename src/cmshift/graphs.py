@@ -248,7 +248,7 @@ class FiniteGraph:
         if size < 1:
             raise ValidationError("truncation needs q >= 1")
         mult = {e: m for e, m in self._mult.items() if e[0] <= size and e[1] <= size}
-        return Truncation(self, size, FiniteGraph(size, mult))
+        return Truncation(size, FiniteGraph(size, mult))
 
     def __repr__(self):
         return f"FiniteGraph(symbols={self.symbols}, edges={len(self._mult)})"
@@ -482,7 +482,7 @@ class LoopSystem:
             if last <= q:
                 mult[(last, 1)] = 1
         size = min(q, enum.next_free_id - 1)
-        return Truncation(self, size, FiniteGraph(max(size, 1), mult))
+        return Truncation(size, FiniteGraph(max(size, 1), mult))
 
     def whole_loops(self, q):
         """(boundary, loops): the loops lying entirely at ids <= q, as
@@ -508,8 +508,7 @@ class LoopSystem:
 class Truncation:
     """Induced subgraph on the symbols <= q of the canonical enumeration."""
 
-    def __init__(self, ambient, vertex_count, graph):
-        self.ambient = ambient
+    def __init__(self, vertex_count, graph):
         self.vertex_count = vertex_count
         self._graph = graph
 

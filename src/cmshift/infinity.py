@@ -55,8 +55,8 @@ def pressure_indicator(graph, t, q=1):
     At t = 0 this is the Gurevich entropy; it decreases in t and flattens
     at the entropy carried outside every finite symbol set.
     """
-    if not t >= 0:
-        raise ValidationError("the weight t must be >= 0")
+    if not 0 <= t < math.inf:
+        raise ValidationError("the weight t must be a finite number >= 0", field="t")
     if q < 0:
         raise ValidationError("the finite part q must be >= 0", field="q")
     if not isinstance(graph, (FiniteGraph, LoopSystem)):
@@ -106,6 +106,8 @@ def b_inf_estimate(graph, lam=1e-3, q=1, t_max=None):
     """
     if not lam > 0:
         raise ValidationError("lam must be > 0")
+    if t_max is not None and not 0 <= t_max < math.inf:
+        raise ValidationError("t_max must be a finite number >= 0", field="t_max")
     top = t_max if t_max is not None else max(20.0, 3.0 * math.log(1.0 / lam))
 
     def objective(t):

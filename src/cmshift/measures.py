@@ -34,7 +34,7 @@ from .graphs import (
     is_strongly_connected,
     loop_record,
 )
-from .thermo import LoopGF, _perron_vector, classify, perron, series_root
+from .thermo import LoopGF, _logs, _perron_vector, classify, perron, series_root
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +103,8 @@ def markov_measure(graph, transitions):
     """Markov measure from a transition dict {(i, j): prob}.
 
     The stationary vector is the left Perron vector of P, the one vector
-    `_perron_vector` solves for on P.T (one eig call a pass, certified by
-    its own Collatz-Wielandt bracket). It needs a strongly connected
+    `_perron_vector` solves for on log P.T (one eig call a pass, certified
+    by its own log Collatz-Wielandt ratios). It needs a strongly connected
     support: NotStronglyConnected on any other.
     """
     n = graph.symbols
@@ -121,7 +121,7 @@ def markov_measure(graph, transitions):
     support = FiniteGraph(n, [(i + 1, j + 1) for i, j in np.argwhere(P > 0).tolist()])
     if not is_strongly_connected(support):
         raise NotStronglyConnected("Perron vectors need a strongly connected support")
-    left = _perron_vector(P.T)[1]
+    left = np.exp(_perron_vector(_logs(P.T))[1])
     return MarkovMeasure(graph, left / left.sum(), P)
 
 

@@ -17,9 +17,10 @@ P(-t 1_F), F the symbols <= q, and the entropy is its value at t = 0:
 `gurevich_entropy`, `classify`, `perron_root`, `is_spr` and
 `measures.loop_mme` all read it. On a finite graph it is the largest log
 Perron root of the weighted blocks of the graph's Perron plan, which
-`perron` (the Perron vectors behind `measures.parry_measure`) reads too; on
-a loop system it is -log of the root of the loop series with each loop
-weighted by e^(-t * its visits to F).
+`perron` (the Perron vectors behind `measures.parry_measure`) reads too:
+the first-return root at a one-vertex rome, else the log root of the one
+log-weight kernel `_perron_vector`. On a loop system it is -log of the root
+of the loop series with each loop weighted by e^(-t * its visits to F).
 
 Every finite first-return series (a Perron root at a one-vertex rome, the
 weighted series of a finite loop system, the window chains of `measures`)
@@ -81,20 +82,19 @@ from .graphs import (
 # Perron root and Parry chain of one graph object shares one Perron solve
 # per block.
 #
-# A block without a rome goes to numpy.linalg.eig. The Collatz-Wielandt
-# bracket of any one positive vector contains the Perron root (Seneta,
-# Non-negative Matrices and Markov Chains, ch. 1), so a certified root needs
-# one vector and one eig call per pass (`_perron_vector`): a pressure, or
-# the stationary vector of `measures.markov_measure` (the vector of P.T),
-# solves for that vector alone. Only a Parry chain reads both Perron
-# vectors, so only it adds the left vector, one more `_perron_vector` call
-# on the block's transpose.
+# Every other block goes to one kernel on log weights (`_perron_vector`):
+# log a at t = 0, log a + shift for a pressure, log P.T for the stationary
+# vector of `measures.markov_measure`. The log Collatz-Wielandt ratios
+# LSE_j(logs_ij + u_j) - u_i of any log vector u bracket the log Perron root
+# (Seneta, Non-negative Matrices and Markov Chains, ch. 1), so one vector
+# and one eig call per pass certify a root, and no weight underflows before
+# the check. Only a Parry chain adds the left vector, one more call on the
+# transposed logs; the same ratios check a rome block's two vectors.
 
-# widest accepted Collatz-Wielandt bracket, relative to the Perron root
+# widest accepted log Collatz-Wielandt bracket
 PERRON_BRACKET = 1e-9
-# eig calls on one vector before NonConvergent; each rescaling by the last
-# vector recovers entries that the previous pass had only to absolute
-# accuracy
+# eig passes on one vector before NonConvergent; each rescaling by the last
+# vector recovers entries that the previous pass had only to absolute accuracy
 PERRON_PASSES = 4
 # the spacing of floats at 1
 _ULP = 2.0 ** -52
@@ -209,40 +209,55 @@ def _top_eigenpair(b):
     return float(vals[k].real), np.abs(vecs[:, k])
 
 
-def _collatz_width(a, lam, v):
-    """Width of the hull of lam and the Collatz-Wielandt bracket
-    [min (av)_i/v_i, max (av)_i/v_i] of a nonnegative vector v, which
-    contains the Perron root of a for every positive v (for a left vector,
-    pass a.T); NonConvergent on an entry of v that is zero or out of float
-    range (a reducible matrix), where a ratio is not finite."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratios = (a @ v) / v
+def _logs(a):
+    """The log weights of a: log a_ij, -inf where a has no edge."""
+    with np.errstate(divide="ignore"):
+        return np.log(a)
+
+
+def _log_width(ratios, y):
+    """Width of the hull of y and the log Collatz-Wielandt ratios
+    log (A v)_i - log v_i of a nonnegative vector v, which contain the log
+    Perron root of A for every positive v; NonConvergent on a ratio that is
+    not finite (an entry of v zero or out of range: a reducible matrix)."""
     if not np.isfinite(ratios).all():
         raise NonConvergent("a Perron vector entry is zero or out of float range")
-    return max(ratios.max(), lam) - min(ratios.min(), lam)
+    return max(ratios.max(), y) - min(ratios.min(), y)
 
 
-def _perron_vector(a):
-    """(lam, v): the Perron root and positive right vector of a, from
-    numpy.linalg.eig, whose modulus drops any complex phase, certified by
-    v's own Collatz-Wielandt bracket.
+def _perron_vector(logs):
+    """(y, u): the log Perron root and a log right Perron vector, largest
+    entry 0, of the nonnegative matrix e^logs, certified by u's own log
+    Collatz-Wielandt ratios LSE_j(logs_ij + u_j) - u_i.
 
-    eig gets entries far below the largest only to absolute accuracy, so a
-    bracket wider than PERRON_BRACKET * lam is retried on the similar matrix
-    D^-1 a D, D = diag(v), whose Perron vector is close to all ones.
+    Each pass runs eig on the matrix rescaled by the last log vector (0 at
+    first), built straight from the logs as e^(logs_ij + u_j - u_i - c), c
+    its largest exponent, and fills the entries eig lost to zero from the
+    eigen-equation u_i = LSE_j(logs_ij + u_j) - y. eig gets entries far
+    below the largest only to absolute accuracy, so a bracket wider than
+    PERRON_BRACKET is retried on the matrix rescaled by the new vector,
+    whose Perron vector is close to all ones.
     """
-    scale = np.ones(len(a))
+    u = np.zeros(len(logs))
     for _ in range(PERRON_PASSES):
-        lam, v = _top_eigenpair(a * scale / scale[:, None])
-        v = v * scale
-        width = _collatz_width(a, lam, v)
-        if width <= PERRON_BRACKET * lam:
-            return lam, v
-        scale = v
-    raise NonConvergent(
-        f"Collatz-Wielandt bracket of width {width} around the root {lam} is "
-        f"wider than {PERRON_BRACKET} relative after {PERRON_PASSES} passes"
-    )
+        z = logs + (u - u[:, None])
+        c = float(z.max())
+        lam, v = _top_eigenpair(np.exp(z - c))
+        if not lam > 0:
+            break
+        y = math.log(lam) + c
+        with np.errstate(divide="ignore"):
+            u = u + np.log(v)
+        for _ in range(len(u)):
+            lost = u == -math.inf
+            if not lost.any():
+                break
+            u[lost] = np.logaddexp.reduce(logs[lost] + u, axis=1) - y
+        with np.errstate(invalid="ignore"):
+            ratios = np.logaddexp.reduce(logs + u, axis=1) - u
+        if _log_width(ratios, y) <= PERRON_BRACKET:
+            return y, u - u.max()
+    raise NonConvergent(f"Perron bracket wider than {PERRON_BRACKET} after {PERRON_PASSES} passes")
 
 
 @dataclass(frozen=True)
@@ -276,52 +291,49 @@ class Block:
 
     @cached_property
     def right(self):
-        """(lam, right): the certified Perron root and read-only right
+        """(y, u): the certified log Perron root and read-only log right
         vector of a block without a rome (`_perron_vector`)."""
-        lam, right = _perron_vector(self.matrix)
-        right.flags.writeable = False
-        return lam, right
+        y, u = _perron_vector(_logs(self.matrix))
+        u.flags.writeable = False
+        return y, u
 
     @cached_property
     def log_root(self):
         """The log of the block's Perron root: -log of the first-return
-        root at the rome, else the log of the dense root; -inf for an
-        edgeless block, which has no cycle."""
+        root at the rome, else the dense log root; -inf for an edgeless
+        block, which has no cycle."""
         if self.rome is not None:
             # a zero entropy reads 0.0, not -0.0
             return 0.0 - series_root(*self.returns)
         if not self.matrix.any():
             return -math.inf
-        return math.log(self.right[0])
+        return self.right[0]
 
     @cached_property
     def perron(self):
         """(lam, left, right): the Perron root and positive left and right
-        vectors of the block, each vector certified by its own
-        Collatz-Wielandt bracket against `matrix`, the left one on its
+        vectors of the block, each vector certified by its own log
+        Collatz-Wielandt ratios against `matrix`, the left one on its
         transpose. The vectors are read-only.
 
-        A rome block takes lam from `log_root` and its vectors from one
-        pass each over the acyclic rest; any other block adds only the left
-        vector, from `_perron_vector` on the transpose, to `right`.
-        NonConvergent on a bracket still too wide.
+        A rome block takes its vectors from one pass each over the acyclic
+        rest; any other block adds only the left vector, from
+        `_perron_vector` on the transposed logs, to `right`. NonConvergent
+        on a bracket still too wide.
         """
         a = self.matrix
         if self.rome is None:
-            lam, right = self.right
-            left = _perron_vector(a.T)[1]
+            right, left = np.exp(self.right[1]), np.exp(_perron_vector(_logs(a.T))[1])
         else:
-            lam = math.exp(self.log_root)
             left, right = _rome_vectors(*self.rome, math.exp(-self.log_root))
-            width = max(_collatz_width(a, lam, right), _collatz_width(a.T, lam, left))
-            if width > PERRON_BRACKET * lam:
-                raise NonConvergent(
-                    f"Collatz-Wielandt bracket of width {width} around the "
-                    f"first-return root {lam} is wider than {PERRON_BRACKET} relative"
-                )
-            right.flags.writeable = False
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.log(np.concatenate([a @ right / right, a.T @ left / left]))
+            width = _log_width(ratios, self.log_root)
+            if width > PERRON_BRACKET:
+                raise NonConvergent(f"first-return log Collatz-Wielandt bracket of width {width}")
         left.flags.writeable = False
-        return lam, left, right
+        right.flags.writeable = False
+        return math.exp(self.log_root), left, right
 
 
 def _block(idx, matrix):
@@ -375,9 +387,9 @@ def perron(graph):
     right), all read-only, from the graph's plan.
 
     Through the first-return series at a one-vertex rome when there is one,
-    else by dense eig, once per graph (`Block.perron`). NotStronglyConnected
-    on any other graph, NonConvergent on a Collatz-Wielandt bracket wider
-    than PERRON_BRACKET * lam.
+    else by the log-weight kernel, once per graph (`Block.perron`).
+    NotStronglyConnected on any other graph, NonConvergent on a log
+    Collatz-Wielandt bracket wider than PERRON_BRACKET.
     """
     block = _irreducible(graph, "Perron vectors need a strongly connected support")
     return (block.matrix, *block.perron)
@@ -386,37 +398,24 @@ def perron(graph):
 def _max_block_root(plan, shift=None):
     """The log of the largest Perron root over the blocks of a plan; -inf
     when the graph has no cycle. Without shift it reads each block's kept
-    `log_root`; a block with a one-vertex rome needs only its first-return
-    root.
+    `log_root`.
 
-    With shift, an array over the symbols, each block's matrix has column j
-    scaled by e^shift[j]. A block with a one-vertex rome adds shift[j] to
-    the log weight of each edge into j, so its log root stays finite where
-    the scaled entries underflow. Any other block is scaled as a matrix by
-    e^(shift[j] - top), top the largest shift of its columns, and top is
-    added back to the log root: a block whose columns all carry the same
-    shift keeps every entry. Its vertices are ordered by falling shift
-    first, heaviest columns leading, where eig leaves fewer Collatz-Wielandt
-    brackets too wide at moderate t than in symbol order.
+    With shift, an array over the symbols, each edge into j gains the log
+    weight shift[j]: along the first returns of a block with a one-vertex
+    rome, else in the log weights log a + shift that `_perron_vector`
+    solves, heaviest columns first, where eig leaves fewer brackets too
+    wide than in symbol order.
     """
     if shift is None:
         return max(block.log_root for block in plan)
     best = -math.inf
     for block in plan:
-        a, returns, top = block.matrix, None, 0.0
         if block.rome is not None:
-            returns = _first_returns(block.rome, shift[block.idx].tolist())
-        else:
-            logs = shift[block.idx].tolist()
-            top = max(logs)
-            order = np.argsort([-v for v in logs], kind="stable")
-            a = a[np.ix_(order, order)] * [math.exp(logs[k] - top) for k in order]
-            rome = _rome(a)
-            returns = None if rome is None else _first_returns(rome)
-        if returns is not None:
-            y = top - series_root(*returns)
-        elif a.any():
-            y = math.log(_perron_vector(a)[0]) + top
+            y = 0.0 - series_root(*_first_returns(block.rome, shift[block.idx].tolist()))
+        elif block.matrix.any():
+            shifts = shift[block.idx]
+            order = np.argsort(-shifts, kind="stable")
+            y = _perron_vector(_logs(block.matrix[np.ix_(order, order)]) + shifts[order])[0]
         else:
             continue
         best = max(best, y)

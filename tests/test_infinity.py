@@ -176,6 +176,21 @@ def test_nan_weights_and_levels_are_rejected(check):
         check()
 
 
+def test_pressure_indicator_rejects_infinite_t():
+    # an infinite weight is rejected by name, as dimension_series rejects
+    # a nan t
+    with pytest.raises(ValidationError) as exc:
+        infinity.pressure_indicator(LoopSystem([(1, 1), (3, 2)]), math.inf, 1)
+    assert exc.value.field == "t"
+
+
+def test_b_inf_estimate_rejects_infinite_t_max():
+    # the golden-section search would ask for the pressure at t = inf
+    with pytest.raises(ValidationError) as exc:
+        infinity.b_inf_estimate(full_shift(2), t_max=math.inf)
+    assert exc.value.field == "t_max"
+
+
 def test_dimension_series_rejects_nan_t():
     with pytest.raises(ValidationError) as exc:
         infinity.dimension_series(renewal_shift(), math.nan)

@@ -13,8 +13,8 @@ Oracles used here, independent of the implementation under test:
     so the fitted escape rate equals the loop growth exactly,
   - a_1 x + a_2 x^2 = 1 has the root 2 / (a_1 + sqrt(a_1^2 + 4 a_2)),
   - on graphs with a one-vertex rome, the dense kernel
-    `thermo._perron_vector` on the adjacency matrix and on its transpose
-    checks the first-return route of `thermo.perron`.
+    `thermo._perron_vector` on the log adjacency matrix and on its
+    transpose checks the first-return route of `thermo.perron`.
 """
 
 import math
@@ -386,11 +386,12 @@ def test_perron_golden_mean_vectors():
 
 def test_perron_rejects_reducible_matrix():
     # the plan of a Jordan block's graph has two blocks; on the dense kernel
-    # behind markov_measure the Perron vector has a zero entry
+    # behind markov_measure, given its log weights, the Perron vector has a
+    # zero entry that the eigen-equation cannot fill
     with pytest.raises(NotStronglyConnected):
         thermo.perron(FiniteGraph(2, [(1, 1), (1, 2), (2, 2)]))
     with pytest.raises(NonConvergent):
-        thermo._perron_vector(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        thermo._perron_vector(np.array([[0.0, 0.0], [-math.inf, 0.0]]))
 
 
 def test_edgeless_one_symbol_graph_is_not_irreducible():
@@ -406,17 +407,18 @@ def test_edgeless_one_symbol_graph_is_not_irreducible():
 
 
 # ---------------------------------------------------------------------------
-# Perron data through a one-vertex rome; dense eig (thermo._perron_vector
-# on a and on a.T, the fallback of the same kernel) is the oracle
+# Perron data through a one-vertex rome; the dense log-weight kernel
+# (thermo._perron_vector on log a and on its transpose) is the oracle
 
 
 def _assert_rome_matches_dense(graph):
-    a = thermo.adjacency_matrix(graph)
-    assert thermo._rome(a) is not None
+    block = thermo._plan(graph)[0]
+    assert block.rome is not None
     _, lam, left, right = thermo.perron(graph)
-    want, want_right = thermo._perron_vector(a)
-    want_left = thermo._perron_vector(a.T)[1]
-    assert abs(lam - want) < 1e-12
+    logs = thermo._logs(block.matrix)
+    want, want_right = thermo._perron_vector(logs)
+    want_left, want_right = np.exp(thermo._perron_vector(logs.T)[1]), np.exp(want_right)
+    assert abs(lam - math.exp(want)) < 1e-12
     assert np.abs(left / left.sum() - want_left / want_left.sum()).max() < 1e-12
     assert np.abs(right / right.sum() - want_right / want_right.sum()).max() < 1e-12
 
@@ -455,22 +457,22 @@ def test_perron_rome_route_on_golden_mean():
 def test_perron_rome_route_rejects_reducible_matrix():
     # vertex 1 is a rome (removing it leaves no edge), but no path from
     # vertex 1 reaches vertex 3: the plan splits the graph into blocks, and
-    # the rome's left vector has a zero entry, which the Collatz-Wielandt
-    # check rejects
+    # the rome's left vector has a zero entry, which the log
+    # Collatz-Wielandt check rejects
     g = FiniteGraph(3, [(1, 2), (2, 1), (3, 1)])
     a = thermo.adjacency_matrix(g)
-    rome = thermo._rome(a)
-    assert rome is not None
     with pytest.raises(NotStronglyConnected):
         thermo.perron(g)
     assert len(thermo._plan(g)) == 2
-    left, right = thermo._rome_vectors(*rome, 1.0)
+    block = thermo._block(np.arange(3), a)
+    assert block.rome is not None
+    left, right = thermo._rome_vectors(*block.rome, 1.0)
     assert left[2] == 0.0
-    # the left vector's own bracket is taken on a.T; the right one has no
-    # zero entry and passes
-    assert thermo._collatz_width(a, 1.0, right) == 0.0
+    # the right vector has no zero entry and its log ratios are all 0; the
+    # left one's, taken on a.T, are not finite
+    assert thermo._log_width(np.log(a @ right / right), 0.0) == 0.0
     with pytest.raises(NonConvergent):
-        thermo._collatz_width(a.T, 1.0, left)
+        block.perron
 
 
 def test_perron_without_a_rome_falls_back_to_eig():
