@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, mul
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -174,18 +173,17 @@ def _unmarked_blocks(hits, into):
     outside its block, inner the (s, singles, groups) of the heads of its
     edge groups within it, and tails the (s, src, *suffix) of their
     geometric suffixes."""
-    free = [s for s in range(len(hits)) if not hits[s]]
-    index = {s: i + 1 for i, s in enumerate(free)}
-    succ = {i: [] for i in range(1, len(free) + 1)}
-    for s in free:
-        for src, _ in into[s]:
-            if not hits[src]:
-                succ[index[src]].append(index[s])
-    sub = SimpleNamespace(symbols=len(free), out_neighbors=succ.__getitem__)
+    succ = [[] for _ in hits]
+    for s, row in enumerate(into):
+        for src, _ in row:
+            if not (hits[s] or hits[src]):
+                succ[src].append(s)
     blocks = []
-    # Tarjan emits each component after every component it reaches
-    for comp in reversed(strongly_connected_components(sub)):
-        block = [free[i - 1] for i in comp]
+    # Tarjan emits each component after every component it reaches; each
+    # marked state, with no edge left, is a component of its own
+    for block in reversed(strongly_connected_components(succ)):
+        if hits[block[0]]:
+            continue
         inside = set(block)
         outer = {s: [(src, group) for src, group in into[s] if src not in inside] for s in block}
         inner, tails = [], []

@@ -530,16 +530,15 @@ class WalkView:
     the states are a set of concrete vertices that every cycle meets, and an
     edge (src, dst, multiplicity, length) stands for `multiplicity` paths of
     `length` edges from src to dst whose interior vertices are not states.
-    Walks of at most meta["certified_edges"] edges between states are in
-    bijection with the ambient walks of the same length and endpoints, and
-    the positions inside an edge are never states.
+    Walks between states of at most the n_edges edges that `walk_view` was
+    asked for are in bijection with the ambient walks of the same length and
+    endpoints, and the positions inside an edge are never states.
     """
 
-    def __init__(self, ids, edges, meta):
+    def __init__(self, ids, edges):
         self.ids = ids                  # state index -> vertex id
         self.concrete = {v: i for i, v in enumerate(ids)}
         self.edges = edges              # list of (src, dst, multiplicity, length)
-        self.meta = meta
 
     @property
     def state_count(self):
@@ -559,7 +558,7 @@ def walk_view(graph, n_edges, ids):
     if isinstance(graph, FiniteGraph):
         states = list(range(1, graph.symbols + 1))
         edges = [(i - 1, j - 1, m, 1) for (i, j), m in graph.edge_multiplicities().items()]
-        return WalkView(states, edges, {"kind": "finite", "certified_edges": n_edges})
+        return WalkView(states, edges)
 
     system = graph
     wanted = sorted(ids)
@@ -585,13 +584,7 @@ def walk_view(graph, n_edges, ids):
         extra = a - taken.get(length, 0)
         if extra > 0:
             edges.append((0, 0, extra, length))
-    meta = {
-        "kind": "loop_system",
-        "certified_edges": n_edges,
-        "materialized_loops": sum(taken.values()),
-        "loop_lengths_to": longest,
-    }
-    return WalkView(states, edges, meta)
+    return WalkView(states, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -624,32 +617,38 @@ def canonical_cylinders(graph, depth, symbol_cap=32):
 # connectivity
 
 
-def strongly_connected_components(graph):
-    """Strongly connected components as vertex lists, iterative Tarjan."""
-    index = {}
-    low = {}
-    on_stack = set()
+def strongly_connected_components(succ):
+    """Strongly connected components of the graph on 0..len(succ) - 1 with
+    successor lists succ, as vertex lists, by iterative Tarjan: roots and
+    successors in list order, each component after every one it reaches."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack = []
     out = []
-    for root in range(1, graph.symbols + 1):
-        if root in index:
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = count
+        count += 1
         stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(graph.out_neighbors(root)))]
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
             advanced = False
             for u in it:
-                if u not in index:
-                    index[u] = low[u] = len(index)
+                if index[u] < 0:
+                    index[u] = low[u] = count
+                    count += 1
                     stack.append(u)
-                    on_stack.add(u)
-                    work.append((u, iter(graph.out_neighbors(u))))
+                    on_stack[u] = True
+                    work.append((u, iter(succ[u])))
                     advanced = True
                     break
-                if u in on_stack:
+                if on_stack[u]:
                     low[v] = min(low[v], index[u])
             if advanced:
                 continue
@@ -661,16 +660,12 @@ def strongly_connected_components(graph):
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp.append(w)
                     if w == v:
                         break
                 out.append(comp)
     return out
-
-
-def is_strongly_connected(graph):
-    return len(strongly_connected_components(graph)) == 1
 
 
 # ---------------------------------------------------------------------------

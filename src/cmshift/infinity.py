@@ -81,17 +81,12 @@ def _pressure_bounded_below(graph, q):
     """Whether P(-t 1_F), F = symbols <= q, stays bounded below as t grows:
     on an infinite loop system by log growth (measures on ever longer loops),
     on a finite graph when some cycle avoids F, that is when a block of the
-    Perron plan of the graph outside F carries one. Every cycle of a finite
-    loop system passes through the base."""
+    adjacency matrix outside F carries one. Every cycle of a finite loop
+    system passes through the base."""
     if isinstance(graph, LoopSystem):
         return graph.is_infinite
-    if q >= graph.symbols:
-        return False
-    outside = {
-        (i - q, j - q): m for (i, j), m in graph.edge_multiplicities().items() if i > q and j > q
-    }
-    rest = FiniteGraph(graph.symbols - q, outside)
-    return any(block.matrix.any() for block in thermo._plan(rest))
+    rest = thermo.adjacency_matrix(graph)[q:, q:]
+    return any(block.matrix.any() for block in thermo._blocks(rest))
 
 
 def b_inf_estimate(graph, lam=1e-3, q=1, t_max=None):

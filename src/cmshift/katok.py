@@ -69,11 +69,9 @@ def _markov_levels(measure, graph, n_max, cap):
     n = 1..n_max, each level one float array grouped by last symbol."""
     k = graph.symbols
     into = [[] for _ in range(k)]  # into[b]: (a, P(a, b)) for the edges with P > 0
-    for a in range(1, k + 1):
-        for b in graph.out_neighbors(a):
-            p = float(measure.P[a - 1, b - 1])
-            if p > 0.0:
-                into[b - 1].append((a - 1, p))
+    rows, cols = np.nonzero(measure.P > 0.0)
+    for a, b, p in zip(rows.tolist(), cols.tolist(), measure.P[rows, cols].tolist()):
+        into[b].append((a, p))
     sizes = [[int(measure.pi[v] > 0.0) for v in range(k)]]
     for n in range(1, n_max + 1):
         if n > 1:
@@ -136,7 +134,7 @@ def _mass_classes(measure, graph, n_min, n_max):
     is None and the iterator yields None throughout."""
     kind, vector = measure.classes or (None, None)
     if kind == "ends" and (measure.pi > 0.0).all():
-        A = _support(measure, graph)
+        A = _support(measure)
         counts = _path_counts(A, n_max)
         return counts[n_min - 1 :], _end_classes(measure, A, vector, counts, n_min, n_max)
     if kind == "types":
@@ -147,15 +145,10 @@ def _mass_classes(measure, graph, n_min, n_max):
     return None, itertools.repeat(None)
 
 
-def _support(measure, graph):
-    """0/1 int64 matrix of the edges a -> b of graph with P(a, b) > 0."""
-    k = graph.symbols
-    A = np.zeros((k, k), dtype=np.int64)
-    for a in range(1, k + 1):
-        for b in graph.out_neighbors(a):
-            if measure.P[a - 1, b - 1] > 0.0:
-                A[a - 1, b - 1] = 1
-    return A
+def _support(measure):
+    """0/1 int64 matrix of the edges a -> b with P(a, b) > 0, all on the
+    measure's graph."""
+    return (measure.P > 0.0).astype(np.int64)
 
 
 def _path_counts(A, n_max):

@@ -26,15 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergent, NotStronglyConnected, ValidationError
-from .graphs import (
-    FiniteGraph,
-    LoopSystem,
-    canonical_cylinders,
-    is_strongly_connected,
-    loop_record,
-)
-from .thermo import LoopGF, _logs, _perron_vector, classify, perron, series_root
+from .errors import NonConvergent, ValidationError
+from .graphs import FiniteGraph, LoopSystem, canonical_cylinders, loop_record
+from .thermo import LoopGF, _blocks, _irreducible, classify, perron, series_root
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +96,11 @@ class MarkovMeasure:
 def markov_measure(graph, transitions):
     """Markov measure from a transition dict {(i, j): prob}.
 
-    The stationary vector is the left Perron vector of P, the one vector
-    `_perron_vector` solves for on log P.T (one eig call a pass, certified
-    by its own log Collatz-Wielandt ratios). It needs a strongly connected
-    support: NotStronglyConnected on any other.
+    The stationary vector is the left Perron vector of P: the certified
+    right vector of the one block of P.T (`thermo._blocks`), one backward
+    pass at a one-vertex rome of the support, else the log-weight kernel's
+    (one eig call a pass). It needs a strongly connected support:
+    NotStronglyConnected on any other.
     """
     n = graph.symbols
     P = np.zeros((n, n))
@@ -118,10 +113,7 @@ def markov_measure(graph, transitions):
     rows = P.sum(axis=1)
     if not np.max(np.abs(rows - 1.0)) <= 1e-9:
         raise ValidationError("transition rows must sum to 1")
-    support = FiniteGraph(n, [(i + 1, j + 1) for i, j in np.argwhere(P > 0).tolist()])
-    if not is_strongly_connected(support):
-        raise NotStronglyConnected("Perron vectors need a strongly connected support")
-    left = np.exp(_perron_vector(_logs(P.T))[1])
+    left = _irreducible(_blocks(P.T), "Perron vectors need a strongly connected support").right[1]
     return MarkovMeasure(graph, left / left.sum(), P)
 
 

@@ -61,7 +61,7 @@ from .graphs import (
 )
 
 # ---------------------------------------------------------------------------
-# Perron data of finite graphs
+# Perron data of nonnegative matrices
 #
 # A one-vertex rome of a strongly connected graph is a vertex r that every
 # cycle passes through (Block, Guckenheimer, Misiurewicz and Young, 1980), so
@@ -71,25 +71,26 @@ from .graphs import (
 # sum_L c_L x**L = 1, with lam = 1/x, and the Perron vectors follow from one
 # pass each over the acyclic rest: no eigensolver is needed.
 #
-# A finite block with a rome is a finite loop system at that rome, so a
-# graph keeps its blocks, each with its adjacency matrix and its rome, in
-# one Perron plan (`_plan`), as a LoopSystem keeps its count table. The
-# t = 0 answer of a block depends on the graph alone too: from the block's
-# first unshifted query on, the plan keeps what it solved, one cached
-# property each: the first-return series or the dense root and right
-# vector, the log Perron root and, once `perron` asks, the Perron vectors.
-# A query then runs only what depends on its potential, and every entropy,
-# Perron root and Parry chain of one graph object shares one Perron solve
-# per block.
+# `_blocks` splits any nonnegative square matrix into the strongly connected
+# blocks of its support, each with its submatrix and its rome: a graph's
+# adjacency matrix in its Perron plan (`_plan`), kept on the graph as a
+# LoopSystem keeps its count table, and P.T for the stationary vector of
+# `measures.markov_measure`. The t = 0 answer of a block depends on its
+# matrix alone: from the block's first unshifted query on, it keeps what it
+# solved, one cached property each: the first-return series or the dense
+# root, the log Perron root, and the certified right vector and, once
+# `perron` asks, the left one. A query then runs only what depends on its
+# potential, and every entropy, Perron root and Parry chain of one graph
+# object shares one Perron solve per block.
 #
-# Every other block goes to one kernel on log weights (`_perron_vector`):
-# log a at t = 0, log a + shift for a pressure, log P.T for the stationary
-# vector of `measures.markov_measure`. The log Collatz-Wielandt ratios
-# LSE_j(logs_ij + u_j) - u_i of any log vector u bracket the log Perron root
-# (Seneta, Non-negative Matrices and Markov Chains, ch. 1), so one vector
-# and one eig call per pass certify a root, and no weight underflows before
-# the check. Only a Parry chain adds the left vector, one more call on the
-# transposed logs; the same ratios check a rome block's two vectors.
+# Every block without a rome goes to one kernel on log weights
+# (`_perron_vector`): log a at t = 0, log a + shift for a pressure. The log
+# Collatz-Wielandt ratios LSE_j(logs_ij + u_j) - u_i of any log vector u
+# bracket the log Perron root (Seneta, Non-negative Matrices and Markov
+# Chains, ch. 1), so one vector and one eig call per pass certify a root,
+# and no weight underflows before the check. Only a Parry chain adds the
+# left vector, one more call on the transposed logs; the same ratios check
+# each vector of a rome block.
 
 # widest accepted log Collatz-Wielandt bracket
 PERRON_BRACKET = 1e-9
@@ -189,18 +190,24 @@ def _first_returns(rome, shift=None):
     return lengths, logs, err + 2 * _ULP * (size + np.abs(logs).max(initial=0.0) + len(pred[r]))
 
 
-def _rome_vectors(r, order, succ, pred, x):
-    """Left and right Perron vectors with entry 1 at the rome r:
-    v_u = x * sum_w a_uw v_w backward over the topological order, and the
-    same recurrence over predecessors forward for the left vector."""
-    left = [0.0] * len(pred)
-    right = [0.0] * len(pred)
-    left[r] = right[r] = 1.0
-    for u in reversed(order):
-        right[u] = x * sum(a * right[w] for w, a in succ[u])
+def _rome_vector(r, order, lists, a, y):
+    """The Perron vector with entry 1 at the rome r of a nonnegative matrix
+    a of log Perron root y: v_u = e^-y times the sum of c v_w over the
+    (w, c) of lists[u], for u along order. The right vector reads succ
+    backward along the topological order of `_rome`, the left one pred
+    forward against a transposed. NonConvergent when the hull of y and its
+    log Collatz-Wielandt ratios against a is wider than PERRON_BRACKET."""
+    x = math.exp(-y)
+    v = [0.0] * len(lists)
+    v[r] = 1.0
     for u in order:
-        left[u] = x * sum(left[p] * a for p, a in pred[u])
-    return np.array(left), np.array(right)
+        v[u] = x * sum(c * v[w] for w, c in lists[u])
+    v = np.array(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        width = _log_width(np.log(a @ v / v), y)
+    if width > PERRON_BRACKET:
+        raise NonConvergent(f"first-return log Collatz-Wielandt bracket of width {width}")
+    return v
 
 
 def _top_eigenpair(b):
@@ -262,19 +269,19 @@ def _perron_vector(logs):
 
 @dataclass(frozen=True)
 class Block:
-    """A strongly connected block of a finite graph, as its queries read it:
-    `idx` its symbols - 1, ascending; `rome` a one-vertex rome of its
-    support (`_rome`), or None; and `matrix` its adjacency matrix (the
-    graph's own when the block is the whole graph). Its arrays are
-    read-only, and it carries a cycle exactly when `matrix` has a nonzero
-    entry.
+    """A strongly connected block of a nonnegative square matrix, as its
+    queries read it: `idx` its indices, ascending (a graph's symbols - 1);
+    `rome` a one-vertex rome of its support (`_rome`), or None; and
+    `matrix` its submatrix (the whole matrix when the block is all of it).
+    Its arrays are read-only, and it carries a cycle exactly when `matrix`
+    has a nonzero entry.
 
     Its t = 0 Perron data is built on the block's first unshifted query
     and kept, one cached property per thing solved: `returns` at a rome,
-    `right` elsewhere, `log_root`, and `perron` once the Perron vectors are
-    asked for. A graph queried only at shifted potentials builds none of
-    it, and a query that raises keeps nothing, so it raises again on the
-    next one."""
+    `right` elsewhere, `log_root`, and once the Perron vectors are asked
+    for, `right` at a rome and `perron`. A block queried only at shifted
+    potentials builds none of it, and a query that raises keeps nothing,
+    so it raises again on the next one."""
 
     idx: np.ndarray
     rome: tuple
@@ -291,11 +298,18 @@ class Block:
 
     @cached_property
     def right(self):
-        """(y, u): the certified log Perron root and read-only log right
-        vector of a block without a rome (`_perron_vector`)."""
-        y, u = _perron_vector(_logs(self.matrix))
-        u.flags.writeable = False
-        return y, u
+        """(y, v): the certified log Perron root and read-only positive right
+        vector: one backward pass over the acyclic rest at a rome, else the
+        exponential of the log vector of `_perron_vector`."""
+        if self.rome is None:
+            y, u = _perron_vector(_logs(self.matrix))
+            v = np.exp(u)
+        else:
+            r, order, succ, _ = self.rome
+            y = self.log_root
+            v = _rome_vector(r, order[::-1], succ, self.matrix, y)
+        v.flags.writeable = False
+        return y, v
 
     @cached_property
     def log_root(self):
@@ -312,73 +326,69 @@ class Block:
     @cached_property
     def perron(self):
         """(lam, left, right): the Perron root and positive left and right
-        vectors of the block, each vector certified by its own log
-        Collatz-Wielandt ratios against `matrix`, the left one on its
-        transpose. The vectors are read-only.
+        vectors of the block, each certified by its own log Collatz-Wielandt
+        ratios, the left one against the transposed `matrix`. The vectors
+        are read-only.
 
-        A rome block takes its vectors from one pass each over the acyclic
-        rest; any other block adds only the left vector, from
-        `_perron_vector` on the transposed logs, to `right`. NonConvergent
-        on a bracket still too wide.
+        It adds the left vector to `right`: one forward pass over the acyclic
+        rest at a rome, else `_perron_vector` on the transposed logs.
+        NonConvergent on a bracket still too wide.
         """
-        a = self.matrix
+        y, right = self.right
         if self.rome is None:
-            right, left = np.exp(self.right[1]), np.exp(_perron_vector(_logs(a.T))[1])
+            left = np.exp(_perron_vector(_logs(self.matrix.T))[1])
         else:
-            left, right = _rome_vectors(*self.rome, math.exp(-self.log_root))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.log(np.concatenate([a @ right / right, a.T @ left / left]))
-            width = _log_width(ratios, self.log_root)
-            if width > PERRON_BRACKET:
-                raise NonConvergent(f"first-return log Collatz-Wielandt bracket of width {width}")
+            r, order, _, pred = self.rome
+            left = _rome_vector(r, order, pred, self.matrix.T, y)
         left.flags.writeable = False
-        right.flags.writeable = False
-        return math.exp(self.log_root), left, right
+        return math.exp(y), left, right
 
 
 def _block(idx, matrix):
-    """The Block of the symbols idx + 1, given their adjacency matrix."""
+    """The Block of the indices idx, given their submatrix."""
     idx.flags.writeable = False
     matrix.flags.writeable = False
     return Block(idx, _rome(matrix), matrix)
 
 
+def _blocks(a):
+    """The Blocks of the strongly connected components of the support of a
+    nonnegative square matrix a, in the order of
+    strongly_connected_components (each after every block it reaches); one
+    block, whose matrix is a itself, when the support is strongly
+    connected. A block carries a cycle exactly when its matrix is not all
+    zero."""
+    succ = [[] for _ in range(len(a))]
+    rows, cols = np.nonzero(a)
+    for u, w in zip(rows.tolist(), cols.tolist()):
+        succ[u].append(w)
+    comps = strongly_connected_components(succ)
+    if len(comps) == 1:
+        return (_block(np.arange(len(a)), a),)
+    idxs = [np.array(sorted(comp)) for comp in comps]
+    return tuple(_block(idx, a[np.ix_(idx, idx)]) for idx in idxs)
+
+
 def _plan(graph):
-    """The Perron plan of a finite graph: a tuple of the Blocks of its
-    strongly connected components, in the order of
-    strongly_connected_components, each with its adjacency submatrix; one
-    block, whose matrix is the graph's own, when the graph is strongly
-    connected. It is the one owner of the graph's blocks and of their
-    cycles: a block has one exactly when its matrix is not all zero.
+    """The Perron plan of a finite graph: the `_blocks` of its adjacency
+    matrix, the one owner of the graph's blocks and of their cycles.
 
     It depends on the graph alone, so the graph keeps it in `perron_plan`:
     built on the first Perron query and attached with one assignment, then
     read by every later pressure, Perron root, classification and Parry
     chain of the same graph object.
     """
-    plan = graph.perron_plan
-    if plan is None:
-        a = adjacency_matrix(graph)
-        comps = strongly_connected_components(graph)
-        if len(comps) == 1:
-            plan = (_block(np.arange(graph.symbols), a),)
-        else:
-            plan = []
-            for comp in comps:
-                idx = np.array(sorted(comp)) - 1
-                plan.append(_block(idx, a[np.ix_(idx, idx)]))
-            plan = tuple(plan)
-        graph.perron_plan = plan
-    return plan
+    if graph.perron_plan is None:
+        graph.perron_plan = _blocks(adjacency_matrix(graph))
+    return graph.perron_plan
 
 
-def _irreducible(graph, message):
-    """The one block of a finite graph's plan when it carries a cycle;
-    NotStronglyConnected with message on any other graph."""
-    plan = _plan(graph)
-    if len(plan) != 1 or not plan[0].matrix.any():
+def _irreducible(blocks, message):
+    """The one block of `_blocks` when it carries a cycle;
+    NotStronglyConnected with message on any other blocks."""
+    if len(blocks) != 1 or not blocks[0].matrix.any():
         raise NotStronglyConnected(message)
-    return plan[0]
+    return blocks[0]
 
 
 def perron(graph):
@@ -391,7 +401,7 @@ def perron(graph):
     NotStronglyConnected on any other graph, NonConvergent on a log
     Collatz-Wielandt bracket wider than PERRON_BRACKET.
     """
-    block = _irreducible(graph, "Perron vectors need a strongly connected support")
+    block = _irreducible(_plan(graph), "Perron vectors need a strongly connected support")
     return (block.matrix, *block.perron)
 
 
@@ -607,9 +617,6 @@ class LoopGF:
         tail = system.tail
         if system.is_infinite:
             self.radius = 1.0 / tail.growth if tail.growth > 1 else 1.0
-            if isinstance(tail, GeometricTail) and tail.growth == 1.0:
-                # counts are eventually constant: radius exactly 1
-                self.radius = 1.0
         else:
             self.radius = math.inf
 
@@ -905,7 +912,7 @@ def classify(graph):
     """Vere-Jones recurrence classification of an irreducible presentation.
     The entropy is the pressure at t = 0."""
     if isinstance(graph, FiniteGraph):
-        _irreducible(graph, "classification needs a strongly connected graph")
+        _irreducible(_plan(graph), "classification needs a strongly connected graph")
         h = pressure(graph)
         return Classification(
             "positive-recurrent", h, x_star=math.exp(-h), radius=None,

@@ -22,11 +22,16 @@ from cmshift.graphs import (
     GeometricTail,
     LoopSystem,
     _log_big,
-    is_strongly_connected,
     strongly_connected_components,
     walk_view,
 )
 from cmshift.measures import LimitReport
+
+
+def components(graph):
+    """The strongly connected components of a finite graph, as symbol lists."""
+    succ = [[j - 1 for j in graph.out_neighbors(i)] for i in range(1, graph.symbols + 1)]
+    return [[v + 1 for v in comp] for comp in strongly_connected_components(succ)]
 
 
 def random_strongly_connected_graph(rng, max_symbols=5, p=0.5):
@@ -42,7 +47,7 @@ def random_strongly_connected_graph(rng, max_symbols=5, p=0.5):
         if not edges:
             continue
         g = FiniteGraph(s, edges)
-        if is_strongly_connected(g):
+        if len(components(g)) == 1:
             return g
 
 
@@ -320,7 +325,7 @@ def tarjan_pruned_system(ambient, supports, n, M):
     every = sorted(label, key=repr)
     whole = {key: i + 1 for i, key in enumerate(every)}
     graph = FiniteGraph(len(every), {(whole[a], whole[b]): 1 for a, b in edges})
-    comp = next(c for c in strongly_connected_components(graph) if whole[("b", 0, 0, 1)] in c)
+    comp = next(c for c in components(graph) if whole[("b", 0, 0, 1)] in c)
     order = [every[i - 1] for i in sorted(comp)]
     ids = {key: i + 1 for i, key in enumerate(order)}
     graph = FiniteGraph(len(order), {
@@ -433,7 +438,7 @@ def decimal_pressure_bracket(graph, t, q):
         ctx.prec = 40
         weight = [Decimal(-t).exp() if j <= q else Decimal(1) for j in range(1, graph.symbols + 1)]
         best = None
-        for comp in strongly_connected_components(graph):
+        for comp in components(graph):
             idx = sorted(comp)
             rows = [[mult.get((i, j), 0) * weight[j - 1] for j in idx] for i in idx]
             if not any(any(row) for row in rows):

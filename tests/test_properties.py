@@ -535,11 +535,14 @@ def test_shifted_dense_pressures_solve_one_eig_per_pass(monkeypatch):
 
 
 def test_markov_chains_solve_one_eig_per_pass(monkeypatch):
-    # markov_measure takes its stationary vector as the one-vector kernel's
-    # vector of P.T; a Parry chain on a fresh dense graph solves its left
-    # and right vectors with one call each
+    # markov_measure takes its stationary vector as the right vector of the
+    # one block of P.T: one pass and no eig call at a one-vertex rome of the
+    # support, else one eig call per pass of the one-vector kernel; a Parry
+    # chain on a fresh dense graph solves its left and right vectors with
+    # one call each
     log = _count_passes(monkeypatch)
     rng = random.Random(2424)
+    kinds = {"rome": 0, "dense": 0}
     for _ in range(40):
         g = random_strongly_connected_graph(rng, max_symbols=6)
         transitions = {}
@@ -549,13 +552,38 @@ def test_markov_chains_solve_one_eig_per_pass(monkeypatch):
             transitions.update({(i, j): w / sum(weights) for j, w in zip(outs, weights)})
         log["eig"], log["passes"] = 0, []
         mu = measures.markov_measure(g, transitions)
-        assert log["eig"] == len(log["passes"]) >= 1 and log["passes"][-1]
+        if thermo._blocks(mu.P.T)[0].rome is None:
+            kinds["dense"] += 1
+            assert log["eig"] == len(log["passes"]) >= 1 and log["passes"][-1]
+        else:
+            kinds["rome"] += 1
+            assert log["eig"] == 0 and log["passes"] == [True]
         assert np.allclose(mu.pi @ mu.P, mu.pi, rtol=0, atol=1e-12)
         if thermo._plan(g)[0].rome is None:
             log["eig"], log["passes"] = 0, []
             measures.parry_measure(g)
             assert log["eig"] == len(log["passes"])
             assert log["eig"] == 2 or not all(log["passes"])
+    assert min(kinds.values()) >= 5, kinds
+
+
+def test_parry_chain_fed_back_to_markov_measure_takes_the_rome_route(monkeypatch):
+    # the Parry chain of a 236-state block system, given back as a
+    # transition dict: its support has a one-vertex rome, so the stationary
+    # vector comes from one pass over the acyclic rest, with no eig call
+    system = density.concatenated_system(full_shift(2), [golden_mean(), full_shift(2)], 30, 4)
+    g = system.graph
+    parry = measures.parry_measure(g)
+    rows, cols = np.nonzero(parry.P)
+    transitions = {(i + 1, j + 1): parry.P[i, j] for i, j in zip(rows.tolist(), cols.tolist())}
+
+    def no_eig(b):
+        raise AssertionError("eig called on a rome support")
+
+    monkeypatch.setattr(thermo, "_top_eigenpair", no_eig)
+    mu = measures.markov_measure(g, transitions)
+    assert g.symbols == 236
+    assert np.abs(mu.pi / parry.pi - 1.0).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +773,7 @@ def test_class_counts_match_level_counts(monkeypatch):
     deltas = (0.05, 0.1, 0.25, 0.3, 0.5, 0.7)
     for g, mu in _class_chains():
         assert mu.classes is not None
-        words = katok._path_counts(katok._support(mu, g), 14)
+        words = katok._path_counts(katok._support(mu), 14)
         n_max = max(n for n, w in enumerate(words, start=1) if w <= 2**20)
         want = {}
         for n, level in enumerate(katok._markov_levels(mu, g, n_max, cap=2**20), start=1):

@@ -466,12 +466,12 @@ def test_perron_rome_route_rejects_reducible_matrix():
     assert len(thermo._plan(g)) == 2
     block = thermo._block(np.arange(3), a)
     assert block.rome is not None
-    left, right = thermo._rome_vectors(*block.rome, 1.0)
-    assert left[2] == 0.0
     # the right vector has no zero entry and its log ratios are all 0; the
     # left one's, taken on a.T, are not finite
+    y, right = block.right
+    assert y == 0.0 and right.tolist() == [1.0, 1.0, 1.0]
     assert thermo._log_width(np.log(a @ right / right), 0.0) == 0.0
-    with pytest.raises(NonConvergent):
+    with pytest.raises(NonConvergent, match="zero"):
         block.perron
 
 
