@@ -366,11 +366,9 @@ def escape_count(graph, M, q, n_max):
 
 @dataclass
 class GrowthEstimate:
-    method: str
     rate: float
     residual: float
     window: tuple
-    points: int
 
 
 def growth_rate(series):
@@ -382,13 +380,13 @@ def growth_rate(series):
     hi = series.start + len(series) - 1
     pts = [(n, c) for n, c in series.items() if lo <= n <= hi and c > 0]
     if not pts:
-        return GrowthEstimate("affine-fit", float("-inf"), math.inf, (lo, hi), 0)
+        return GrowthEstimate(float("-inf"), math.inf, (lo, hi))
     if len(pts) == 1:
         n, c = pts[0]
         rate = _log_big(c) / n if n else float("-inf")
-        return GrowthEstimate("affine-fit", rate, math.inf, (lo, hi), 1)
+        return GrowthEstimate(rate, math.inf, (lo, hi))
     xs = np.array([n for n, _ in pts], dtype=float)
     ys = np.array([_log_big(c) for _, c in pts])
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    return GrowthEstimate("affine-fit", float(slope), resid, (lo, hi), len(pts))
+    return GrowthEstimate(float(slope), resid, (lo, hi))

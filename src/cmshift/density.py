@@ -189,10 +189,9 @@ class LabeledMarkovMeasure:
     chain itself.
     """
 
-    def __init__(self, chain, labels, label="labeled"):
+    def __init__(self, chain, labels):
         self.chain = chain
         self.labels = tuple(labels)
-        self.label = label
         self.mass = 1.0
         self.entropy = chain.entropy
         arr = np.asarray(self.labels)
@@ -233,7 +232,7 @@ def concatenated_measure(system):
     """Maximal-entropy measure of the concatenated system, as a measure on
     the ambient symbols."""
     chain = measures.parry_measure(system.graph)
-    return LabeledMarkovMeasure(chain, system.labels, label="concatenated")
+    return LabeledMarkovMeasure(chain, system.labels)
 
 
 # ---------------------------------------------------------------------------

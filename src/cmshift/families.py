@@ -58,7 +58,7 @@ def subexponential_loops():
         geom = y ** (beyond + 1) / ((1.0 - y) * 4.0 * (beyond + 1) ** 2)
         return min(geom, at_radius)
 
-    tail = FormulaTail(fn=fn, growth=2.0, upper_sum=upper_sum, label="subexponential")
+    tail = FormulaTail(fn=fn, growth=2.0, upper_sum=upper_sum)
     return LoopSystem([], tail)
 
 
@@ -112,6 +112,5 @@ def greedy_null_loops():
         upper_sum=upper_sum,
         series_at_radius=1.0,
         mean_diverges=True,
-        label="greedy-null",
     )
     return LoopSystem([], tail)

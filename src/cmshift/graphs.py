@@ -159,7 +159,6 @@ class FormulaTail:
     upper_sum: callable = None
     series_at_radius: float = None
     mean_diverges: bool = None
-    label: str = "formula"
 
     def multiplicity(self, length):
         return int(self.fn(length))

@@ -27,7 +27,7 @@ at desk scale, the statements that tie everything together:
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,12 +81,12 @@ def _pressure_bounded_below(graph, q):
     """Whether P(-t 1_F), F = symbols <= q, stays bounded below as t grows:
     on an infinite loop system by log growth (measures on ever longer loops),
     on a finite graph when some cycle avoids F, that is when a block of the
-    adjacency matrix outside F carries one. Every cycle of a finite loop
+    adjacency matrix outside F has an edge. Every cycle of a finite loop
     system passes through the base."""
     if isinstance(graph, LoopSystem):
         return graph.is_infinite
     rest = thermo.adjacency_matrix(graph)[q:, q:]
-    return any(block.matrix.any() for block in thermo._blocks(rest))
+    return any(block.edges[0].size for block in thermo._blocks(rest))
 
 
 def b_inf_estimate(graph, lam=1e-3, q=1, t_max=None):
@@ -209,8 +209,7 @@ def drift_schedule(system, count=6):
     out = []
     for j in range(count):
         length = _length_with_loops(system, 4 * 2**j)
-        label = f"window-mme[{length},{length}]"
-        out.append(measures.LoopMarkovMeasure(system, {length: 1.0}, label=label))
+        out.append(measures.LoopMarkovMeasure(system, {length: 1.0}))
     return out
 
 
@@ -220,7 +219,7 @@ def _limsup_proxy(values):
 
 def _escape_limit(graph, mme, family, count):
     """A schedule of `count` measures on an infinite loop system and the mass
-    of its cylinder-wise limit: (schedule, mass, limit report).
+    of its cylinder-wise limit: (schedule, mass).
 
     "mme" repeats mme, "drift" is drift_schedule, and "mixture" keeps half
     the mass on mme while the other half drifts. The limit is fitted against
@@ -237,7 +236,7 @@ def _escape_limit(graph, mme, family, count):
     else:
         raise ValidationError(f"unknown family {family!r}")
     rep = measures.cylinder_limit(schedule, graph, q_max=_Q_MAX, candidate=mme, tol=1e-4)
-    return schedule, min(max(rep.mass, 0.0), 1.0), rep
+    return schedule, min(max(rep.mass, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -250,7 +249,6 @@ class MainInequalityReport:
     mass: float
     limit_entropy: float
     delta_inf: float
-    meta: dict = field(default_factory=dict)
 
 
 def verify_main_inequality(graph, family="mixture", count=6):
@@ -268,7 +266,7 @@ def verify_main_inequality(graph, family="mixture", count=6):
         raise NotDrifting("the escape-of-mass check needs an infinite loop system")
     mme = measures.loop_mme(graph)
     delta = thermo.big_delta_inf(graph)
-    schedule, mass, rep = _escape_limit(graph, mme, family, count)
+    schedule, mass = _escape_limit(graph, mme, family, count)
     entropies = [m.entropy for m in schedule]
     lhs = _limsup_proxy(entropies)
     rhs = mass * mme.entropy + (1.0 - mass) * delta
@@ -281,11 +279,6 @@ def verify_main_inequality(graph, family="mixture", count=6):
         mass=mass,
         limit_entropy=mme.entropy,
         delta_inf=delta,
-        meta={
-            "q_max": _Q_MAX,
-            "candidate_residual": rep.candidate_residual,
-            "count": count,
-        },
     )
 
 
@@ -320,7 +313,7 @@ def mass_bound_check(graph, c):
     else:
         bound = (c - delta) / (h_top - delta)
     bound = min(max(bound, 0.0), 1.0)
-    schedule, measured, _ = _escape_limit(graph, mme, "mixture", _MASS_SCHEDULE)
+    schedule, measured = _escape_limit(graph, mme, "mixture", _MASS_SCHEDULE)
     entropies_ok = all(m.entropy >= c - 1e-9 for m in schedule)
     satisfied = entropies_ok and measured >= bound - _TOL
     return MassBoundReport(
@@ -406,7 +399,6 @@ def dimension_series(graph, t, m=16, q=1, l_max=60):
 class StabilityReport:
     rows: tuple
     probe_ids: tuple
-    mme_entropy: float
 
 
 def mme_stability(system, qs=(8, 16, 32, 64), probe_ids=(1, 2, 3, 4)):
@@ -435,7 +427,7 @@ def mme_stability(system, qs=(8, 16, 32, 64), probe_ids=(1, 2, 3, 4)):
         gaps = np.abs(chain.symbol_masses(top) - mme.symbol_masses(top))
         diff = max(float(gaps[a - 1]) for a in probes)
         rows.append((q_eff, diff))
-    return StabilityReport(rows=tuple(rows), probe_ids=tuple(probe_ids), mme_entropy=mme.entropy)
+    return StabilityReport(rows=tuple(rows), probe_ids=tuple(probe_ids))
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,13 @@ measure by fitting a single scale factor.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergent, ValidationError
 from .graphs import FiniteGraph, LoopSystem, canonical_cylinders, loop_record
-from .thermo import LoopGF, _blocks, _irreducible, classify, perron, series_root
+from .thermo import LoopGF, _blocks, _irreducible, _plan, classify, series_root
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +46,10 @@ class MarkovMeasure:
     only on how often it uses each symbol.
     """
 
-    def __init__(self, graph, pi, P, label="markov", classes=None):
+    def __init__(self, graph, pi, P, classes=None):
         if not isinstance(graph, FiniteGraph):
             raise ValidationError("MarkovMeasure needs a finite graph")
         self.graph = graph
-        self.label = label
         self.classes = classes
         n = graph.symbols
         self.pi = np.asarray(pi, dtype=float)
@@ -122,14 +121,17 @@ def parry_measure(graph):
     the Perron data of its plan; NotStronglyConnected on any other graph."""
     if not isinstance(graph, FiniteGraph):
         raise ValidationError("parry_measure needs a finite graph")
-    a, _, u, v = perron(graph)
+    block = _irreducible(_plan(graph), "Perron vectors need a strongly connected support")
+    _, u, v = block.perron
     # P(i, j) = a_ij v_j / (Av)_i: rows sum to 1 whatever the bracket width
-    P = a * v[None, :]
+    rows, cols, weights = block.edges
+    P = np.zeros((graph.symbols, graph.symbols))
+    P[rows, cols] = weights * v[cols]
     P /= P.sum(axis=1)[:, None]
     pi = u * v
     # parallel edges weigh a word by their multiplicities: no end classes
     classes = ("ends", v) if graph.is_simple else None
-    return MarkovMeasure(graph, pi / pi.sum(), P, label="parry", classes=classes)
+    return MarkovMeasure(graph, pi / pi.sum(), P, classes=classes)
 
 
 def bernoulli_measure(graph, probs):
@@ -141,7 +143,7 @@ def bernoulli_measure(graph, probs):
     if not (abs(probs.sum() - 1.0) <= 1e-12 and (probs >= 0).all()):
         raise ValidationError("probs must be a probability vector")
     P = np.tile(probs, (n, 1))
-    return MarkovMeasure(graph, probs, P, label="bernoulli", classes=("types", probs))
+    return MarkovMeasure(graph, probs, P, classes=("types", probs))
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +157,10 @@ class LoopMarkovMeasure:
     the base; within a length the a_l loops are equally likely.
     """
 
-    def __init__(self, system, weights, entropy=None, label="loop-chain"):
+    def __init__(self, system, weights, entropy=None):
         if not isinstance(system, LoopSystem):
             raise ValidationError("LoopMarkovMeasure needs a loop system")
         self.system = system
-        self.label = label
         weights = {int(l): float(w) for l, w in weights.items() if w > 0}
         if not weights:
             raise ValidationError("weights are empty")
@@ -272,7 +273,7 @@ def loop_mme(system):
             )
         stop += 1
     weights = _weights(*system.log_counts(1, stop), root)
-    return LoopMarkovMeasure(system, weights, entropy=verdict.entropy, label="loop-mme")
+    return LoopMarkovMeasure(system, weights, entropy=verdict.entropy)
 
 
 def _weights(lengths, logs, y):
@@ -287,7 +288,7 @@ def tail_parry_measure(system, lo, hi):
     if not len(lengths):
         raise ValidationError(f"no loops with length in [{lo}, {hi}]")
     x0 = math.exp(series_root(lengths, logs))
-    return LoopMarkovMeasure(system, _weights(lengths, logs, x0), label=f"window-mme[{lo},{hi}]")
+    return LoopMarkovMeasure(system, _weights(lengths, logs, x0))
 
 
 def periodic_loop_measure(system, length):
@@ -308,7 +309,6 @@ class _PeriodicOrbitMeasure:
         self.orbit = list(orbit)
         self.entropy = 0.0
         self.mass = 1.0
-        self.label = f"periodic[{len(orbit)}]"
 
     def cylinder_mass(self, word):
         n = len(self.orbit)
@@ -335,7 +335,6 @@ class MixtureMeasure:
             raise ValidationError("mixture weights must be finite and >= 0")
         self.mass = math.fsum(c * m.mass for c, m in self.components)
         self.entropy = math.fsum(c * m.entropy for c, m in self.components)
-        self.label = "mixture"
 
     def cylinder_mass(self, word):
         return math.fsum(c * m.cylinder_mass(word) for c, m in self.components)
@@ -389,11 +388,9 @@ def _aitken_limit(xs):
 class LimitReport:
     limits: dict
     mass: float
-    ladder: list
     candidate_scale: float = None
     candidate_residual: float = None
     normalized_entropy: float = None
-    meta: dict = field(default_factory=dict)
 
 
 def cylinder_limit(schedule, graph, q_max=32, candidate=None, tol=1e-9):
@@ -437,4 +434,4 @@ def cylinder_limit(schedule, graph, q_max=32, candidate=None, tol=1e-9):
             if residual <= tol:
                 mass = scale * candidate.mass
                 entropy = candidate.entropy
-    return LimitReport(dict(enumerate(limits.tolist(), 1)), mass, ladder, scale, residual, entropy)
+    return LimitReport(dict(enumerate(limits.tolist(), 1)), mass, scale, residual, entropy)

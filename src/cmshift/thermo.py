@@ -16,9 +16,9 @@ exists. The classification follows the shape of f at its radius:
 P(-t 1_F), F the symbols <= q, and the entropy is its value at t = 0:
 `gurevich_entropy`, `classify`, `perron_root`, `is_spr` and
 `measures.loop_mme` all read it. On a finite graph it is the largest log
-Perron root of the weighted blocks of the graph's Perron plan, which
-`perron` (the Perron vectors behind `measures.parry_measure`) reads too:
-the first-return root at a one-vertex rome, else the log root of the one
+Perron root of the weighted blocks of the graph's Perron plan, whose
+`Block.perron` gives `measures.parry_measure` its Perron vectors: the
+first-return root at a one-vertex rome, else the log root of the one
 log-weight kernel `_perron_vector`. On a loop system it is -log of the root
 of the loop series with each loop weighted by e^(-t * its visits to F).
 
@@ -44,12 +44,12 @@ smallest fitted rate as the headline estimate.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .counting import GrowthEstimate, escape_count, growth_rate, loop_count
+from .counting import escape_count, growth_rate, loop_count
 from .errors import NonConvergent, NotStronglyConnected, ValidationError
 from .graphs import (
     SERIES_TERMS,
@@ -72,25 +72,26 @@ from .graphs import (
 # pass each over the acyclic rest: no eigensolver is needed.
 #
 # `_blocks` splits any nonnegative square matrix into the strongly connected
-# blocks of its support, each with its submatrix and its rome: a graph's
-# adjacency matrix in its Perron plan (`_plan`), kept on the graph as a
-# LoopSystem keeps its count table, and P.T for the stationary vector of
-# `measures.markov_measure`. The t = 0 answer of a block depends on its
-# matrix alone: from the block's first unshifted query on, it keeps what it
-# solved, one cached property each: the first-return series or the dense
-# root, the log Perron root, and the certified right vector and, once
-# `perron` asks, the left one. A query then runs only what depends on its
-# potential, and every entropy, Perron root and Parry chain of one graph
-# object shares one Perron solve per block.
+# blocks of its support, each with its edges (the nonzero entries of its
+# submatrix) and its rome: a graph's adjacency matrix in its Perron plan
+# (`_plan`), kept on the graph as a LoopSystem keeps its count table, and
+# P.T for the stationary vector of `measures.markov_measure`. The t = 0
+# answer of a block depends on its edges alone: from the block's first
+# unshifted query on, it keeps what it solved, one cached property each:
+# the first-return series or the dense root, the log Perron root, and the
+# certified right vector and, once `perron` asks, the left one. A query then
+# runs only what depends on its potential, and every entropy, Perron root
+# and Parry chain of one graph object shares one Perron solve per block.
 #
 # Every block without a rome goes to one kernel on log weights
-# (`_perron_vector`): log a at t = 0, log a + shift for a pressure. The log
+# (`_perron_vector`): log a at t = 0, log a + shift for a pressure, from
+# the dense log weights `Block.logs` that only such a block builds. The log
 # Collatz-Wielandt ratios LSE_j(logs_ij + u_j) - u_i of any log vector u
 # bracket the log Perron root (Seneta, Non-negative Matrices and Markov
 # Chains, ch. 1), so one vector and one eig call per pass certify a root,
 # and no weight underflows before the check. Only a Parry chain adds the
-# left vector, one more call on the transposed logs; the same ratios check
-# each vector of a rome block.
+# left vector, one more call on the transposed logs; the same ratios, summed
+# over the block's edge lists, check each vector of a rome block.
 
 # widest accepted log Collatz-Wielandt bracket
 PERRON_BRACKET = 1e-9
@@ -101,26 +102,25 @@ PERRON_PASSES = 4
 _ULP = 2.0 ** -52
 
 
-def _rome(a):
-    """A one-vertex rome of the support of a: (r, order, succ, pred), with
-    order a topological order of the other vertices and succ/pred the
+def _rome(n, rows, cols, weights):
+    """A one-vertex rome of the n-vertex support of the edges (rows, cols,
+    weights), given row-major: (r, order, succ, pred), with order a
+    topological order of the other vertices and succ/pred the
     (neighbour, weight) lists of every vertex; None when there is none.
 
     Every sink of the acyclic graph left by a rome sends all its edges to
     the rome, so only the single out-neighbours of rows with exactly one
-    nonzero entry are candidates. Each is tested with one Kahn pass, the
-    most common first.
+    edge are candidates. Each is tested with one Kahn pass, the most common
+    first.
     """
-    out = (a != 0).sum(axis=1)
+    out = np.bincount(rows, minlength=n)
     if 1 not in out.tolist():
         return None
-    n = len(a)
-    rows, cols = np.nonzero(a)
     hits = np.bincount(cols[out[rows] == 1], minlength=n)
     candidates = np.argsort(-hits, kind="stable")[: np.count_nonzero(hits)]
     succ = [[] for _ in range(n)]
     pred = [[] for _ in range(n)]
-    for u, w, x in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
+    for u, w, x in zip(rows.tolist(), cols.tolist(), weights.tolist()):
         succ[u].append((w, x))
         pred[w].append((u, x))
     for r in candidates.tolist():
@@ -190,21 +190,23 @@ def _first_returns(rome, shift=None):
     return lengths, logs, err + 2 * _ULP * (size + np.abs(logs).max(initial=0.0) + len(pred[r]))
 
 
-def _rome_vector(r, order, lists, a, y):
+def _rome_vector(r, order, lists, y):
     """The Perron vector with entry 1 at the rome r of a nonnegative matrix
-    a of log Perron root y: v_u = e^-y times the sum of c v_w over the
-    (w, c) of lists[u], for u along order. The right vector reads succ
-    backward along the topological order of `_rome`, the left one pred
-    forward against a transposed. NonConvergent when the hull of y and its
-    log Collatz-Wielandt ratios against a is wider than PERRON_BRACKET."""
+    of log Perron root y: v_u = e^-y times the sum of c v_w over the (w, c)
+    of lists[u], for u along order. The right vector reads succ backward
+    along the topological order of `_rome`, the left one pred forward.
+    NonConvergent when the hull of y and its log Collatz-Wielandt ratios,
+    the same sums over every lists[u] divided by v_u, is wider than
+    PERRON_BRACKET."""
     x = math.exp(-y)
     v = [0.0] * len(lists)
     v[r] = 1.0
     for u in order:
         v[u] = x * sum(c * v[w] for w, c in lists[u])
+    sums = np.array([sum(c * v[w] for w, c in edges) for edges in lists])
     v = np.array(v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        width = _log_width(np.log(a @ v / v), y)
+        width = _log_width(np.log(sums / v), y)
     if width > PERRON_BRACKET:
         raise NonConvergent(f"first-return log Collatz-Wielandt bracket of width {width}")
     return v
@@ -214,12 +216,6 @@ def _top_eigenpair(b):
     vals, vecs = np.linalg.eig(b)
     k = np.argmax(vals.real)
     return float(vals[k].real), np.abs(vecs[:, k])
-
-
-def _logs(a):
-    """The log weights of a: log a_ij, -inf where a has no edge."""
-    with np.errstate(divide="ignore"):
-        return np.log(a)
 
 
 def _log_width(ratios, y):
@@ -271,21 +267,33 @@ def _perron_vector(logs):
 class Block:
     """A strongly connected block of a nonnegative square matrix, as its
     queries read it: `idx` its indices, ascending (a graph's symbols - 1);
-    `rome` a one-vertex rome of its support (`_rome`), or None; and
-    `matrix` its submatrix (the whole matrix when the block is all of it).
-    Its arrays are read-only, and it carries a cycle exactly when `matrix`
-    has a nonzero entry.
+    `edges` the (rows, cols, weights) of the nonzero entries of its
+    submatrix, in block indices and row-major order; and `rome` a one-vertex
+    rome of its support (`_rome`), or None. Its arrays are read-only, and it
+    carries a cycle exactly when it has an edge.
 
     Its t = 0 Perron data is built on the block's first unshifted query
     and kept, one cached property per thing solved: `returns` at a rome,
     `right` elsewhere, `log_root`, and once the Perron vectors are asked
-    for, `right` at a rome and `perron`. A block queried only at shifted
-    potentials builds none of it, and a query that raises keeps nothing,
-    so it raises again on the next one."""
+    for, `right` at a rome and `perron`. A block without a rome keeps its
+    dense log weights `logs` from its first eig solve on; a rome block
+    never builds a dense array. A block queried only at shifted potentials
+    builds no t = 0 data, and a query that raises keeps nothing, so it
+    raises again on the next one."""
 
     idx: np.ndarray
+    edges: tuple
     rome: tuple
-    matrix: np.ndarray
+
+    @cached_property
+    def logs(self):
+        """The read-only log weights of a block without a rome: log a_ij on
+        its edges, -inf elsewhere."""
+        rows, cols, weights = self.edges
+        logs = np.full((len(self.idx), len(self.idx)), -math.inf)
+        logs[rows, cols] = np.log(weights)
+        logs.flags.writeable = False
+        return logs
 
     @cached_property
     def returns(self):
@@ -302,12 +310,12 @@ class Block:
         vector: one backward pass over the acyclic rest at a rome, else the
         exponential of the log vector of `_perron_vector`."""
         if self.rome is None:
-            y, u = _perron_vector(_logs(self.matrix))
+            y, u = _perron_vector(self.logs)
             v = np.exp(u)
         else:
             r, order, succ, _ = self.rome
             y = self.log_root
-            v = _rome_vector(r, order[::-1], succ, self.matrix, y)
+            v = _rome_vector(r, order[::-1], succ, y)
         v.flags.writeable = False
         return y, v
 
@@ -319,7 +327,7 @@ class Block:
         if self.rome is not None:
             # a zero entropy reads 0.0, not -0.0
             return 0.0 - series_root(*self.returns)
-        if not self.matrix.any():
+        if not self.edges[0].size:
             return -math.inf
         return self.right[0]
 
@@ -327,8 +335,8 @@ class Block:
     def perron(self):
         """(lam, left, right): the Perron root and positive left and right
         vectors of the block, each certified by its own log Collatz-Wielandt
-        ratios, the left one against the transposed `matrix`. The vectors
-        are read-only.
+        ratios, the left one against the transposed matrix. The vectors are
+        read-only.
 
         It adds the left vector to `right`: one forward pass over the acyclic
         rest at a rome, else `_perron_vector` on the transposed logs.
@@ -336,37 +344,43 @@ class Block:
         """
         y, right = self.right
         if self.rome is None:
-            left = np.exp(_perron_vector(_logs(self.matrix.T))[1])
+            left = np.exp(_perron_vector(self.logs.T)[1])
         else:
             r, order, _, pred = self.rome
-            left = _rome_vector(r, order, pred, self.matrix.T, y)
+            left = _rome_vector(r, order, pred, y)
         left.flags.writeable = False
         return math.exp(y), left, right
 
 
-def _block(idx, matrix):
-    """The Block of the indices idx, given their submatrix."""
-    idx.flags.writeable = False
-    matrix.flags.writeable = False
-    return Block(idx, _rome(matrix), matrix)
+def _block(idx, a, rows, cols):
+    """The Block of the indices idx, given their submatrix a and its
+    nonzero (rows, cols)."""
+    edges = (rows, cols, a[rows, cols])
+    for array in (idx, *edges):
+        array.flags.writeable = False
+    return Block(idx, edges, _rome(len(idx), *edges))
 
 
 def _blocks(a):
     """The Blocks of the strongly connected components of the support of a
     nonnegative square matrix a, in the order of
     strongly_connected_components (each after every block it reaches); one
-    block, whose matrix is a itself, when the support is strongly
-    connected. A block carries a cycle exactly when its matrix is not all
-    zero."""
+    block, whose edges are the nonzero entries of a, when the support is
+    strongly connected. A block carries a cycle exactly when it has an
+    edge."""
     succ = [[] for _ in range(len(a))]
     rows, cols = np.nonzero(a)
     for u, w in zip(rows.tolist(), cols.tolist()):
         succ[u].append(w)
     comps = strongly_connected_components(succ)
     if len(comps) == 1:
-        return (_block(np.arange(len(a)), a),)
-    idxs = [np.array(sorted(comp)) for comp in comps]
-    return tuple(_block(idx, a[np.ix_(idx, idx)]) for idx in idxs)
+        return (_block(np.arange(len(a)), a, rows, cols),)
+    blocks = []
+    for comp in comps:
+        idx = np.array(sorted(comp))
+        sub = a[np.ix_(idx, idx)]
+        blocks.append(_block(idx, sub, *np.nonzero(sub)))
+    return tuple(blocks)
 
 
 def _plan(graph):
@@ -384,25 +398,11 @@ def _plan(graph):
 
 
 def _irreducible(blocks, message):
-    """The one block of `_blocks` when it carries a cycle;
+    """The one block of `_blocks` when it has an edge;
     NotStronglyConnected with message on any other blocks."""
-    if len(blocks) != 1 or not blocks[0].matrix.any():
+    if len(blocks) != 1 or not blocks[0].edges[0].size:
         raise NotStronglyConnected(message)
     return blocks[0]
-
-
-def perron(graph):
-    """The adjacency matrix of a strongly connected finite graph with its
-    Perron root and positive left and right eigenvectors: (a, lam, left,
-    right), all read-only, from the graph's plan.
-
-    Through the first-return series at a one-vertex rome when there is one,
-    else by the log-weight kernel, once per graph (`Block.perron`).
-    NotStronglyConnected on any other graph, NonConvergent on a log
-    Collatz-Wielandt bracket wider than PERRON_BRACKET.
-    """
-    block = _irreducible(_plan(graph), "Perron vectors need a strongly connected support")
-    return (block.matrix, *block.perron)
 
 
 def _max_block_root(plan, shift=None):
@@ -422,10 +422,10 @@ def _max_block_root(plan, shift=None):
     for block in plan:
         if block.rome is not None:
             y = 0.0 - series_root(*_first_returns(block.rome, shift[block.idx].tolist()))
-        elif block.matrix.any():
+        elif block.edges[0].size:
             shifts = shift[block.idx]
             order = np.argsort(-shifts, kind="stable")
-            y = _perron_vector(_logs(block.matrix[np.ix_(order, order)]) + shifts[order])[0]
+            y = _perron_vector(block.logs[np.ix_(order, order)] + shifts[order])[0]
         else:
             continue
         best = max(best, y)
@@ -865,7 +865,6 @@ class EntropyReport:
     method: str
     truncations: list
     count_rate: float = None
-    meta: dict = field(default_factory=dict)
 
 
 def gurevich_entropy(graph, n_max=40, trace_qs=(4, 8, 16, 32, 64)):
@@ -883,7 +882,7 @@ def gurevich_entropy(graph, n_max=40, trace_qs=(4, 8, 16, 32, 64)):
     if isinstance(graph, FiniteGraph):
         value = pressure(graph)
         return EntropyReport(value, "perron", [(graph.symbols, value)])
-    root, value = _critical(graph)
+    value = _critical(graph)[1]
     trace = []
     for q in trace_qs:
         _, loops = graph.whole_loops(q)
@@ -891,8 +890,7 @@ def gurevich_entropy(graph, n_max=40, trace_qs=(4, 8, 16, 32, 64)):
     count_rate = None
     if n_max and n_max >= 8:
         count_rate = growth_rate(loop_count(graph, 1, n_max)).rate
-    meta = {"x_star": root, "radius": LoopGF(graph).radius}
-    return EntropyReport(value, "generating-function", trace, count_rate, meta)
+    return EntropyReport(value, "generating-function", trace, count_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +957,6 @@ class DeltaCell:
     rate: float
     empty: bool
     nonzero: int
-    estimate: GrowthEstimate = None
 
 
 @dataclass
@@ -1000,7 +997,7 @@ def delta_inf(graph, Ms=(8, 16), qs=(1, 2, 4), n_max=40):
             series = escape_count(graph, M=M, q=q, n_max=n_max)
             nonzero = sum(1 for c in series.counts if c)
             est = growth_rate(series)
-            cells[(M, q)] = DeltaCell(M, q, est.rate, nonzero == 0, nonzero, est)
+            cells[(M, q)] = DeltaCell(M, q, est.rate, nonzero == 0, nonzero)
     live = [c.rate for c in cells.values() if not c.empty]
     headline = min(live) if live else float("-inf")
     return DeltaInfGrid(cells, headline, n_max, "affine-fit")

@@ -235,7 +235,7 @@ def per_id_cylinder_limit(schedule, graph, q_max=32, candidate=None, tol=1e-9):
             if residual <= tol:
                 mass = scale * candidate.mass
                 entropy = candidate.entropy
-    return LimitReport(limits, mass, ladder, scale, residual, entropy)
+    return LimitReport(limits, mass, scale, residual, entropy)
 
 
 def graph_spec(graph):

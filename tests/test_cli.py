@@ -21,7 +21,7 @@ import threading
 
 import pytest
 
-from cmshift import cli, families
+from cmshift import cli, families, thermo
 from cmshift.graphs import LoopSystem
 
 from properties import graph_spec
@@ -74,6 +74,19 @@ def test_entropy_full_shift_count_rate(tmp_path, capsys):
     )
     assert code == 0
     assert abs(doc["result"]["count_rate"] - math.log(2)) < 1e-3
+
+
+def test_entropy_loop_system_writes_its_trace(tmp_path, capsys):
+    # a loop system's entropy comes with a truncation trace, one row a q
+    g = write_graph(tmp_path, "renewal.json", families.renewal_shift())
+    out_dir = tmp_path / "out"
+    code, doc = run_cli(capsys, ["entropy", "--graph", g, "--out", str(out_dir)])
+    assert code == 0
+    truncations = doc["result"]["truncations"]
+    assert len(truncations) == 5
+    rows = (out_dir / "trace.csv").read_text().strip().splitlines()
+    assert rows[0] == "q,estimate"
+    assert [[int(q), float(v)] for q, v in (r.split(",") for r in rows[1:])] == truncations
 
 
 def test_classify_renewal(tmp_path, capsys):
@@ -144,6 +157,21 @@ def test_h_inf_finite_graph_is_minus_inf(tmp_path, capsys):
     assert doc["result"]["value"] == "-inf"
 
 
+def test_h_inf_loop_system_writes_its_windows(tmp_path, capsys):
+    g = write_graph(tmp_path, "renewal.json", families.renewal_shift())
+    out_dir = tmp_path / "out"
+    code, doc = run_cli(capsys, ["h-inf", "--graph", g, "--out", str(out_dir)])
+    assert code == 0
+    res = doc["result"]
+    rows = (out_dir / "windows.csv").read_text().strip().splitlines()
+    assert rows[0] == "lo,hi,entropy,base_mass"
+    assert len(res["windows"]) == 4
+    assert [r.split(",") for r in rows[1:]] == [
+        [str(lo), str(hi), repr(h), repr(b)]
+        for (lo, hi), h, b in zip(res["windows"], res["entropies"], res["base_masses"])
+    ]
+
+
 def test_katok_golden(tmp_path, capsys):
     g = write_graph(tmp_path, "golden.json", families.golden_mean())
     out_dir = tmp_path / "out"
@@ -190,6 +218,11 @@ def test_mass_bound_half_entropy(tmp_path, capsys):
     assert abs(res["bound"] - 0.5) < 1e-6
     assert abs(res["measured"] - 0.5) < 0.02
     assert res["satisfied"] is True
+    # without --t the level is c = h/2
+    code, default = run_cli(capsys, ["mass-bound", "--graph", g])
+    assert code == 0
+    assert default["result"]["c"] == 0.5 * thermo.pressure(families.renewal_shift())
+    assert default["result"]["bound"] == res["bound"]
 
 
 def test_dim_series_convergent_with_terms_csv(tmp_path, capsys):
@@ -462,8 +495,8 @@ def test_run_manifest_seed_and_overrides(tmp_path, capsys):
         "jobs": 2,
         "overrides": {"n-max": 12},
         "commands": [
-            {"command": "entropy", "args": {"graph": "golden.json"}},
-            {"command": "entropy", "args": {"graph": "golden.json", "n-max": 20}},
+            {"command": "entropy", "args": {"graph": "golden.json", "strict": True}},
+            {"command": "entropy", "args": {"graph": "golden.json", "n-max": 20, "strict": False}},
         ],
     }))
     out = tmp_path / "out"
@@ -471,8 +504,11 @@ def test_run_manifest_seed_and_overrides(tmp_path, capsys):
     assert code == 0
     first = json.loads((out / "00-entropy" / "report.json").read_text())
     second = json.loads((out / "01-entropy" / "report.json").read_text())
-    assert first["params"]["n_max"] == 12  # manifest override
-    assert second["params"]["n_max"] == 20  # entry args win
+    # "strict": true passes --strict and false passes nothing; the params
+    # record neither
+    graph = str(tmp_path / "golden.json")
+    assert first["params"] == {"graph": graph, "n_max": 12}  # manifest override
+    assert second["params"] == {"graph": graph, "n_max": 20}  # entry args win
 
 
 def test_run_manifest_failing_entry_exits_2(tmp_path, capsys):

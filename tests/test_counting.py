@@ -377,7 +377,6 @@ def test_escape_count_pinned_missing_pin_raises_validation_error():
 def test_growth_rate_affine_exact_line():
     series = counting.CountSeries("test", 1, [2 ** (n - 1) for n in range(1, 25)], {})
     est = counting.growth_rate(series)
-    assert est.method == "affine-fit"
     assert abs(est.rate - math.log(2)) < 1e-12
     assert est.residual < 1e-9
 

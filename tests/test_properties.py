@@ -273,9 +273,11 @@ def test_perron_plan_answers_a_reused_graph_as_a_fresh_one():
             # the Parry chain kept the block's certified Perron vectors
             assert "perron" in vars(plan[0])
         for block in plan:
-            arrays = [block.idx, block.matrix]
+            arrays = [block.idx, *block.edges]
             if block.rome is not None:
                 arrays += block.returns[:2]
+            elif block.edges[0].size:
+                arrays.append(block.logs)
             for kept in ("right", "perron"):
                 arrays += list(vars(block).get(kept, ())[1:])
             for array in arrays:
@@ -302,7 +304,7 @@ def test_perron_plan_builds_a_series_only_for_an_unshifted_query():
             assert "log_root" in vars(block)
             if block.rome is not None:
                 assert "returns" in vars(block)
-            elif block.matrix.any():
+            elif block.edges[0].size:
                 assert "right" in vars(block)
             assert "perron" not in vars(block)
 
@@ -346,7 +348,7 @@ def test_perron_plan_solves_each_block_once_at_t_0(monkeypatch, kind):
         plan = g.perron_plan
         assert (len(plan) > 1) == (kind == "reducible")
         romes = sum(block.rome is not None for block in plan)
-        dense = sum(block.rome is None and bool(block.matrix.any()) for block in plan)
+        dense = sum(block.rome is None and bool(block.edges[0].size) for block in plan)
         vectors = dense if kind == "reducible" else 2 * dense
         assert calls == {"series_root": romes, "_perron_vector": vectors}, g.edge_multiplicities()
 
@@ -391,6 +393,60 @@ def test_parry_chain_on_a_rome_graph_builds_the_adjacency_once(monkeypatch, make
     assert len(calls) == 1
 
 
+def _kept_arrays(value):
+    """The numpy arrays inside a value, through nested tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _kept_arrays(item)
+
+
+def test_rome_blocks_keep_no_dense_array():
+    # a rome block keeps its edges, never an n x n array, after every kind
+    # of query; the dense log weights exist only on blocks without a rome,
+    # where eig runs (golden mean and full 2-shift joined one way: a rome
+    # block and a dense one)
+    ambient = full_shift(2)
+    graphs = [
+        density.concatenated_system(ambient, supports, n=n, M=M).graph
+        for supports in ([golden_mean(), ambient], [ambient])
+        for n, M in ((5, 2), (13, 3), (30, 4))
+    ]
+    for system in (renewal_shift(), power_loops()):
+        for q in (8, 16):
+            boundary, _ = system.whole_loops(q)
+            graphs.append(system.truncate(boundary).as_graph())
+    graphs.append(FiniteGraph(4, [(1, 1), (1, 2), (2, 1), (2, 3), (3, 3), (3, 4), (4, 3), (4, 4)]))
+    queries = [
+        lambda g: infinity.pressure_indicator(g, 0.0, 1),
+        lambda g: infinity.pressure_indicator(g, 0.7, 1),
+        lambda g: infinity.pressure_indicator(g, 10.0, 2),
+        thermo.perron_root,
+        thermo.classify,
+        thermo.is_spr,
+        thermo.gurevich_entropy,
+        measures.parry_measure,
+    ]
+    kinds = {"rome": 0, "dense": 0}
+    for g in graphs:
+        for query in queries:
+            try:
+                query(g)
+            except NotStronglyConnected:
+                assert len(g.perron_plan) > 1
+        for block in g.perron_plan:
+            kept = list(_kept_arrays(list(vars(block).values())))
+            if block.rome is not None:
+                kinds["rome"] += 1
+                assert "logs" not in vars(block)
+                assert all(array.ndim == 1 for array in kept), [a.shape for a in kept]
+            elif block.edges[0].size:
+                kinds["dense"] += 1
+                assert vars(block)["logs"].shape == (len(block.idx),) * 2
+    assert kinds["rome"] == len(graphs) and kinds["dense"] == 1, kinds
+
+
 def test_perron_plan_keeps_no_failed_solve(monkeypatch):
     # a NonConvergent is raised again on the next query, which solves anew
     g = FiniteGraph(3, [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (3, 3)])
@@ -412,7 +468,9 @@ def test_perron_plan_keeps_no_failed_solve(monkeypatch):
     measures.parry_measure(g)
     # the right vector on the block's log weights three times, then the
     # left one on their transpose
-    logs = thermo._logs(block.matrix)
+    logs = block.logs
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(logs, np.log(thermo.adjacency_matrix(g)))
     assert [np.array_equal(a, logs) for a in calls] == [True, True, True, False]
     assert np.array_equal(calls[3], logs.T)
 
@@ -516,7 +574,7 @@ def test_shifted_dense_pressures_solve_one_eig_per_pass(monkeypatch):
     first = 0
     for g in pressure_sweep_graphs()[:120]:
         plan = thermo._plan(g)
-        dense = [b for b in plan if b.rome is None and b.matrix.any()]
+        dense = [b for b in plan if b.rome is None and b.edges[0].size]
         if len(dense) != 1:
             continue
         for t in (0.7, 3.0, 10.0, 30.0):

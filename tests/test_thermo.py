@@ -14,7 +14,7 @@ Oracles used here, independent of the implementation under test:
   - a_1 x + a_2 x^2 = 1 has the root 2 / (a_1 + sqrt(a_1^2 + 4 a_2)),
   - on graphs with a one-vertex rome, the dense kernel
     `thermo._perron_vector` on the log adjacency matrix and on its
-    transpose checks the first-return route of `thermo.perron`.
+    transpose checks the first-return route of `thermo.Block.perron`.
 """
 
 import math
@@ -378,7 +378,7 @@ def test_is_spr_rejects_graph_without_cycle():
 
 
 def test_perron_golden_mean_vectors():
-    _, lam, left, right = thermo.perron(golden_mean())
+    lam, left, right = thermo._plan(golden_mean())[0].perron
     assert abs(lam - PHI) < 1e-14
     assert abs(right[0] / right[1] - PHI) < 1e-14
     assert abs(left[0] / left[1] - PHI) < 1e-14
@@ -389,7 +389,7 @@ def test_perron_rejects_reducible_matrix():
     # behind markov_measure, given its log weights, the Perron vector has a
     # zero entry that the eigen-equation cannot fill
     with pytest.raises(NotStronglyConnected):
-        thermo.perron(FiniteGraph(2, [(1, 1), (1, 2), (2, 2)]))
+        measures.parry_measure(FiniteGraph(2, [(1, 1), (1, 2), (2, 2)]))
     with pytest.raises(NonConvergent):
         thermo._perron_vector(np.array([[0.0, 0.0], [-math.inf, 0.0]]))
 
@@ -400,7 +400,7 @@ def test_edgeless_one_symbol_graph_is_not_irreducible():
     # recurrence class exists, as for is_spr
     g = LoopSystem([(2, 1), (3, 1)]).truncate(1).as_graph()
     assert g.symbols == 1 and not g.edge_multiplicities()
-    for query in (thermo.perron, measures.parry_measure, thermo.classify, thermo.is_spr):
+    for query in (measures.parry_measure, thermo.classify, thermo.is_spr):
         with pytest.raises(NotStronglyConnected):
             query(g)
     assert thermo.pressure(g) == -math.inf
@@ -414,8 +414,9 @@ def test_edgeless_one_symbol_graph_is_not_irreducible():
 def _assert_rome_matches_dense(graph):
     block = thermo._plan(graph)[0]
     assert block.rome is not None
-    _, lam, left, right = thermo.perron(graph)
-    logs = thermo._logs(block.matrix)
+    lam, left, right = block.perron
+    with np.errstate(divide="ignore"):
+        logs = np.log(thermo.adjacency_matrix(graph))
     want, want_right = thermo._perron_vector(logs)
     want_left, want_right = np.exp(thermo._perron_vector(logs.T)[1]), np.exp(want_right)
     assert abs(lam - math.exp(want)) < 1e-12
@@ -462,9 +463,9 @@ def test_perron_rome_route_rejects_reducible_matrix():
     g = FiniteGraph(3, [(1, 2), (2, 1), (3, 1)])
     a = thermo.adjacency_matrix(g)
     with pytest.raises(NotStronglyConnected):
-        thermo.perron(g)
+        measures.parry_measure(g)
     assert len(thermo._plan(g)) == 2
-    block = thermo._block(np.arange(3), a)
+    block = thermo._block(np.arange(3), a, *np.nonzero(a))
     assert block.rome is not None
     # the right vector has no zero entry and its log ratios are all 0; the
     # left one's, taken on a.T, are not finite
@@ -479,4 +480,4 @@ def test_perron_without_a_rome_falls_back_to_eig():
     # every row has two nonzero entries: no one-vertex rome
     g = FiniteGraph(3, [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (3, 3)])
     assert thermo._plan(g)[0].rome is None
-    assert abs(thermo.perron(g)[1] - 2.0) < 1e-12
+    assert abs(thermo._plan(g)[0].perron[0] - 2.0) < 1e-12
