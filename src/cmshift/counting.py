@@ -15,6 +15,13 @@ states at most a given number of times. Closed walks mark nothing, first
 returns mark the vertex and allow its two endpoint visits, and escape
 counts mark the symbols <= q.
 
+Nothing is rebuilt for a repeated question. The graph keeps each walk
+view by its ids and length, and the view keeps each counting plan
+(`_walk_plan`: the edge polynomials split for the recurrence, and the
+blocks of the unmarked states) by its marked states and length. So the
+cells of one q in a `thermo.delta_inf` grid share one view and one plan,
+and only the row loop runs per call.
+
 The kernel runs row by row over the number m of marked positions. Row m
 holds one exact count series over time per state, and the next row comes
 from it through the edges into marked states: each (src, dst) group of
@@ -31,6 +38,7 @@ value carried across time.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, mul
@@ -83,16 +91,46 @@ class CountSeries:
 # walk counts
 
 
-def _walk_counts(view, marked, starts, ends, n_edges, budget):
-    """[W_1, ..., W_{n_edges}]: W_e counts the walks of e edges on `view`
-    from a state in `starts` to a state in `ends` whose positions (both
-    endpoints included) fall on `marked` states at most budget(e) times.
-    `budget` must be nondecreasing in e.
+def _walk_plan(view, marked, n):
+    """The counting plan of `view` for walks of at most n edges that count
+    their visits to the `marked` states, built on the first call and kept
+    in `view.plans` by (marked, n): the view is read-only, so every later
+    count with that key reads the same plan.
+
+    The plan is (n, hits, into, marked_states, blocks): hits[s] is 1 at a
+    marked state, into[s] the in-edge groups (src, (head, suffix)) of s
+    with each (src, s) polynomial in time split by `_split`, and blocks the
+    unmarked strongly connected blocks of `_unmarked_blocks`.
+    """
+    key = (frozenset(marked), n)
+    plan = view.plans.get(key)
+    if plan is None:
+        size = view.state_count
+        hits = [1 if s in marked else 0 for s in range(size)]
+        polys = {}
+        for src, dst, mult, length in view.edges:
+            if length <= n:
+                poly = polys.setdefault((src, dst), {})
+                poly[length] = poly.get(length, 0) + mult
+        into = [[] for _ in range(size)]
+        for (src, dst), poly in polys.items():
+            into[dst].append((src, _split(sorted(poly.items()), n)))
+        marked_states = [s for s in range(size) if hits[s]]
+        plan = view.plans[key] = (n, hits, into, marked_states, _unmarked_blocks(hits, into))
+    return plan
+
+
+def _walk_counts(plan, starts, ends, budget):
+    """[W_1, ..., W_n]: W_e counts the walks of e edges, on the view and
+    for the n of the `_walk_plan`, from a state in `starts` to a state in
+    `ends` whose positions (both endpoints included) fall on the plan's
+    marked states at most budget(e) times. `budget` must be nondecreasing
+    in e.
 
     Row by row: row m holds, for each state, the count series over times
-    0..n_edges of the walks with m marked positions that stand there (None
-    when they are all zero), and only the previous row is kept. The edges
-    of each (src, dst) pair form one polynomial in time, split once into a
+    0..n of the walks with m marked positions that stand there (None when
+    they are all zero), and only the previous row is kept. The edges of
+    each (src, dst) pair form one polynomial in time, split once into a
     head and a geometric suffix (`_split`). A marked state's series is the
     sum of the previous row's series times the polynomials of its in-edges
     (`_times`). The unmarked states follow within the row, one strongly
@@ -103,19 +141,8 @@ def _walk_counts(view, marked, starts, ends, n_edges, budget):
     0..budget(e) count at time e, so a nondecreasing budget lets each row
     add to a suffix of the counts.
     """
-    n = n_edges
-    size = view.state_count
-    hits = [1 if s in marked else 0 for s in range(size)]
-    polys = {}
-    for src, dst, mult, length in view.edges:
-        if length <= n:
-            poly = polys.setdefault((src, dst), {})
-            poly[length] = poly.get(length, 0) + mult
-    into = [[] for _ in range(size)]
-    for (src, dst), poly in polys.items():
-        into[dst].append((src, _split(sorted(poly.items()), n)))
-    marked_states = [s for s in range(size) if hits[s]]
-    blocks = _unmarked_blocks(hits, into)
+    n, hits, into, marked_states, blocks = plan
+    size = len(hits)
     seeds = {s: hits[s] for s in starts}
     cap = budget(n)
     # the walks of the last row at unmarked states are needed only when an
@@ -327,36 +354,45 @@ def _state(view, vertex):
     return state
 
 
+def _require_integer(value, name, least):
+    """ValidationError naming the argument `name` unless `value` is an
+    integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}", field=name)
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}", field=name)
+
+
 def loop_count(graph, vertex, n_max):
     """Closed walks of n edges at `vertex`, n = 1..n_max."""
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    _require_integer(n_max, "n_max", 1)
     view = walk_view(graph, n_max, [vertex])
     v = _state(view, vertex)
-    counts = _walk_counts(view, (), [v], [v], n_max, lambda e: 0)
+    counts = _walk_counts(_walk_plan(view, (), n_max), [v], [v], lambda e: 0)
     return CountSeries("loop_count", 1, counts, {"vertex": vertex})
 
 
 def first_return_count(graph, vertex, n_max):
     """First-return walks of n edges at `vertex`, n = 1..n_max."""
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    _require_integer(n_max, "n_max", 1)
     view = walk_view(graph, n_max, [vertex])
     v = _state(view, vertex)
-    counts = _walk_counts(view, {v}, [v], [v], n_max, lambda e: 2)
+    counts = _walk_counts(_walk_plan(view, {v}, n_max), [v], [v], lambda e: 2)
     return CountSeries("first_return", 1, counts, {"vertex": vertex})
 
 
 def escape_count(graph, M, q, n_max):
     """z_n(M, q) for n = 0..n_max: words x_0..x_{n+1} with x_0, x_{n+1} <= q
     and at most floor((n+2)/M) positions at symbols <= q."""
-    if M < 1 or q < 1 or n_max < 0:
-        raise ValidationError("need M >= 1, q >= 1, n_max >= 0")
-    view = walk_view(graph, n_max + 1, list(range(1, q + 1)))
+    _require_integer(M, "M", 1)
+    _require_integer(q, "q", 1)
+    _require_integer(n_max, "n_max", 0)
+    view = walk_view(graph, n_max + 1, range(1, q + 1))
     marked = {i for i, v in enumerate(view.ids) if v <= q}
     endpoints = sorted(marked)
     # a word x_0..x_{n+1} is a walk of e = n + 1 edges
-    counts = _walk_counts(view, marked, endpoints, endpoints, n_max + 1, lambda e: (e + 1) // M)
+    plan = _walk_plan(view, marked, n_max + 1)
+    counts = _walk_counts(plan, endpoints, endpoints, lambda e: (e + 1) // M)
     return CountSeries("escape_count", 0, counts, {"M": M, "q": q, "states": view.state_count})
 
 

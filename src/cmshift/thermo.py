@@ -990,7 +990,11 @@ def delta_inf(graph, Ms=(8, 16), qs=(1, 2, 4), n_max=40):
 
     The headline is the smallest fitted rate over the non-empty cells
     (larger budgets M give tighter cells); -inf when every cell is empty.
+    The cells of one q share one walk view and its counting plan.
     """
+    for name, values in (("Ms", Ms), ("qs", qs)):
+        if not values:
+            raise ValidationError(f"{name} must not be empty", field=name)
     cells = {}
     for M in Ms:
         for q in qs:

@@ -317,6 +317,11 @@ def test_bad_int_list_exits_2(tmp_path, capsys):
         (["b-inf", "--q", "-1", "--graph"], "q"),
         (["density-demo", "--n-max", "8", "--depth", "0"], "depth"),
         (["run", "--jobs", "0", "manifest.json"], "jobs"),
+        (["delta-inf", "--M", "0", "--graph"], "M"),
+        (["delta-inf", "--q", "2,0", "--graph"], "q"),
+        (["delta-inf", "--n-max", "-1", "--graph"], "n_max"),
+        (["dim-series", "--M", "0", "--graph"], "M"),
+        (["entropy", "--vertex", "1", "--n-max", "0", "--graph"], "n_max"),
     ],
 )
 def test_values_below_their_minimum_exit_2(tmp_path, capsys, argv, field):

@@ -9,11 +9,12 @@ Oracles used here, independent of the implementation under test:
     z_n(M, 1) = sum over k+1 <= floor((n+2)/M) of C(n, k-1).
 """
 
+import dataclasses
 import math
 
 import pytest
 
-from cmshift import counting, graphs
+from cmshift import counting, graphs, thermo
 from cmshift.errors import ValidationError
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
 
@@ -267,6 +268,11 @@ def layer_walk_counts(view, marked, starts, ends, n_edges, budget):
     return counts
 
 
+def kernel_walk_counts(view, marked, starts, ends, n_edges, budget):
+    """`layer_walk_counts`'s question put to the row kernel."""
+    return counting._walk_counts(counting._walk_plan(view, marked, n_edges), starts, ends, budget)
+
+
 @pytest.mark.parametrize("graph", [
     renewal_shift(), power_loops(3), golden_mean(), full_shift(3),
     graphs.LoopSystem([(1, 1), (3, 2)], graphs.GeometricTail(4, 1.7, 1.1)),
@@ -288,13 +294,13 @@ def test_walk_counts_match_layer_dp(graph):
             marked = {i for i, v in enumerate(view.ids) if v <= q}
             for starts, ends in ((sorted(marked), sorted(marked)), ([0], [len(view.ids) - 1])):
                 args = (view, marked, starts, ends, n, lambda e: (e + 1) // M)
-                assert counting._walk_counts(*args) == layer_walk_counts(*args), (M, q, starts, ends)
+                assert kernel_walk_counts(*args) == layer_walk_counts(*args), (M, q, starts, ends)
     for v in (1, 2):
         view = graphs.walk_view(graph, n, [v])
         s = view.concrete[v]
         for marked, budget in (((), 0), ({s}, 2)):
             args = (view, marked, [s], [s], n, lambda e: budget)
-            assert counting._walk_counts(*args) == layer_walk_counts(*args), (v, budget)
+            assert kernel_walk_counts(*args) == layer_walk_counts(*args), (v, budget)
 
 
 STOCK_INTEGER_TAILS = [
@@ -372,6 +378,80 @@ def test_escape_count_pinned_missing_pin_raises_validation_error():
         escape_count_pinned(g, M=2, q=1, a=1, b=6, n_max=5)
     with pytest.raises(ValidationError):
         escape_count_pinned(full_shift(2), M=2, q=1, a=0, b=1, n_max=5)
+
+
+# ---------------------------------------------------------------------------
+# kept walk views and counting plans
+
+
+def test_repeated_escape_counts_build_the_view_and_plan_once(monkeypatch):
+    def system():
+        return graphs.LoopSystem([(2, 1)], graphs.GeometricTail(3, 2, 1))
+
+    Ms = (3, 3, 4, 3)
+    want = [counting.escape_count(system(), M=M, q=2, n_max=20).counts for M in Ms]
+    builds, plans, lookups = [], [], []
+    build_view, unmarked_blocks, walk_view = graphs._build_walk_view, counting._unmarked_blocks, counting.walk_view
+    monkeypatch.setattr(graphs, "_build_walk_view", lambda *a: builds.append(a) or build_view(*a))
+    monkeypatch.setattr(counting, "_unmarked_blocks", lambda *a: plans.append(a) or unmarked_blocks(*a))
+    monkeypatch.setattr(counting, "walk_view", lambda *a: lookups.append(a) or walk_view(*a))
+    g = system()
+    assert [counting.escape_count(g, M=M, q=2, n_max=20).counts for M in Ms] == want
+    # the budget M is not part of the plan
+    assert len(builds) == len(plans) == 1
+    # every count still asks walk_view, whose calls the benchmark's tracer reads
+    assert len(lookups) == len(Ms)
+    (view,) = g.walk_views.values()
+    assert list(view.plans) == [(frozenset({0, 1}), 21)]
+
+
+def test_delta_inf_grid_builds_one_view_per_q(monkeypatch):
+    builds = []
+    build_view = graphs._build_walk_view
+    monkeypatch.setattr(graphs, "_build_walk_view", lambda *a: builds.append(a) or build_view(*a))
+    g = renewal_shift()
+    thermo.delta_inf(g, Ms=(4, 8), qs=(1, 2, 3), n_max=16)
+    assert sorted(ids for _, ids, _ in builds) == [(1,), (1, 2), (1, 2, 3)]
+    assert sorted(g.walk_views) == [((1,), 17), ((1, 2), 17), ((1, 2, 3), 17)]
+    assert all(len(view.plans) == 1 for view in g.walk_views.values())
+
+
+@pytest.mark.parametrize("graph", [renewal_shift(), full_shift(2)])
+def test_kept_walk_view_is_read_only(graph):
+    want = counting.escape_count(graph, M=2, q=1, n_max=6).counts
+    view = graphs.walk_view(graph, 7, [1])
+    assert graph.walk_views == {((1,), 7): view}
+    assert isinstance(view.ids, tuple) and isinstance(view.edges, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        view.ids = (1, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        view.edges = ()
+    with pytest.raises(TypeError):
+        view.concrete[1] = 5
+    with pytest.raises(AttributeError):
+        view.edges.append((0, 0, 1, 1))
+    with pytest.raises(TypeError):
+        view.edges[0] = (0, 0, 1, 1)
+    assert counting.escape_count(graph, M=2, q=1, n_max=6).counts == want
+
+
+@pytest.mark.parametrize("args,field", [
+    ((0, 1, 5), "M"), ((2, 0, 5), "q"), ((2, 1, -1), "n_max"),
+    ((2.0, 1, 5), "M"), ((2, 1.5, 5), "q"), ((2, True, 5), "q"), ((2, 1, 5.0), "n_max"),
+    ((2, 1, None), "n_max"),
+])
+def test_escape_count_names_the_bad_argument(args, field):
+    with pytest.raises(ValidationError) as exc:
+        counting.escape_count(renewal_shift(), *args)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("count", [counting.loop_count, counting.first_return_count])
+@pytest.mark.parametrize("n_max", [0, -3, 2.5, True])
+def test_loop_counts_name_a_bad_n_max(count, n_max):
+    with pytest.raises(ValidationError) as exc:
+        count(renewal_shift(), 1, n_max)
+    assert exc.value.field == "n_max"
 
 
 def test_growth_rate_affine_exact_line():

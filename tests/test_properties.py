@@ -139,6 +139,64 @@ def random_simple_loop_systems(seed, count):
     return out
 
 
+def kept_view_specs(seed):
+    """(class, arguments) of random graphs of every shape a walk view takes:
+    loop systems with integer tails, floored tails and explicit loops only,
+    and finite graphs. Each call of class(*arguments) is a fresh object."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(2):
+        loops = [(rng.randint(1, 5), rng.randint(0, 2)) for _ in range(rng.randint(0, 2))]
+        integer = GeometricTail(rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 2))
+        floored = GeometricTail(rng.randint(1, 4), rng.uniform(0.5, 2.0), rng.uniform(1.05, 1.4))
+        explicit = [(rng.randint(1, 6), rng.randint(1, 2)) for _ in range(rng.randint(1, 4))]
+        specs += [(LoopSystem, (loops, integer)), (LoopSystem, (loops, floored)), (LoopSystem, (explicit,))]
+        for g in (random_strongly_connected_graph(rng), random_two_out_graph(rng, rng.randint(3, 6))):
+            specs.append((FiniteGraph, (g.symbols, g.edge_multiplicities())))
+    return specs
+
+
+def count_query(graph, query):
+    kind, *args = query
+    count = {"escape": counting.escape_count, "loop": counting.loop_count,
+             "first": counting.first_return_count}[kind]
+    return count(graph, *args).counts
+
+
+def view_key(query):
+    """The key of the walk view that a count query asks for."""
+    kind, *args = query
+    if kind == "escape":
+        _, q, n_max = args
+        return tuple(range(1, q + 1)), n_max + 1
+    v, n_max = args
+    return (v,), n_max
+
+
+def brute_graph(graph, n_max):
+    """A simple finite graph on which the brute-force oracles count the walks
+    of <= n_max edges at ids 1..6 of `graph`, or None when there is none (a
+    loop system with parallel self-loops at the base)."""
+    if isinstance(graph, FiniteGraph):
+        return graph
+    if graph.multiplicity(1) > 1:
+        return None
+    a = graph.counts(n_max)
+    enum = graph.enumeration(6)
+    size = max(1 + sum(a[l] * (l - 1) for l in range(2, n_max + 1)), enum.next_free_id - 1)
+    return graph.truncate(size).as_graph()
+
+
+def brute_counts(g, query):
+    kind, *args = query
+    if kind == "escape":
+        M, q, n_max = args
+        return [brute_escape_count(g, M, q, n) for n in range(n_max + 1)]
+    v, n_max = args
+    brute = brute_loop_count if kind == "loop" else brute_first_return_count
+    return [brute(g, v, n) for n in range(1, n_max + 1)]
+
+
 def test_lengthed_edges_match_brute_force_on_loop_systems():
     # the walk view folds the loops of each length that hold no queried id
     # into one base -> base edge of that length, with multiplicity > 1 on
@@ -148,10 +206,7 @@ def test_lengthed_edges_match_brute_force_on_loop_systems():
     n_max = 6
     rng = random.Random(113)
     for system in random_simple_loop_systems(112, 8):
-        a = system.counts(n_max + 1)
-        size = 1 + sum(a[l] * (l - 1) for l in range(2, n_max + 2))
-        size = max(size, system.enumeration(6).locate(6)[2])
-        g = system.truncate(size).as_graph()
+        g = brute_graph(system, n_max + 1)
         assert g.is_simple
         for v in range(1, 7):
             loops = counting.loop_count(system, v, n_max)
@@ -168,6 +223,39 @@ def test_lengthed_edges_match_brute_force_on_loop_systems():
             pinned = escape_count_pinned(system, M=M, q=q, a=x, b=y, n_max=n_max - 1)
             for n in range(n_max):
                 assert pinned.value(n) == brute_escape_count(g, M, q, n, a=x, b=y)
+
+
+def test_kept_walk_views_answer_like_fresh_objects():
+    # one graph object answers a shuffled run of counts, with repeats and
+    # with lengths below and above the earlier ones, from its kept views and
+    # plans; each answer must be that of a fresh object, and of brute-force
+    # enumeration where the walks are short
+    rng = random.Random(114)
+    brute_checked = []
+    for cls, args in kept_view_specs(115):
+        graph = cls(*args)
+        if isinstance(graph, FiniteGraph):
+            top = graph.symbols
+        else:
+            top = min(6, cls(*args).enumeration(6).next_free_id - 1)
+        queries = []
+        for _ in range(10):
+            kind = rng.choice(("escape", "loop", "first"))
+            if kind == "escape":
+                queries.append((kind, rng.randint(1, 4), rng.randint(1, top), rng.randint(0, 13)))
+            else:
+                queries.append((kind, rng.randint(1, top), rng.randint(1, 14)))
+        queries += rng.sample(queries, 4)
+        rng.shuffle(queries)
+        short = brute_graph(cls(*args), 6)
+        for query in queries:
+            got = count_query(graph, query)
+            assert got == count_query(cls(*args), query), (cls, args, query)
+            if short is not None and query[-1] <= (4 if query[0] == "escape" else 6):
+                assert got == brute_counts(short, query), (cls, args, query)
+                brute_checked.append(cls)
+        assert set(graph.walk_views) == {view_key(query) for query in queries}
+    assert brute_checked.count(LoopSystem) >= 5 and brute_checked.count(FiniteGraph) >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from cmshift import density, infinity, measures, thermo
-from cmshift.errors import NonConvergent, NotStronglyConnected
+from cmshift.errors import NonConvergent, NotStronglyConnected, ValidationError
 from cmshift.families import (
     full_shift,
     golden_mean,
@@ -358,6 +358,17 @@ def test_delta_inf_grid_compact_is_empty():
     grid = thermo.delta_inf(golden_mean(), Ms=(2, 3), qs=(1,), n_max=12)
     assert grid.headline == float("-inf")
     assert all(cell.empty for cell in grid.cells.values())
+
+
+@pytest.mark.parametrize("grid,field", [
+    ({"Ms": ()}, "Ms"), ({"qs": []}, "qs"), ({"Ms": (), "qs": ()}, "Ms"),
+])
+def test_delta_inf_rejects_an_empty_axis(grid, field):
+    # an empty axis would give a grid with no cells and headline -inf, which
+    # reads as "every cell is empty"
+    with pytest.raises(ValidationError) as exc:
+        thermo.delta_inf(renewal_shift(), n_max=10, **grid)
+    assert exc.value.field == field
 
 
 def test_is_spr():
