@@ -15,12 +15,11 @@ states at most a given number of times. Closed walks mark nothing, first
 returns mark the vertex and allow its two endpoint visits, and escape
 counts mark the symbols <= q.
 
-Nothing is rebuilt for a repeated question. The graph keeps each walk
-view by its ids and length, and the view keeps each counting plan
-(`_walk_plan`: the edge polynomials split for the recurrence, and the
-blocks of the unmarked states) by its marked states and length. So the
-cells of one q in a `thermo.delta_inf` grid share one view and one plan,
-and only the row loop runs per call.
+Each count builds its view and its counting plan (`_walk_plan`: the edge
+polynomials split for the recurrence, and the blocks of the unmarked
+states), and nothing is kept on the graph. Neither the plan nor the rows
+depend on the visit budget M, so `escape_counts` counts several budgets
+at one q in one pass: the cells of one q in a `thermo.delta_inf` grid.
 
 The kernel runs row by row over the number m of marked positions. Row m
 holds one exact count series over time per state, and the next row comes
@@ -30,7 +29,9 @@ c*g^(l-L)*x^l for l = L..n with an integer g >= 1 (an integer tail
 c*g^l), is multiplied into the series by the first-order recurrence
 y_t = g*y_(t-1) + c*s_(t-L), O(n) big-integer additions. The other terms
 go by one big-integer product (Kronecker substitution: Schoenhage 1982;
-Harvey 2009) or, for a single length, by a shifted and scaled copy.
+Harvey 2009) or, for up to four lengths, by shifted and scaled copies.
+The edge groups into a state that share one polynomial take one product
+of the sum of their sources' series.
 Inside a row the unmarked states follow block by block (their strongly
 connected components, in topological order), and only the edges within
 a cyclic block are stepped in time, a geometric suffix by one running
@@ -91,41 +92,42 @@ class CountSeries:
 # walk counts
 
 
-def _walk_plan(view, marked, n):
-    """The counting plan of `view` for walks of at most n edges that count
-    their visits to the `marked` states, built on the first call and kept
-    in `view.plans` by (marked, n): the view is read-only, so every later
-    count with that key reads the same plan.
+def _walk_plan(view, marked):
+    """The counting plan of `view` for its walks of at most `view.n_edges`
+    edges that count their visits to the `marked` states: everything
+    `_walk_counts` needs that does not depend on the endpoints or the
+    budgets.
 
-    The plan is (n, hits, into, marked_states, blocks): hits[s] is 1 at a
-    marked state, into[s] the in-edge groups (src, (head, suffix)) of s
-    with each (src, s) polynomial in time split by `_split`, and blocks the
-    unmarked strongly connected blocks of `_unmarked_blocks`.
+    The plan is (n, hits, into, marked_states, blocks): n is
+    `view.n_edges`, hits[s] is 1 at a marked state, into[s] the in-edges of
+    a marked state s with each (src, s) polynomial in time split by
+    `_split` and merged by `_shared`, and blocks the unmarked strongly
+    connected blocks of `_unmarked_blocks`.
     """
-    key = (frozenset(marked), n)
-    plan = view.plans.get(key)
-    if plan is None:
-        size = view.state_count
-        hits = [1 if s in marked else 0 for s in range(size)]
-        polys = {}
-        for src, dst, mult, length in view.edges:
-            if length <= n:
-                poly = polys.setdefault((src, dst), {})
-                poly[length] = poly.get(length, 0) + mult
-        into = [[] for _ in range(size)]
-        for (src, dst), poly in polys.items():
-            into[dst].append((src, _split(sorted(poly.items()), n)))
-        marked_states = [s for s in range(size) if hits[s]]
-        plan = view.plans[key] = (n, hits, into, marked_states, _unmarked_blocks(hits, into))
-    return plan
+    n = view.n_edges
+    size = view.state_count
+    hits = [1 if s in marked else 0 for s in range(size)]
+    # a view has one edge for each (src, dst, length)
+    polys = {}
+    for src, dst, mult, length in view.edges:
+        if length <= n:
+            polys.setdefault((src, dst), []).append((length, mult))
+    into = [[] for _ in range(size)]
+    for (src, dst), terms in polys.items():
+        terms.sort()
+        into[dst].append((src, _split(terms, n)))
+    marked_states = [s for s in range(size) if hits[s]]
+    blocks = _unmarked_blocks(hits, into)
+    # only the marked states read their in-edges in `_walk_counts`
+    return n, hits, [_shared(into[s]) if hits[s] else None for s in range(size)], marked_states, blocks
 
 
-def _walk_counts(plan, starts, ends, budget):
-    """[W_1, ..., W_n]: W_e counts the walks of e edges, on the view and
-    for the n of the `_walk_plan`, from a state in `starts` to a state in
-    `ends` whose positions (both endpoints included) fall on the plan's
-    marked states at most budget(e) times. `budget` must be nondecreasing
-    in e.
+def _walk_counts(view, marked, starts, ends, budgets):
+    """[W_1, ..., W_n] for each budget in `budgets`, n = view.n_edges: W_e
+    counts the walks of e edges on `view` from a state in `starts` to a
+    state in `ends` whose positions (both endpoints included) fall on
+    `marked` states at most budget(e) times. Each budget must be
+    nondecreasing in e.
 
     Row by row: row m holds, for each state, the count series over times
     0..n of the walks with m marked positions that stand there (None when
@@ -138,18 +140,22 @@ def _walk_counts(plan, starts, ends, budget):
     takes the products from states outside it, then steps through time
     along its own edges, by one `sum` over the history of a source per
     lengthed head and one running value per geometric suffix. Rows
-    0..budget(e) count at time e, so a nondecreasing budget lets each row
-    add to a suffix of the counts.
+    0..budget(e) count at time e: a running sum over the rows of the series
+    at the ends gives W_e once row budget(e) is in, and a nondecreasing
+    budget reads each e in turn. The rows do not depend on the budget, so
+    one pass up to the largest budget(n) serves every budget.
     """
-    n, hits, into, marked_states, blocks = plan
+    n, hits, into, marked_states, blocks = _walk_plan(view, marked)
     size = len(hits)
     seeds = {s: hits[s] for s in starts}
-    cap = budget(n)
+    cap = max(budget(n) for budget in budgets)
     # the walks of the last row at unmarked states are needed only when an
     # end is unmarked
     last_needs_blocks = not all(hits[s] for s in ends)
-    counts = [0] * (n + 1)
-    e = 1
+    counts = [[0] * (n + 1) for _ in budgets]
+    unread = [1] * len(budgets)
+    # the series at the ends summed over the rows so far
+    reach = [0] * (n + 1)
     prev = None
     for m in range(cap + 1):
         row = [None] * size
@@ -166,15 +172,22 @@ def _walk_counts(plan, starts, ends, budget):
                         row[s] = _seeded(row[s], n)
                 if inner or tails:
                     _step(row, block, inner, tails, n)
-        while budget(e) < m:
-            e += 1
         for s in ends:
             if row[s] is not None:
-                counts[e:] = map(add, counts[e:], row[s][e:])
-        if m and all(series is None for series in row):
+                reach = list(map(add, reach, row[s]))
+        for k, budget in enumerate(budgets):
+            e = unread[k]
+            while e <= n and budget(e) <= m:
+                counts[k][e] = reach[e]
+                e += 1
+            unread[k] = e
+        if m and row.count(None) == size:
             break
         prev = row
-    return counts[1:]
+    # the rows past the last one are empty
+    for k, e in enumerate(unread):
+        counts[k][e:] = reach[e:]
+    return [total[1:] for total in counts]
 
 
 def _split(terms, n):
@@ -212,7 +225,7 @@ def _unmarked_blocks(hits, into):
         if hits[block[0]]:
             continue
         inside = set(block)
-        outer = {s: [(src, group) for src, group in into[s] if src not in inside] for s in block}
+        outer = {s: _shared([(src, group) for src, group in into[s] if src not in inside]) for s in block}
         inner, tails = [], []
         for s in block:
             singles, groups = [], []
@@ -235,6 +248,16 @@ def _unmarked_blocks(hits, into):
     return blocks
 
 
+def _shared(groups):
+    """The in-edge groups (src, (head, suffix)) of a state merged by their
+    polynomial, as (srcs, (head, suffix)): `_inflow` sums the series of
+    srcs and multiplies once."""
+    merged = {}
+    for src, (head, suffix) in groups:
+        merged.setdefault((tuple(head), suffix), []).append(src)
+    return [(srcs, group) for group, srcs in merged.items()]
+
+
 def _seeded(series, n):
     """`series` plus one walk at time 0."""
     if series is None:
@@ -244,12 +267,17 @@ def _seeded(series, n):
 
 
 def _inflow(row, groups, n):
-    """Coefficients 0..n of the sum of row[src] times each group's
-    polynomial, or None when all are zero."""
+    """Coefficients 0..n of the sum, over the (srcs, group) pairs of
+    `_shared`, of the summed row[src] of srcs times the group's polynomial,
+    or None when all are zero."""
     total = None
-    for src, group in groups:
-        if row[src] is not None:
-            part = _times(row[src], group, n)
+    for srcs, group in groups:
+        series = None
+        for src in srcs:
+            if row[src] is not None:
+                series = row[src] if series is None else list(map(add, series, row[src]))
+        if series is not None:
+            part = _times(series, group, n)
             if part is not None:
                 total = part if total is None else list(map(add, total, part))
     return total
@@ -260,19 +288,24 @@ def _times(series, group, n):
     suffix) group from `_split`, or None when they are all zero.
 
     The suffix (L, c, g), the terms c*g^(l-L)*x^l for l = L..n, is the
-    recurrence y_t = g*y_(t-1) + c*s_(t-L): a running sum when g = 1. In the
-    head one term is a shifted, scaled copy, and several are one big-integer
-    product (`_kronecker`)."""
+    recurrence y_t = g*y_(t-1) + c*s_(t-L): a running sum when g = 1. A head
+    of up to four terms is a sum of shifted, scaled copies, and a longer one
+    is one big-integer product (`_kronecker`): at n = 20 to 70 the copies
+    take 2 to 3 times less time for two terms and the same for six."""
     head, suffix = group
-    low = next(t for t, c in enumerate(series) if c)
+    # the first nonzero count: every earlier one is 0
+    low = series.index(next(filter(None, series)))
     total = None
-    if len(head) == 1:
-        length, mult = head[0]
-        if low + length <= n:
+    if len(head) > 4:
+        if low + head[0][0] <= n:
+            total = _kronecker(series, head, n, low)
+    else:
+        for length, mult in head:
+            if low + length > n:
+                break
             part = series[:n + 1 - length]
-            total = [0] * length + (part if mult == 1 else [c * mult for c in part])
-    elif head and low + head[0][0] <= n:
-        total = _kronecker(series, head, n, low)
+            part = [0] * length + (part if mult == 1 else [c * mult for c in part])
+            total = part if total is None else list(map(add, total, part))
     if suffix and low + suffix[0] <= n:
         length, c, g = suffix
         a = series[low:n + 1 - length]
@@ -319,29 +352,39 @@ def _step(row, block, inner, tails, n):
     """Walks that move within a cyclic block, stepped in time: each state
     pulls from the history of its sources in the block, and from each
     geometric suffix (L, c, g) through a running value that time t turns
-    into g * run + c * row[src][t - L]."""
+    into g * run + c * row[src][t - L]. The steps start after the first
+    time at which a walk enters the block, and a block that no walk enters
+    stays empty."""
+    lows = [row[s].index(next(filter(None, row[s]))) for s in block if row[s] is not None]
+    if not lows:
+        return
     for s in block:
         if row[s] is None:
             row[s] = [0] * (n + 1)
+    # the series of the block are filled in place, so each pull can hold
+    # its source's list
+    pulls = [(row[s], [(row[src], length, mult) for src, length, mult in singles],
+              [(row[src], low, mults) for src, low, mults in groups])
+             for s, singles, groups in inner]
+    tails = [(row[s], row[src], length, coeff, g) for s, src, length, coeff, g in tails]
     runs = [0] * len(tails)
-    for t in range(1, n + 1):
-        for s, singles, groups in inner:
+    for t in range(min(lows) + 1, n + 1):
+        for series, singles, groups in pulls:
             c = 0
-            for src, length, mult in singles:
+            for past, length, mult in singles:
                 if length <= t:
-                    c += mult * row[src][t - length]
-            for src, low, mults in groups:
+                    c += mult * past[t - length]
+            for past, low, mults in groups:
                 j = t - low
                 if j >= 0:
-                    past = row[src]
                     c += sum(map(mul, mults, past[j::-1] if j < len(mults) else past[j:j - len(mults):-1]))
             if c:
-                row[s][t] += c
+                series[t] += c
         if tails:  # finite graphs have none, and this loop is their hot path
-            for k, (s, src, length, coeff, g) in enumerate(tails):
+            for k, (series, past, length, coeff, g) in enumerate(tails):
                 if length <= t:
-                    runs[k] = g * runs[k] + coeff * row[src][t - length]
-                    row[s][t] += runs[k]
+                    runs[k] = g * runs[k] + coeff * past[t - length]
+                    series[t] += runs[k]
     for s in block:
         if not any(row[s]):
             row[s] = None
@@ -356,8 +399,9 @@ def _state(view, vertex):
 
 def _require_integer(value, name, least):
     """ValidationError naming the argument `name` unless `value` is an
-    integer >= least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    integer >= least. A plain int skips the slower `numbers.Integral`
+    check, which would cost about a microsecond per argument."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValidationError(f"{name} must be an integer, got {value!r}", field=name)
     if value < least:
         raise ValidationError(f"{name} must be >= {least}", field=name)
@@ -368,7 +412,7 @@ def loop_count(graph, vertex, n_max):
     _require_integer(n_max, "n_max", 1)
     view = walk_view(graph, n_max, [vertex])
     v = _state(view, vertex)
-    counts = _walk_counts(_walk_plan(view, (), n_max), [v], [v], lambda e: 0)
+    (counts,) = _walk_counts(view, (), [v], [v], [lambda e: 0])
     return CountSeries("loop_count", 1, counts, {"vertex": vertex})
 
 
@@ -377,23 +421,34 @@ def first_return_count(graph, vertex, n_max):
     _require_integer(n_max, "n_max", 1)
     view = walk_view(graph, n_max, [vertex])
     v = _state(view, vertex)
-    counts = _walk_counts(_walk_plan(view, {v}, n_max), [v], [v], lambda e: 2)
+    (counts,) = _walk_counts(view, {v}, [v], [v], [lambda e: 2])
     return CountSeries("first_return", 1, counts, {"vertex": vertex})
 
 
 def escape_count(graph, M, q, n_max):
     """z_n(M, q) for n = 0..n_max: words x_0..x_{n+1} with x_0, x_{n+1} <= q
     and at most floor((n+2)/M) positions at symbols <= q."""
-    _require_integer(M, "M", 1)
+    (series,) = escape_counts(graph, [M], q, n_max)
+    return series
+
+
+def escape_counts(graph, Ms, q, n_max):
+    """`escape_count` for each budget M in `Ms` at one q and n_max, as a
+    list in the order of `Ms`. The walk view, its counting plan and the
+    rows of the count depend on q and n_max alone, so one pass of the rows
+    serves every M."""
+    for M in Ms:
+        _require_integer(M, "M", 1)
     _require_integer(q, "q", 1)
     _require_integer(n_max, "n_max", 0)
-    view = walk_view(graph, n_max + 1, range(1, q + 1))
+    # a word x_0..x_{n+1} is a walk of e = n + 1 edges
+    view = walk_view(graph, n_max + 1, list(range(1, q + 1)))
     marked = {i for i, v in enumerate(view.ids) if v <= q}
     endpoints = sorted(marked)
-    # a word x_0..x_{n+1} is a walk of e = n + 1 edges
-    plan = _walk_plan(view, marked, n_max + 1)
-    counts = _walk_counts(plan, endpoints, endpoints, lambda e: (e + 1) // M)
-    return CountSeries("escape_count", 0, counts, {"M": M, "q": q, "states": view.state_count})
+    budgets = [lambda e, M=M: (e + 1) // M for M in Ms]
+    rows = _walk_counts(view, marked, endpoints, endpoints, budgets) if Ms else []
+    return [CountSeries("escape_count", 0, counts, {"M": M, "q": q, "states": view.state_count})
+            for M, counts in zip(Ms, rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ insertion order). Truncating at q keeps the induced subgraph on ids <= q.
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -186,8 +185,7 @@ class FiniteGraph:
     The graph has no mutator, so `perron_plan` holds the Perron plan of
     `thermo` (its strongly connected blocks, their one-vertex romes and
     t = 0 Perron data) once a Perron query has built it, and every later
-    query of the same graph object reads it. `walk_views` keeps the walk
-    views of `walk_view` the same way.
+    query of the same graph object reads it.
     """
 
     def __init__(self, symbols, edges):
@@ -217,7 +215,6 @@ class FiniteGraph:
         for v in self._out:
             self._out[v].sort()
         self.perron_plan = None
-        self.walk_views = {}
 
     def is_edge(self, i, j):
         return (i, j) in self._mult
@@ -361,7 +358,7 @@ class LoopSystem:
     `series_slices` holds the summation slices of the count table by
     (upto, beyond), and `series_bounds` the bounds by (x, beyond), both
     emptied together when `series_bounds` reaches `thermo.BOUNDS_MEMO`
-    entries. `walk_views` keeps the walk views of `walk_view`.
+    entries.
     """
 
     def __init__(self, loops, tail=None):
@@ -390,7 +387,6 @@ class LoopSystem:
         self._enum = None
         self.series_slices = {}
         self.series_bounds = {}
-        self.walk_views = {}
 
     @property
     def symbols(self):
@@ -526,31 +522,24 @@ class Truncation:
 # walk views: the rome presentation for ambient counting
 
 
-@dataclass(frozen=True, eq=False)
 class WalkView:
     """Lengthed-edge graph on the concrete vertices of a presentation.
 
     A rome presentation (Block, Guckenheimer, Misiurewicz and Young, 1980):
     the states are a set of concrete vertices that every cycle meets, and an
     edge (src, dst, multiplicity, length) stands for `multiplicity` paths of
-    `length` edges from src to dst whose interior vertices are not states.
-    Walks between states of at most the n_edges edges that `walk_view` was
-    asked for are in bijection with the ambient walks of the same length and
-    endpoints, and the positions inside an edge are never states.
-
-    A view is kept on its graph and shared by every caller, so it is
-    read-only: `ids` (state index -> vertex id) and `edges` are tuples and
-    `concrete` (vertex id -> state index) a read-only mapping. `plans` keeps
-    the counting plans that `counting` derives from the view.
+    `length` edges from src to dst whose interior vertices are not states,
+    one edge for each (src, dst, length). Walks between states of at most
+    the `n_edges` edges that `walk_view` was asked for are in bijection with
+    the ambient walks of the same length and endpoints, and the positions
+    inside an edge are never states.
     """
 
-    ids: tuple
-    edges: tuple
-    plans: dict = field(init=False, repr=False, default_factory=dict)
-
-    @cached_property
-    def concrete(self):
-        return MappingProxyType({v: i for i, v in enumerate(self.ids)})
+    def __init__(self, ids, edges, n_edges):
+        self.ids = ids                  # state index -> vertex id
+        self.concrete = {v: i for i, v in enumerate(ids)}
+        self.edges = edges              # list of (src, dst, multiplicity, length)
+        self.n_edges = n_edges
 
     @property
     def state_count(self):
@@ -566,25 +555,14 @@ def walk_view(graph, n_edges, ids):
     loops of each length l <= n_edges become one base -> base edge of length
     l carrying their number. A walk whose endpoints and marked symbols are
     states is counted exactly, since it cannot stop inside those loops.
-
-    Built on the first call for its key, (sorted ids, n_edges), and kept in
-    the graph's `walk_views`: the graph has no mutator, so every later call
-    with that key returns the same view.
     """
-    key = (tuple(sorted(set(ids))), n_edges)
-    view = graph.walk_views.get(key)
-    if view is None:
-        view = graph.walk_views[key] = _build_walk_view(graph, *key)
-    return view
-
-
-def _build_walk_view(graph, wanted, n_edges):
     if isinstance(graph, FiniteGraph):
-        states = tuple(range(1, graph.symbols + 1))
-        edges = tuple((i - 1, j - 1, m, 1) for (i, j), m in graph.edge_multiplicities().items())
-        return WalkView(states, edges)
+        states = list(range(1, graph.symbols + 1))
+        edges = [(i - 1, j - 1, m, 1) for (i, j), m in graph.edge_multiplicities().items()]
+        return WalkView(states, edges, n_edges)
 
     system = graph
+    wanted = sorted(ids)
     states = [1]
     edges = []
     taken = {}
@@ -607,7 +585,7 @@ def _build_walk_view(graph, wanted, n_edges):
         extra = a - taken.get(length, 0)
         if extra > 0:
             edges.append((0, 0, extra, length))
-    return WalkView(tuple(states), tuple(edges))
+    return WalkView(states, edges, n_edges)
 
 
 # ---------------------------------------------------------------------------

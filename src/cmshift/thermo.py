@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .counting import escape_count, growth_rate, loop_count
+from .counting import escape_counts, growth_rate, loop_count
 from .errors import NonConvergent, NotStronglyConnected, ValidationError
 from .graphs import (
     SERIES_TERMS,
@@ -990,15 +990,17 @@ def delta_inf(graph, Ms=(8, 16), qs=(1, 2, 4), n_max=40):
 
     The headline is the smallest fitted rate over the non-empty cells
     (larger budgets M give tighter cells); -inf when every cell is empty.
-    The cells of one q share one walk view and its counting plan.
+    The cells of one q share one walk view, its counting plan and one pass
+    of the rows (`escape_counts`).
     """
     for name, values in (("Ms", Ms), ("qs", qs)):
         if not values:
             raise ValidationError(f"{name} must not be empty", field=name)
+    by_q = {q: escape_counts(graph, Ms, q, n_max) for q in qs}
     cells = {}
-    for M in Ms:
+    for i, M in enumerate(Ms):
         for q in qs:
-            series = escape_count(graph, M=M, q=q, n_max=n_max)
+            series = by_q[q][i]
             nonzero = sum(1 for c in series.counts if c)
             est = growth_rate(series)
             cells[(M, q)] = DeltaCell(M, q, est.rate, nonzero == 0, nonzero)

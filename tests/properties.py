@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from decimal import Decimal, localcontext
 
-from cmshift.counting import CountSeries, _state, _walk_counts, _walk_plan
+from cmshift.counting import CountSeries, _state, _walk_counts
 from cmshift.density import _shortest_path
 from cmshift.errors import CapacityError, ConnectorNotFound, ValidationError
 from cmshift.graphs import (
@@ -277,7 +277,7 @@ def escape_count_pinned(graph, M, q, a, b, n_max):
     view = walk_view(graph, n_max + 1, list(range(1, q + 1)) + [a, b])
     marked = {i for i, v in enumerate(view.ids) if v <= q}
     starts, ends = [_state(view, a)], [_state(view, b)]
-    counts = _walk_counts(_walk_plan(view, marked, n_max + 1), starts, ends, lambda e: (e + 1) // M)
+    (counts,) = _walk_counts(view, marked, starts, ends, [lambda e: (e + 1) // M])
     meta = {"M": M, "q": q, "states": view.state_count, "pinned": [a, b]}
     return CountSeries("escape_count", 0, counts, meta)
 

@@ -9,7 +9,6 @@ Oracles used here, independent of the implementation under test:
     z_n(M, 1) = sum over k+1 <= floor((n+2)/M) of C(n, k-1).
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -270,7 +269,9 @@ def layer_walk_counts(view, marked, starts, ends, n_edges, budget):
 
 def kernel_walk_counts(view, marked, starts, ends, n_edges, budget):
     """`layer_walk_counts`'s question put to the row kernel."""
-    return counting._walk_counts(counting._walk_plan(view, marked, n_edges), starts, ends, budget)
+    assert view.n_edges == n_edges
+    (counts,) = counting._walk_counts(view, marked, starts, ends, [budget])
+    return counts
 
 
 @pytest.mark.parametrize("graph", [
@@ -286,15 +287,21 @@ def kernel_walk_counts(view, marked, starts, ends, n_edges, budget):
 ])
 def test_walk_counts_match_layer_dp(graph):
     n = 24
-    for M in (1, 2, 3, 5):
-        for q in (1, 2, 4):
-            if isinstance(graph, graphs.FiniteGraph) and q > graph.symbols:
-                continue
-            view = graphs.walk_view(graph, n, list(range(1, q + 2)))
-            marked = {i for i, v in enumerate(view.ids) if v <= q}
-            for starts, ends in ((sorted(marked), sorted(marked)), ([0], [len(view.ids) - 1])):
-                args = (view, marked, starts, ends, n, lambda e: (e + 1) // M)
-                assert kernel_walk_counts(*args) == layer_walk_counts(*args), (M, q, starts, ends)
+    for q in (1, 2, 4):
+        if isinstance(graph, graphs.FiniteGraph) and q > graph.symbols:
+            continue
+        view = graphs.walk_view(graph, n, list(range(1, q + 2)))
+        # the plan reads one edge for each (src, dst, length)
+        assert len({(src, dst, length) for src, dst, _, length in view.edges}) == len(view.edges)
+        marked = {i for i, v in enumerate(view.ids) if v <= q}
+        for starts, ends in ((sorted(marked), sorted(marked)), ([0], [len(view.ids) - 1])):
+            budgets = [lambda e, M=M: (e + 1) // M for M in (1, 2, 3, 5)]
+            want = [layer_walk_counts(view, marked, starts, ends, n, budget) for budget in budgets]
+            for M, budget, counts in zip((1, 2, 3, 5), budgets, want):
+                assert kernel_walk_counts(view, marked, starts, ends, n, budget) == counts, (M, q, starts, ends)
+            # one pass of the rows serves every budget, in either order
+            assert counting._walk_counts(view, marked, starts, ends, budgets) == want, (q, starts, ends)
+            assert counting._walk_counts(view, marked, starts, ends, budgets[::-1]) == want[::-1], (q, starts, ends)
     for v in (1, 2):
         view = graphs.walk_view(graph, n, [v])
         s = view.concrete[v]
@@ -327,6 +334,20 @@ def test_recurrence_matches_the_kronecker_product(graph):
             series = [0] * low + [(3 ** (t % 11) + t) * 2 ** t for t in range(n + 1 - low)]
             want = counting._times(series, (terms, None), n)
             assert counting._times(series, (head, suffix), n) == want, (q, low)
+
+
+def test_times_matches_the_convolution():
+    # heads of one to seven terms, so both the shifted copies (up to four
+    # terms) and the big-integer product run, against the plain convolution
+    n = 30
+    for k in range(1, 8):
+        for first in (1, 3):
+            head = [(first + 2 * i, 1 + 5 * i) for i in range(k)]
+            for low in (0, 4, 29):
+                series = [0] * low + [(2 ** (t % 13) + t) * 3 ** t for t in range(n + 1 - low)]
+                want = [sum(mult * series[t - length] for length, mult in head if length <= t) for t in range(n + 1)]
+                got = counting._times(series, (head, None), n)
+                assert (got or [0] * (n + 1)) == want, (k, first, low)
 
 
 @pytest.mark.parametrize("graph", STOCK_INTEGER_TAILS)
@@ -381,58 +402,52 @@ def test_escape_count_pinned_missing_pin_raises_validation_error():
 
 
 # ---------------------------------------------------------------------------
-# kept walk views and counting plans
+# one view, plan and pass of the rows for the budgets at one q
 
 
-def test_repeated_escape_counts_build_the_view_and_plan_once(monkeypatch):
-    def system():
-        return graphs.LoopSystem([(2, 1)], graphs.GeometricTail(3, 2, 1))
+def spy(monkeypatch, module, name, calls):
+    """Record in `calls` the arguments of every call of module.name."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
 
-    Ms = (3, 3, 4, 3)
-    want = [counting.escape_count(system(), M=M, q=2, n_max=20).counts for M in Ms]
-    builds, plans, lookups = [], [], []
-    build_view, unmarked_blocks, walk_view = graphs._build_walk_view, counting._unmarked_blocks, counting.walk_view
-    monkeypatch.setattr(graphs, "_build_walk_view", lambda *a: builds.append(a) or build_view(*a))
-    monkeypatch.setattr(counting, "_unmarked_blocks", lambda *a: plans.append(a) or unmarked_blocks(*a))
-    monkeypatch.setattr(counting, "walk_view", lambda *a: lookups.append(a) or walk_view(*a))
-    g = system()
-    assert [counting.escape_count(g, M=M, q=2, n_max=20).counts for M in Ms] == want
-    # the budget M is not part of the plan
-    assert len(builds) == len(plans) == 1
-    # every count still asks walk_view, whose calls the benchmark's tracer reads
-    assert len(lookups) == len(Ms)
-    (view,) = g.walk_views.values()
-    assert list(view.plans) == [(frozenset({0, 1}), 21)]
+
+def test_escape_counts_run_every_budget_in_one_pass(monkeypatch):
+    Ms = (3, 3, 4, 1, 7)
+    g = graphs.LoopSystem([(2, 1)], graphs.GeometricTail(3, 2, 1))
+    want = [counting.escape_count(g, M=M, q=2, n_max=20) for M in Ms]
+    views, plans, passes = [], [], []
+    spy(monkeypatch, counting, "walk_view", views)
+    spy(monkeypatch, counting, "_unmarked_blocks", plans)
+    spy(monkeypatch, counting, "_walk_counts", passes)
+    row = counting.escape_counts(g, Ms, 2, 20)
+    assert len(views) == len(plans) == len(passes) == 1
+    assert [(s.label, s.start, s.counts, s.meta) for s in row] == [(s.label, s.start, s.counts, s.meta) for s in want]
+    assert counting.escape_counts(g, (), 2, 20) == []
+
+
+def test_every_escape_count_asks_walk_view(monkeypatch):
+    # the benchmark's tracer reads a walk_view span under every
+    # escape_count span
+    views = []
+    spy(monkeypatch, counting, "walk_view", views)
+    g = renewal_shift()
+    for M in (3, 3, 4):
+        counting.escape_count(g, M=M, q=2, n_max=12)
+    assert len(views) == 3
 
 
 def test_delta_inf_grid_builds_one_view_per_q(monkeypatch):
-    builds = []
-    build_view = graphs._build_walk_view
-    monkeypatch.setattr(graphs, "_build_walk_view", lambda *a: builds.append(a) or build_view(*a))
-    g = renewal_shift()
-    thermo.delta_inf(g, Ms=(4, 8), qs=(1, 2, 3), n_max=16)
-    assert sorted(ids for _, ids, _ in builds) == [(1,), (1, 2), (1, 2, 3)]
-    assert sorted(g.walk_views) == [((1,), 17), ((1, 2), 17), ((1, 2, 3), 17)]
-    assert all(len(view.plans) == 1 for view in g.walk_views.values())
-
-
-@pytest.mark.parametrize("graph", [renewal_shift(), full_shift(2)])
-def test_kept_walk_view_is_read_only(graph):
-    want = counting.escape_count(graph, M=2, q=1, n_max=6).counts
-    view = graphs.walk_view(graph, 7, [1])
-    assert graph.walk_views == {((1,), 7): view}
-    assert isinstance(view.ids, tuple) and isinstance(view.edges, tuple)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        view.ids = (1, 2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        view.edges = ()
-    with pytest.raises(TypeError):
-        view.concrete[1] = 5
-    with pytest.raises(AttributeError):
-        view.edges.append((0, 0, 1, 1))
-    with pytest.raises(TypeError):
-        view.edges[0] = (0, 0, 1, 1)
-    assert counting.escape_count(graph, M=2, q=1, n_max=6).counts == want
+    views, plans = [], []
+    spy(monkeypatch, counting, "walk_view", views)
+    spy(monkeypatch, counting, "_unmarked_blocks", plans)
+    grid = thermo.delta_inf(renewal_shift(), Ms=(4, 8), qs=(1, 2, 3), n_max=16)
+    assert sorted((n, ids) for _, n, ids in views) == [(17, [1]), (17, [1, 2]), (17, [1, 2, 3])]
+    assert len(plans) == 3
+    assert list(grid.cells) == [(M, q) for M in (4, 8) for q in (1, 2, 3)]
+    for (M, q), cell in grid.cells.items():
+        series = counting.escape_count(renewal_shift(), M=M, q=q, n_max=16)
+        assert cell.nonzero == sum(1 for c in series.counts if c)
+        assert cell.rate == counting.growth_rate(series).rate
 
 
 @pytest.mark.parametrize("args,field", [

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cmshift import counting, density, infinity, katok, measures, thermo
+from cmshift import counting, density, graphs, infinity, katok, measures, thermo
 from cmshift.errors import CmshiftError, ConnectorNotFound, NonConvergent, NotStronglyConnected
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
 from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem
@@ -139,7 +139,7 @@ def random_simple_loop_systems(seed, count):
     return out
 
 
-def kept_view_specs(seed):
+def count_specs(seed):
     """(class, arguments) of random graphs of every shape a walk view takes:
     loop systems with integer tails, floored tails and explicit loops only,
     and finite graphs. Each call of class(*arguments) is a fresh object."""
@@ -161,16 +161,6 @@ def count_query(graph, query):
     count = {"escape": counting.escape_count, "loop": counting.loop_count,
              "first": counting.first_return_count}[kind]
     return count(graph, *args).counts
-
-
-def view_key(query):
-    """The key of the walk view that a count query asks for."""
-    kind, *args = query
-    if kind == "escape":
-        _, q, n_max = args
-        return tuple(range(1, q + 1)), n_max + 1
-    v, n_max = args
-    return (v,), n_max
 
 
 def brute_graph(graph, n_max):
@@ -215,6 +205,8 @@ def test_lengthed_edges_match_brute_force_on_loop_systems():
                 assert loops.value(n) == brute_loop_count(g, v, n)
                 assert firsts.value(n) == brute_first_return_count(g, v, n)
         for q in range(1, 7):
+            edges = graphs.walk_view(system, n_max, list(range(1, q + 1))).edges
+            assert len({(src, dst, length) for src, dst, _, length in edges}) == len(edges)
             M = rng.randint(1, 4)
             series = counting.escape_count(system, M=M, q=q, n_max=n_max - 1)
             for n in range(n_max):
@@ -225,14 +217,15 @@ def test_lengthed_edges_match_brute_force_on_loop_systems():
                 assert pinned.value(n) == brute_escape_count(g, M, q, n, a=x, b=y)
 
 
-def test_kept_walk_views_answer_like_fresh_objects():
+def test_counts_on_one_object_answer_like_fresh_objects():
     # one graph object answers a shuffled run of counts, with repeats and
-    # with lengths below and above the earlier ones, from its kept views and
-    # plans; each answer must be that of a fresh object, and of brute-force
-    # enumeration where the walks are short
+    # with lengths below and above the earlier ones, on top of what it keeps
+    # (a loop system's count table and enumeration); each answer must be
+    # that of a fresh object, and of brute-force enumeration where the walks
+    # are short
     rng = random.Random(114)
     brute_checked = []
-    for cls, args in kept_view_specs(115):
+    for cls, args in count_specs(115):
         graph = cls(*args)
         if isinstance(graph, FiniteGraph):
             top = graph.symbols
@@ -254,7 +247,6 @@ def test_kept_walk_views_answer_like_fresh_objects():
             if short is not None and query[-1] <= (4 if query[0] == "escape" else 6):
                 assert got == brute_counts(short, query), (cls, args, query)
                 brute_checked.append(cls)
-        assert set(graph.walk_views) == {view_key(query) for query in queries}
     assert brute_checked.count(LoopSystem) >= 5 and brute_checked.count(FiniteGraph) >= 5
 
 
