@@ -317,7 +317,8 @@ def _build_parser(parser_class=argparse.ArgumentParser):
 
     p = sub.add_parser("h-inf", help="escaping-measure entropy estimate")
     common(p)
-    p.add_argument("--steps", type=int, default=4, help="number of windows (default %(default)s)")
+    p.add_argument("--steps", type=int, default=4, help="number of windows, at most "
+                   f"{infinity.MAX_WINDOWS} (default %(default)s)")
 
     p = sub.add_parser("katok", help="covering-number entropy of the maximal measure")
     common(p)
@@ -329,7 +330,8 @@ def _build_parser(parser_class=argparse.ArgumentParser):
     common(p)
     p.add_argument("--family", default="all", help="constant-mme | pure-drift | "
                    "half-mme-half-drift | all (default %(default)s)")
-    p.add_argument("--steps", type=int, default=6, help="schedule length (default %(default)s)")
+    p.add_argument("--steps", type=int, default=6, help="schedule length, at most "
+                   f"{infinity.MAX_DRIFT_STEPS} (default %(default)s)")
 
     p = sub.add_parser("mass-bound", help="limit-mass floor at entropy level c")
     common(p)

@@ -52,7 +52,8 @@ def subexponential_loops():
         y = 2.0 * x
         if y > 1.0:
             return math.inf
-        at_radius = 1.0 / (4.0 * beyond)  # integral bound on sum 1/(4 l**2)
+        # integral bound on sum 1/(4 l**2); from l = 1 it is at most 2/4
+        at_radius = 1.0 / (4.0 * beyond) if beyond else 0.5
         if y == 1.0:
             return at_radius
         geom = y ** (beyond + 1) / ((1.0 - y) * 4.0 * (beyond + 1) ** 2)

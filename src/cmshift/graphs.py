@@ -149,9 +149,11 @@ class FormulaTail:
     `growth` declares limsup (1/l) log a_l = log(growth), so the loop
     generating function has radius exactly 1/growth. `upper_sum(beyond, x)`
     must return a certified upper bound for sum_{l > beyond} a_l x**l valid
-    for 0 < x <= 1/growth. `series_at_radius` / `mean_diverges` carry exact
-    knowledge about the behaviour at the radius when the construction
-    certifies it; None means unknown.
+    for 0 < x <= 1/growth and every beyond >= 0, nonincreasing in beyond at
+    each x, as the sum itself is: `measures.loop_mme` bisects on it.
+    `series_at_radius` / `mean_diverges` carry exact knowledge about the
+    behaviour at the radius when the construction certifies it; None means
+    unknown.
     """
 
     fn: callable

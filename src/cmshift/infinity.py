@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import counting, measures, thermo
-from .errors import NotDrifting, ValidationError
+from .errors import CapacityError, NotDrifting, ValidationError
 from .graphs import FiniteGraph, LoopSystem, _log_big
 
 _LOG2 = math.log(2.0)
@@ -43,6 +43,15 @@ _Q_MAX = 64
 _TOL = 0.02
 # the length of the schedule whose limit mass mass_bound_check measures
 _MASS_SCHEDULE = 6
+# most windows h_inf_lower_bound builds, the last [15360, 46080]. Each window
+# more roughly triples time and memory: on the 2^l loops of
+# demos/graphs/powers.json 10 windows take 0.7 s and 290 MB and 11 take 2.1 s
+# and 1 GB, since each length past the count table is a fresh big integer
+MAX_WINDOWS = 10
+# most loop lengths a drift schedule rides, the last 4 * 2^23 = 33554432:
+# verify-main --family pure-drift on demos/graphs/powers.json takes 0.6 s at
+# 24 and 1.4 s at 25, counting the 2^L loops of each length L exactly
+MAX_DRIFT_STEPS = 24
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +171,11 @@ def h_inf_lower_bound(graph, count=4):
     and reports the limsup proxy (the best entropy over the final third of
     the sequence). The finite windows retain a sliver of excess entropy, so
     the proxy can sit slightly above the true limit; it converges as the
-    windows deepen.
+    windows deepen. CapacityError past MAX_WINDOWS windows.
     """
     if count < 1:
         raise ValidationError("count must be >= 1", field="count")
+    _check_steps(count, MAX_WINDOWS, "windows", 90)
     if isinstance(graph, FiniteGraph):
         return HInfReport(float("-inf"), (), (), False, ())
     if not isinstance(graph, LoopSystem) or not graph.is_infinite:
@@ -188,6 +198,17 @@ def h_inf_lower_bound(graph, count=4):
 # schedules of invariant measures used by the verifiers
 
 
+def _check_steps(count, cap, what, first):
+    """CapacityError once count steps of lengths first * 2^j would pass the
+    cap: the loop lengths, and the work, double from one step to the next."""
+    if count > cap:
+        raise CapacityError(
+            f"{count} {what} would reach length {first} * 2^{count - 1}; at most "
+            f"{cap} are allowed, reaching length {first * 2 ** (cap - 1)}",
+            field="count",
+        )
+
+
 def _length_with_loops(system, target):
     """Nearest loop length to `target` carrying at least one loop."""
     for offset in range(0, max(target, 64)):
@@ -202,8 +223,10 @@ def drift_schedule(system, count=6):
 
     Each measure spreads uniformly over the loops of one length, so its
     entropy is exactly log(a_L)/L and the mass of every fixed cylinder
-    decays geometrically along the schedule.
+    decays geometrically along the schedule. CapacityError past
+    MAX_DRIFT_STEPS lengths.
     """
+    _check_steps(count, MAX_DRIFT_STEPS, "drift lengths", 4)
     if not isinstance(system, LoopSystem) or not system.is_infinite:
         raise NotDrifting("escaping schedules need an infinite loop system")
     out = []
@@ -259,9 +282,11 @@ def verify_main_inequality(graph, family="mixture", count=6):
     half the mass on the measure of maximal entropy while the other half
     escapes riding loop-length classes whose entropy log(a_L)/L approaches
     the entropy at infinity, which makes the inequality nearly sharp.
+    CapacityError past MAX_DRIFT_STEPS measures, checked before any is built.
     """
     if count < 3:
         raise ValidationError("cylinder limits need count >= 3 measures", field="count")
+    _check_steps(count, MAX_DRIFT_STEPS, "drift lengths", 4)
     if not isinstance(graph, LoopSystem) or not graph.is_infinite:
         raise NotDrifting("the escape-of-mass check needs an infinite loop system")
     mme = measures.loop_mme(graph)

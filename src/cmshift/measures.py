@@ -21,6 +21,7 @@ over truncations, and optionally verifies the limit against a candidate
 measure by fitting a single scale factor.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -155,6 +156,13 @@ class LoopMarkovMeasure:
 
     `weights[l]` is the total probability of picking a loop of length l at
     the base; within a length the a_l loops are equally likely.
+
+    Construction takes one pass over the weights for each thing it builds:
+    the positive weights, their normalised values, the log counts (read off
+    `log_counts` in one piece when the weights sit on exactly the nonzero
+    lengths of their range, in order, as the chains of `loop_mme` and
+    `tail_parry_measure` do), the expected length, and the entropy, with one
+    `math.log` per weight.
     """
 
     def __init__(self, system, weights, entropy=None):
@@ -164,21 +172,23 @@ class LoopMarkovMeasure:
         weights = {int(l): float(w) for l, w in weights.items() if w > 0}
         if not weights:
             raise ValidationError("weights are empty")
+        lengths = list(weights)
         total = math.fsum(weights.values())
-        self.weights = {l: w / total for l, w in weights.items()}
-        lengths, logs = system.log_counts(min(self.weights), max(self.weights))
-        known = dict(zip(lengths.tolist(), logs.tolist()))
-        for l in self.weights:
-            if l not in known:
-                raise ValidationError(f"no loops of length {l}")
-        self._log_counts = {l: known[l] for l in self.weights}
-        self.expected_length = math.fsum(l * w for l, w in self.weights.items())
+        shares = [w / total for w in weights.values()]
+        self.weights = dict(zip(lengths, shares))
+        counted, logs = system.log_counts(min(lengths), max(lengths))
+        counted, logs = counted.tolist(), logs.tolist()
+        if counted != lengths:
+            known = dict(zip(counted, logs))
+            for l in lengths:
+                if l not in known:
+                    raise ValidationError(f"no loops of length {l}")
+            logs = [known[l] for l in lengths]
+        self._log_counts = dict(zip(lengths, logs))
+        self.expected_length = math.fsum([l * w for l, w in zip(lengths, shares)])
         if entropy is None:
             entropy = (
-                math.fsum(
-                    w * (self._log_counts[l] - math.log(w))
-                    for l, w in self.weights.items()
-                )
+                math.fsum([w * (c - math.log(w)) for w, c in zip(shares, logs)])
                 / self.expected_length
             )
         self.entropy = float(entropy)
@@ -244,6 +254,9 @@ class LoopMarkovMeasure:
 
 # the weight of the loop series past the last length loop_mme keeps
 WEIGHT_CUTOFF = 1e-13
+# the longest cutoff loop_mme searches: a tail still heavier than
+# WEIGHT_CUTOFF past it raises NonConvergent
+MME_LENGTHS = 99999
 
 
 def loop_mme(system):
@@ -251,29 +264,46 @@ def loop_mme(system):
     x* and the entropy -log x* from thermo.classify.
 
     The weights run to the first length >= 8 beyond which the series' tail
-    is below WEIGHT_CUTOFF, or to the longest loop; NonConvergent when the
-    tail is still above WEIGHT_CUTOFF past length 99999.
-    """
+    is below WEIGHT_CUTOFF, or to the longest loop where that is shorter;
+    NonConvergent when the tail is still above WEIGHT_CUTOFF past length
+    MME_LENGTHS. `_weight_cutoff` finds that length by bisection, in at
+    most 17 tail bounds; the chain then takes one pass per field
+    (`LoopMarkovMeasure`)."""
     verdict = classify(system)
     if verdict.verdict == "transient":
         raise ValidationError("transient system: the loop series stays below 1")
     if verdict.verdict == "null-recurrent":
         raise ValidationError("null recurrent system: no maximal measure")
     root = verdict.x_star
+    weights = _weights(*system.log_counts(1, _weight_cutoff(system, root)), root)
+    return LoopMarkovMeasure(system, weights, entropy=verdict.entropy)
+
+
+def _weight_cutoff(system, x):
+    """The smaller of the longest loop and the first length >= 8 beyond
+    which the loop series at x is below WEIGHT_CUTOFF; NonConvergent when
+    there is no such length up to MME_LENGTHS and no longest loop there.
+
+    The upper tail bound of `LoopGF._tail_bounds` is nonincreasing in the
+    length, so the first light length is found by bisection of
+    [8, min(longest loop, MME_LENGTHS)]: at most 17 tail bounds, where a
+    scan takes one per length."""
     gf = LoopGF(system)
     lim = system.max_loop_length()
-    stop = 1
-    while not (stop >= 8 and gf._tail_bounds(stop, root)[1] < WEIGHT_CUTOFF):
-        if lim is not None and stop >= lim:
-            break
-        if stop >= 99999:
-            raise NonConvergent(
-                f"the loop series past length {stop} still weighs up to "
-                f"{gf._tail_bounds(stop, root)[1]}, above WEIGHT_CUTOFF {WEIGHT_CUTOFF}"
-            )
-        stop += 1
-    weights = _weights(*system.log_counts(1, stop), root)
-    return LoopMarkovMeasure(system, weights, entropy=verdict.entropy)
+    top = MME_LENGTHS if lim is None else min(lim, MME_LENGTHS)
+
+    def light(stop):
+        return gf._tail_bounds(stop, x)[1] < WEIGHT_CUTOFF
+
+    stop = 8 + bisect.bisect_left(range(8, top + 1), True, key=light)
+    if stop <= top:
+        return stop
+    if lim is not None and lim <= MME_LENGTHS:
+        return lim
+    raise NonConvergent(
+        f"the loop series past length {MME_LENGTHS} still weighs up to "
+        f"{gf._tail_bounds(MME_LENGTHS, x)[1]}, above WEIGHT_CUTOFF {WEIGHT_CUTOFF}"
+    )
 
 
 def _weights(lengths, logs, y):

@@ -568,7 +568,11 @@ def series_root(lengths, logs, err=0.0):
     log-sum-exp itself, which is nearly linear in y. Secant steps reach its
     rounding zone and the float root finish closes on the pair of floats
     where the computed log-sum-exp changes sign; y is their midpoint.
-    NonConvergent on an empty series."""
+    NonConvergent on an empty series.
+
+    The lengths become floats once; each side test then makes one pass of
+    multiply, add, max, subtract, exp and pairwise sum over one reused
+    buffer of len(lengths) floats, and allocates no array."""
     if not len(lengths):
         raise NonConvergent("the first-return series has no term")
     # the largest term alone reaches 1 at hi; all len(logs) terms stay
@@ -576,11 +580,17 @@ def series_root(lengths, logs, err=0.0):
     hi = float(np.min(-logs / lengths))
     lo = float(np.min(-(logs + math.log(len(logs))) / lengths))
     top_log, top_length = float(np.abs(logs).max()), float(lengths.max())
+    flengths = lengths.astype(float)
+    terms = np.empty_like(flengths)
 
     def side(y):
-        terms = logs + lengths * y
-        m = terms.max()
-        total = m + math.log(np.exp(terms - m).sum())
+        # terms = logs + lengths * y, then the log-sum-exp, in the buffer
+        np.multiply(flengths, y, out=terms)
+        np.add(logs, terms, out=terms)
+        m = np.maximum.reduce(terms)
+        np.subtract(terms, m, out=terms)
+        np.exp(terms, out=terms)
+        total = m + math.log(np.add.reduce(terms))
         slack = err + 2 * _ULP * (top_log + top_length * abs(y) + len(logs) + 1)
         if total + slack < 0:
             return -1, total
@@ -655,7 +665,12 @@ class LoopGF:
 
     def _tail_bounds(self, beyond, x):
         """Certified (lower, upper) for the sum of terms with length > beyond:
-        the tail rule's bounds plus the explicit loops longer than beyond."""
+        the tail rule's bounds plus the explicit loops longer than beyond.
+
+        The upper bound is nonincreasing in beyond at each x: the geometric
+        envelope shrinks with its first power, the explicit sum loses terms,
+        and a FormulaTail's upper_sum must shrink too (its stated contract).
+        `measures.loop_mme` bisects on it."""
         system = self.system
         tail = system.tail
         if not system.is_infinite:
@@ -744,9 +759,12 @@ class LoopGF:
         """
 
         def side(x):
+            lo, hi = self.value_bounds(x, beyond)
+            if not head:
+                # 0.0 + weight * lo is weight * lo exactly for bounds >= 0
+                return side_of_one(weight * lo, weight * hi)
             # x <= R <= 1, so no power leaves the float range
             near = math.fsum([w * x**length for length, w in head])
-            lo, hi = self.value_bounds(x, beyond)
             return side_of_one(
                 near * (1.0 - RELATIVE_SLACK) + weight * lo,
                 near * (1.0 + RELATIVE_SLACK) + weight * hi,

@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 
 from cmshift.counting import CountSeries, _state, _walk_counts
 from cmshift.density import _shortest_path
-from cmshift.errors import CapacityError, ConnectorNotFound, ValidationError
+from cmshift.errors import CapacityError, ConnectorNotFound, NonConvergent, ValidationError
 from cmshift.graphs import (
     FiniteGraph,
     GeometricTail,
@@ -25,7 +25,8 @@ from cmshift.graphs import (
     strongly_connected_components,
     walk_view,
 )
-from cmshift.measures import LimitReport
+from cmshift.measures import MME_LENGTHS, WEIGHT_CUTOFF, LimitReport
+from cmshift.thermo import LoopGF
 
 
 def components(graph):
@@ -236,6 +237,46 @@ def per_id_cylinder_limit(schedule, graph, q_max=32, candidate=None, tol=1e-9):
                 mass = scale * candidate.mass
                 entropy = candidate.entropy
     return LimitReport(limits, mass, scale, residual, entropy)
+
+
+def scanned_weight_cutoff(system, x):
+    """measures._weight_cutoff by a scan of the lengths from 1 on, one tail
+    bound a length from 8 on, stopping at the longest loop: the reference
+    for its bisection."""
+    gf = LoopGF(system)
+    lim = system.max_loop_length()
+    stop = 1
+    while not (stop >= 8 and gf._tail_bounds(stop, x)[1] < WEIGHT_CUTOFF):
+        if lim is not None and stop >= lim:
+            break
+        if stop >= MME_LENGTHS:
+            raise NonConvergent(
+                f"the loop series past length {stop} still weighs up to "
+                f"{gf._tail_bounds(stop, x)[1]}, above WEIGHT_CUTOFF {WEIGHT_CUTOFF}"
+            )
+        stop += 1
+    return stop
+
+
+def dict_loop_chain(system, weights, entropy=None):
+    """(weights, log counts, expected length, entropy) of
+    measures.LoopMarkovMeasure(system, weights, entropy), built as dicts
+    entry by entry: the reference for its one-pass fields."""
+    weights = {int(l): float(w) for l, w in weights.items() if w > 0}
+    total = math.fsum(weights.values())
+    weights = {l: w / total for l, w in weights.items()}
+    lengths, logs = system.log_counts(min(weights), max(weights))
+    known = dict(zip(lengths.tolist(), logs.tolist()))
+    for l in weights:
+        if l not in known:
+            raise ValidationError(f"no loops of length {l}")
+    log_counts = {l: known[l] for l in weights}
+    expected = math.fsum(l * w for l, w in weights.items())
+    if entropy is None:
+        entropy = (
+            math.fsum(w * (log_counts[l] - math.log(w)) for l, w in weights.items()) / expected
+        )
+    return weights, log_counts, expected, float(entropy)
 
 
 def graph_spec(graph):

@@ -21,7 +21,7 @@ import threading
 
 import pytest
 
-from cmshift import cli, families, thermo
+from cmshift import cli, families, infinity, thermo
 from cmshift.graphs import LoopSystem
 
 from properties import graph_spec
@@ -331,6 +331,20 @@ def test_values_below_their_minimum_exit_2(tmp_path, capsys, argv, field):
     assert code == 2
     assert doc["error"]["code"] == "validation"
     assert doc["error"]["field"] == field
+    assert doc["result"] is None
+
+
+@pytest.mark.parametrize(
+    "command,steps",
+    [("h-inf", infinity.MAX_WINDOWS + 1), ("verify-main", infinity.MAX_DRIFT_STEPS + 1),
+     ("verify-main", 10**6)],
+)
+def test_steps_past_their_caps_exit_2(tmp_path, capsys, command, steps):
+    g = write_graph(tmp_path, "powers.json", families.power_loops())
+    code, doc = run_cli(capsys, [command, "--graph", g, "--steps", str(steps)])
+    assert code == 2
+    assert doc["error"]["code"] == "capacity"
+    assert doc["error"]["field"] == "count"
     assert doc["result"] is None
 
 

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from cmshift import density, infinity, measures, thermo
-from cmshift.errors import ValidationError
+from cmshift.errors import CapacityError, ValidationError
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
 from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem
 
@@ -161,6 +161,42 @@ def test_schedule_counts_below_their_minimum_are_rejected(check):
     with pytest.raises(ValidationError) as exc:
         check()
     assert exc.value.field == "count"
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: infinity.h_inf_lower_bound(power_loops(), count=infinity.MAX_WINDOWS + 1),
+        lambda: infinity.h_inf_lower_bound(full_shift(2), count=10**9),
+        lambda: infinity.verify_main_inequality(
+            power_loops(), family="drift", count=infinity.MAX_DRIFT_STEPS + 1
+        ),
+        lambda: infinity.verify_main_inequality(renewal_shift(), family="mme", count=10**9),
+        lambda: infinity.drift_schedule(power_loops(), count=infinity.MAX_DRIFT_STEPS + 1),
+    ],
+)
+def test_schedule_counts_past_their_caps_are_refused_before_any_work(monkeypatch, check):
+    # the longest window or drift length doubles with every step, and the
+    # work with it: the cap is checked before any measure is built
+    def no_work(*args, **kw):
+        raise AssertionError("a measure was built")
+
+    for name in ("tail_parry_measure", "loop_mme", "LoopMarkovMeasure"):
+        monkeypatch.setattr(measures, name, no_work)
+    with pytest.raises(CapacityError) as exc:
+        check()
+    assert exc.value.field == "count"
+    assert exc.value.code == "capacity"
+
+
+def test_schedule_counts_at_their_caps_answer():
+    rep = infinity.h_inf_lower_bound(renewal_shift(), count=infinity.MAX_WINDOWS)
+    assert rep.windows[-1] == (30 * 2 ** (infinity.MAX_WINDOWS - 1), 90 * 2 ** (infinity.MAX_WINDOWS - 1))
+    assert rep.escaping
+    schedule = infinity.drift_schedule(renewal_shift(), count=infinity.MAX_DRIFT_STEPS)
+    assert list(schedule[-1].weights) == [4 * 2 ** (infinity.MAX_DRIFT_STEPS - 1)]
+    rep = infinity.verify_main_inequality(renewal_shift(), family="drift", count=infinity.MAX_DRIFT_STEPS)
+    assert rep.slack >= -1e-9
 
 
 @pytest.mark.parametrize(

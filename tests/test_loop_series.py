@@ -12,7 +12,9 @@ Oracles used here, independent of the implementation under test:
   - a FormulaTail whose callable counts its calls, so a second count of any
     length shows,
   - for the bounds memo, the answers of a system that has never been
-    queried (loaded afresh from its document) and of sequential calls.
+    queried (loaded afresh from its document) and of sequential calls,
+  - for the tail bounds, the order of the bounds themselves along the
+    length: the series past a longer length has fewer terms.
 """
 
 import gc
@@ -184,6 +186,35 @@ def test_loop_mme_counts_explicit_loops_past_its_cutoff():
     assert sorted(chain.weights) == [1, 10]
     assert abs(chain.weights[10] - x**10) < 1e-12
     assert abs(x + x**10 - 1) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        power_loops(),
+        LoopSystem([(1, 1), (5, 2), (300, 1), (1500, 3)], GeometricTail(2, 1, 2)),
+        LoopSystem([(2, 1)], GeometricTail(3, 2, 3)),
+        LoopSystem([(1, 1), (40, 2), (900, 1)], GeometricTail(1, 1.5, 2)),
+        LoopSystem([(2, 1)], GeometricTail(3, 1.5, 1.2)),
+        LoopSystem([(1, 1), (7, 1), (1200, 2)], GeometricTail(4, 0.6, 1.03)),
+        subexponential_loops(),
+        greedy_null_loops(),
+    ],
+    ids=["2^l", "2^l+explicit", "2*3^l", "floored-coeff", "floored", "floored+explicit",
+         "subexponential", "greedy-null"],
+)
+def test_tail_upper_bounds_do_not_grow_with_the_length(system):
+    # the contract measures._weight_cutoff bisects on: at each x <= R the
+    # upper bound on the series past `beyond` is nonincreasing in beyond
+    gf = thermo.LoopGF(system)
+    tail = system.tail
+    for share in (0.25, 0.9, 0.999, 1.0):
+        x = gf.radius * share
+        uppers = [gf._tail_bounds(beyond, x)[1] for beyond in range(2001)]
+        assert all(a >= b for a, b in zip(uppers, uppers[1:])), share
+        if isinstance(tail, FormulaTail):
+            sums = [tail.upper_sum(beyond, x) for beyond in range(2001)]
+            assert all(a >= b for a, b in zip(sums, sums[1:])), share
 
 
 def test_threads_sharing_a_system_see_whole_tables():

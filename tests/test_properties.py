@@ -14,9 +14,15 @@ import numpy as np
 import pytest
 
 from cmshift import counting, density, graphs, infinity, katok, measures, thermo
-from cmshift.errors import CmshiftError, ConnectorNotFound, NonConvergent, NotStronglyConnected
+from cmshift.errors import (
+    CmshiftError,
+    ConnectorNotFound,
+    NonConvergent,
+    NotStronglyConnected,
+    ValidationError,
+)
 from cmshift.families import full_shift, golden_mean, power_loops, renewal_shift
-from cmshift.graphs import FiniteGraph, GeometricTail, LoopSystem
+from cmshift.graphs import FiniteGraph, FormulaTail, GeometricTail, LoopSystem
 
 from properties import (
     brute_escape_count,
@@ -25,12 +31,14 @@ from properties import (
     brute_markov_masses,
     brute_min_cover,
     decimal_pressure_bracket,
+    dict_loop_chain,
     enumerate_words,
     escape_count_pinned,
     marked_preserving_permutation,
     per_id_cylinder_limit,
     pressure_sweep_graphs,
     scalar_aitken_limit,
+    scanned_weight_cutoff,
     random_strongly_connected_graph,
     random_two_out_graph,
     relabeled,
@@ -836,6 +844,154 @@ def test_cylinder_limit_matches_the_per_id_oracle_on_finite_chains(limit_against
     for g in (golden_mean(), full_shift(3)):
         infinity.usc_spot_check(g, trials=4)
     assert len(limit_against_oracle) == 8
+
+
+# ---------------------------------------------------------------------------
+# loop chains: the bisected weight cutoff and the one-pass chain fields
+
+
+def _loop_chain_systems():
+    """Loop systems for the weight cutoff: the seeded integer and floored
+    tails, tails with explicit loops past the cutoff, and finite systems
+    whose longest loop is below, at and above 8."""
+    rng = random.Random(3001)
+    out = _seeded_loop_systems(14)
+    for _ in range(8):
+        loops = [(rng.randint(1, 6), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+        far = [(rng.randint(9, 400), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+        coeff, growth = rng.choice([(1, 1), (1, 2), (0.7, 1.1), (1.3, 1.02)])
+        out.append(LoopSystem(loops + far, GeometricTail(rng.randint(2, 6), coeff, growth)))
+    for longest in (1, 3, 7, 8, 9, 13, 40, 120, 400):
+        for base in (1, 2, 3):
+            loops = [(rng.randint(1, longest), rng.randint(1, 2)) for _ in range(2)]
+            out.append(LoopSystem([(1, base)] + loops + [(longest, 1)]))
+    return out
+
+
+def _chain_fields(chain):
+    return (
+        list(chain.weights.items()),
+        list(chain._log_counts.items()),
+        chain.expected_length,
+        chain.entropy,
+    )
+
+
+def _reference_fields(system, weights, entropy=None):
+    weights, log_counts, expected, entropy = dict_loop_chain(system, weights, entropy)
+    return list(weights.items()), list(log_counts.items()), expected, entropy
+
+
+def test_loop_mme_matches_the_scanned_cutoff_and_the_dict_chain():
+    # the bisected cutoff is the scanned one, and every field of the chain
+    # equals the entry-by-entry dict build, bit for bit
+    cutoffs = []
+    for system in _loop_chain_systems():
+        verdict = thermo.classify(system)
+        if verdict.verdict != "positive-recurrent":
+            continue
+        x = verdict.x_star
+        stop = scanned_weight_cutoff(system, x)
+        assert measures._weight_cutoff(system, x) == stop
+        weights = measures._weights(*system.log_counts(1, stop), x)
+        chain = measures.loop_mme(system)
+        assert _chain_fields(chain) == _reference_fields(system, weights, verdict.entropy)
+        # the entropy summed from the weights, as the window chains take it
+        chain = measures.LoopMarkovMeasure(system, weights)
+        assert _chain_fields(chain) == _reference_fields(system, weights)
+        cutoffs.append((stop, system.max_loop_length()))
+    # light at 8, light between 8 and the longest loop, cut at the longest
+    # loop below 8 and above it, and on tails
+    assert len(cutoffs) >= 40
+    assert any(stop == 8 for stop, _ in cutoffs)
+    assert any(lim is not None and 8 < stop < lim for stop, lim in cutoffs)
+    assert any(lim is not None and stop == lim < 8 for stop, lim in cutoffs)
+    assert any(lim is not None and stop == lim > 8 for stop, lim in cutoffs)
+    assert any(lim is None and stop > 8 for stop, lim in cutoffs)
+
+
+def test_window_and_drift_chains_match_the_dict_chain():
+    rng = random.Random(3002)
+    for system in _seeded_loop_systems(14):
+        for _ in range(3):
+            lo = rng.randint(1, 60)
+            hi = lo + rng.randint(0, 300)
+            lengths, logs = system.log_counts(lo, hi)
+            if not len(lengths):
+                continue
+            chain = measures.tail_parry_measure(system, lo, hi)
+            x0 = math.exp(thermo.series_root(lengths, logs))
+            weights = measures._weights(lengths, logs, x0)
+            assert _chain_fields(chain) == _reference_fields(system, weights)
+        for chain in infinity.drift_schedule(system, count=6):
+            assert _chain_fields(chain) == _reference_fields(system, dict(chain.weights))
+    # weights that underflow to 0 past length 1074, the same out of order,
+    # and weights on lengths that are not every nonzero length of their range
+    powers = power_loops()
+    weights = measures._weights(*powers.log_counts(1, 1500), 0.25)
+    assert 0.0 in weights.values()
+    backwards = dict(reversed(weights.items()))
+    system = LoopSystem([(1, 1), (3, 2), (5, 1)])
+    for graph, w in ((powers, weights), (powers, backwards), (system, {5: 0.2, 1: 0.7})):
+        chain = measures.LoopMarkovMeasure(graph, w)
+        assert _chain_fields(chain) == _reference_fields(graph, w)
+    with pytest.raises(ValidationError, match="no loops of length 2"):
+        dict_loop_chain(system, {1: 0.5, 2: 0.5})
+    with pytest.raises(ValidationError, match="no loops of length 2"):
+        measures.LoopMarkovMeasure(system, {1: 0.5, 2: 0.5})
+
+
+@pytest.mark.parametrize(
+    "first_light",
+    [0, 7, 8, 9, 4321, measures.MME_LENGTHS - 1, measures.MME_LENGTHS, measures.MME_LENGTHS + 1],
+)
+def test_weight_cutoff_lands_where_the_scan_does_at_both_ends(first_light):
+    # a tail whose bound drops below WEIGHT_CUTOFF past first_light: a step,
+    # so nonincreasing. The bisection of [8, MME_LENGTHS] must land on the
+    # scan's length at either end, or raise its message past the top
+    def upper_sum(beyond, x):
+        return 0.0 if beyond >= first_light else 1.0
+
+    system = LoopSystem([(1, 1)], FormulaTail(fn=lambda l: 1, growth=1.0, upper_sum=upper_sum))
+    answers = []
+    for cutoff in (scanned_weight_cutoff, measures._weight_cutoff):
+        try:
+            answers.append(cutoff(system, 0.5))
+        except NonConvergent as exc:
+            answers.append(str(exc))
+    if first_light > measures.MME_LENGTHS:
+        assert f"past length {measures.MME_LENGTHS} still weighs up to 1.0" in answers[0]
+    else:
+        assert answers[0] == max(first_light, 8)
+    assert answers[1] == answers[0]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        LoopSystem([(1, 1)], GeometricTail(3, 1e-9, 1.0001)),
+        LoopSystem([(1, 1), (measures.MME_LENGTHS - 1, 1)]),
+        LoopSystem([(1, 1), (measures.MME_LENGTHS, 1)]),
+        LoopSystem([(1, 1), (measures.MME_LENGTHS + 1, 1)]),
+    ],
+    ids=["tail", "finite-below", "finite-at", "finite-above"],
+)
+def test_weight_cutoff_ends_at_mme_lengths_as_the_scan_does(system):
+    # the tail system weighs 1.3e-4 past MME_LENGTHS; each finite one is
+    # still heavier than WEIGHT_CUTOFF until its longest loop
+    x = thermo.classify(system).x_star
+    answers = []
+    for cutoff in (scanned_weight_cutoff, measures._weight_cutoff):
+        try:
+            answers.append(cutoff(system, x))
+        except NonConvergent as exc:
+            answers.append(str(exc))
+    lim = system.max_loop_length()
+    if lim is None or lim > measures.MME_LENGTHS:
+        assert answers[0].startswith(f"the loop series past length {measures.MME_LENGTHS} ")
+    else:
+        assert answers[0] == lim
+    assert answers[1] == answers[0]
 
 
 # ---------------------------------------------------------------------------
