@@ -10,13 +10,17 @@ among invariant measures.
 ``concatenated_system`` builds the block system as an explicit finite
 graph (states = position inside a slot, labeled by the ambient symbol;
 the presentation is right-resolving, so the labeled process keeps the
-graph's full entropy).  ``concatenated_measure`` equips it with its
-maximal-entropy chain.  ``two_component_demo`` runs the whole pipeline
-against a half-and-half mixture.
+graph's full entropy).  Its states are integers from the start, cut to the
+strongly connected component of the first slot start by one backward
+search and numbered once, in the order of their (kind, slot, ., .) reprs.
+``concatenated_measure`` equips it with its maximal-entropy chain, whose
+``cylinder_masses`` carries each word's state vector from its prefix's.
+``two_component_demo`` runs the whole pipeline against a half-and-half
+mixture.
 """
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,87 +93,80 @@ def concatenated_system(ambient, supports, n, M):
         _check_support(ambient, sup)
     slots = [supports[s % len(supports)] for s in range(M)]
 
-    # states: ("b", slot, offset, vertex) block positions,
-    #         ("c", slot, end_vertex, k) connector interiors
-    edges = []
-    state_label = {}
+    # states are numbered as they are made. keys[x] is the str of each field
+    # of ("b", slot, offset, vertex) for a block position or ("c", slot,
+    # end_vertex, k) for a connector interior: "," and ")" sort below every
+    # digit, so these keys sort as the reprs of the int tuples do
+    keys, state_label, into, edges = [], [], [], []
+
+    def state(key, label):
+        keys.append(key)
+        state_label.append(label)
+        into.append([])
+        return len(keys) - 1
+
+    def edge(a, b):
+        edges.append((a, b))
+        into[b].append(a)
+
+    starts = [state(("b", str(s), "0", str(anchor)), anchor) for s in range(M)]
     conn_lengths = [dict() for _ in range(M)]
-
-    def block(s, o, v):
-        key = ("b", s, o, v)
-        state_label[key] = v
-        return key
-
     block_counts = []
     for s, sup in enumerate(slots):
-        # layers[o][v]: the words of o + 1 symbols from the anchor to v
-        layers = [Counter({anchor: 1})]
-        for o in range(n - 1):
-            nxt = Counter()
-            for v, c in layers[o].items():
+        slot = str(s)
+        # layer[v]: [the words of o + 1 symbols from the anchor to v, state]
+        layer = {anchor: [1, starts[s]]}
+        for o in range(1, n):
+            offset, nxt = str(o), {}
+            for v, (c, a) in layer.items():
                 for w in sup.out_neighbors(v):
-                    nxt[w] += c
-                    edges.append((block(s, o, v), block(s, o + 1, w)))
-            layers.append(nxt)
-        nxt_start = block((s + 1) % M, 0, anchor)
-        joined = 0
-        for v in sorted(layers[n - 1]):
-            end = block(s, n - 1, v)
-            if ambient.is_edge(v, anchor):
-                edges.append((end, nxt_start))
-                conn_lengths[s][v] = 0
-                joined += 1
-                continue
-            path = _shortest_path(ambient, v, anchor)
+                    hit = nxt.get(w)
+                    if hit is None:
+                        hit = nxt[w] = [0, state(("b", slot, offset, str(w)), w)]
+                    hit[0] += c
+                    edge(a, hit[1])
+            layer = nxt
+        nxt_start = starts[(s + 1) % M]
+        joined = conn_lengths[s]
+        words = 0
+        for v in sorted(layer):
+            path = (v, anchor) if ambient.is_edge(v, anchor) else _shortest_path(ambient, v, anchor)
             if path is None:
                 continue
-            interior = path[1:-1]
-            prev = end
-            for k, u in enumerate(interior):
-                key = ("c", s, v, k)
-                state_label[key] = u
-                edges.append((prev, key))
-                prev = key
-            edges.append((prev, nxt_start))
-            conn_lengths[s][v] = len(interior)
-            joined += 1
+            c, prev = layer[v]
+            for k, u in enumerate(path[1:-1]):
+                x = state(("c", slot, str(v), str(k)), u)
+                edge(prev, x)
+                prev = x
+            edge(prev, nxt_start)
+            joined[v] = len(path) - 2
+            # every state of a word ending at a joined end lies on a cycle
+            # through the slot starts, so pruning keeps all these words
+            words += c
         if not joined:
-            raise ConnectorNotFound(
-                f"slot {s}: no block end can reach the anchor {anchor}"
-            )
-        # every state of a word ending at a joined end lies on a cycle
-        # through the slot starts, so pruning keeps all these words
-        block_counts.append(sum(layers[n - 1][v] for v in conn_lengths[s]))
+            raise ConnectorNotFound(f"slot {s}: no block end can reach the anchor {anchor}")
+        block_counts.append(words)
 
     # every state is reachable from the first slot start, so its strongly
     # connected component is the states that lead back to it: one backward
-    # search, numbered in repr order (an edge stays when its head does)
-    start0 = ("b", 0, 0, anchor)
-    into = {}
-    for a, b in edges:
-        into.setdefault(b, []).append(a)
-    kept = {start0}
-    stack = [start0]
+    # search, numbered in key order (an edge stays when its head does)
+    kept = [False] * len(keys)
+    kept[starts[0]] = True
+    stack = [starts[0]]
     while stack:
-        for a in into.get(stack.pop(), ()):
-            if a not in kept:
-                kept.add(a)
+        for a in into[stack.pop()]:
+            if not kept[a]:
+                kept[a] = True
                 stack.append(a)
-    order = sorted(kept, key=repr)
-    ids = {key: i + 1 for i, key in enumerate(order)}
-    graph = FiniteGraph(len(order), {(ids[a], ids[b]): 1 for a, b in edges if b in ids})
-    labels = tuple(state_label[key] for key in order)
+    order = sorted((x for x in range(len(keys)) if kept[x]), key=keys.__getitem__)
+    ids = {x: i for i, x in enumerate(order, 1)}
+    graph = FiniteGraph(len(order), {(ids[a], ids[b]): 1 for a, b in edges if kept[b]})
+    labels = tuple(state_label[x] for x in order)
 
     # the certified entropy floor
-    period = M * n + sum(max(c.values(), default=0) for c in conn_lengths)
-    spread = sum(
-        max(c.values(), default=0) - min(c.values(), default=0)
-        for c in conn_lengths
-    )
-    prod = 1
-    for b in block_counts:
-        prod *= max(b, 1)
-    floor = (_log_big(prod) - (math.log(spread + 1) if spread else 0.0)) / period
+    period = M * n + sum(max(c.values()) for c in conn_lengths)
+    spread = sum(max(c.values()) - min(c.values()) for c in conn_lengths)
+    floor = (_log_big(math.prod(block_counts)) - (math.log(spread + 1) if spread else 0.0)) / period
     return ConcatenatedSystem(
         graph=graph,
         labels=labels,
@@ -177,7 +174,7 @@ def concatenated_system(ambient, supports, n, M):
         M=M,
         block_counts=tuple(block_counts),
         entropy_floor=floor,
-        slot_starts=tuple(ids[("b", s, 0, anchor)] for s in range(M)),
+        slot_starts=tuple(ids[x] for x in starts),
     )
 
 
@@ -219,6 +216,24 @@ class LabeledMarkovMeasure:
             rows, cols, vals = self._step(a, b)
             vec = np.bincount(cols, weights=vec[rows] * vals, minlength=len(self._states[b]))
         return float(vec.sum())
+
+    def cylinder_masses(self, words):
+        """cylinder_mass of each word of a breadth-first list: each word's
+        state vector is its prefix's carried one step, by the same products
+        summed in the same order."""
+        vecs, out = [], []
+        for word, k in zip(words, measures.prefix_index(words)):
+            b = word[-1]
+            if b not in self._states or (k >= 0 and vecs[k] is None):
+                vec = None
+            elif k < 0:
+                vec = self.chain.pi[self._states[b]]
+            else:
+                rows, cols, vals = self._step(word[-2], b)
+                vec = np.bincount(cols, weights=vecs[k][rows] * vals, minlength=len(self._states[b]))
+            vecs.append(vec)
+            out.append(0.0 if vec is None else float(vec.sum()))
+        return out
 
     def symbol_masses(self, q):
         out = np.zeros(q)

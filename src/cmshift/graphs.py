@@ -16,8 +16,10 @@ interiors consecutively, loops ordered by (length, explicit-before-tail,
 insertion order). Truncating at q keeps the induced subgraph on ids <= q.
 """
 
+import itertools
 import json
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -94,22 +96,24 @@ class GeometricTail:
             return num * gn ** length // (den * gd ** length)
 
     def multiplicities(self, lo, hi):
-        """[multiplicity(l) for l in lo..hi], past the float range from one
-        running power gn**l instead of a fresh one per length."""
-        out = [0] * max(0, min(hi + 1, self.from_length) - lo)
+        """Yield multiplicity(l) for l in lo..hi, one at a time, past the
+        float range from one running power gn**l instead of a fresh one per
+        length: a caller that takes each count as it comes holds one."""
+        yield from [0] * max(0, min(hi + 1, self.from_length) - lo)
         l = max(lo, self.from_length)
         if float(self.growth).is_integer() and float(self.coeff).is_integer():
             c, g = int(self.coeff), int(self.growth)
             power = c * g ** l
             for _ in range(l, hi + 1):
-                out.append(power)
+                yield power
                 power *= g
-            return out
+            return
         while l <= hi:
             try:
-                out.append(int(math.floor(self.coeff * self.growth ** l)))
+                a = int(math.floor(self.coeff * self.growth ** l))
             except OverflowError:
                 break
+            yield a
             l += 1
         if l <= hi:
             num, den = self.coeff.as_integer_ratio()
@@ -119,9 +123,8 @@ class GeometricTail:
             s0, s1 = den.bit_length() - 1, gd.bit_length() - 1
             power = num * gn ** l
             for length in range(l, hi + 1):
-                out.append(power >> (s0 + length * s1))
+                yield power >> (s0 + length * s1)
                 power *= gn
-        return out
 
     @property
     def effective(self):
@@ -166,7 +169,7 @@ class FormulaTail:
         return int(self.fn(length))
 
     def multiplicities(self, lo, hi):
-        return [int(self.fn(l)) for l in range(lo, hi + 1)]
+        return (int(self.fn(l)) for l in range(lo, hi + 1))
 
     @property
     def from_length(self):
@@ -399,11 +402,13 @@ class LoopSystem:
         return self.tail is not None and self.tail.effective
 
     def _fresh_counts(self, lo, hi):
-        """a_l for l = lo..hi, counted without the table."""
+        """a_l for l = lo..hi, counted without the table, one at a time."""
         if hi < lo:
-            return []
-        tail = self.tail.multiplicities(lo, hi) if self.tail is not None else [0] * (hi - lo + 1)
-        return [self._explicit.get(l, 0) + a for l, a in zip(range(lo, hi + 1), tail)]
+            return ()
+        explicit = map(self._explicit.get, range(lo, hi + 1), itertools.repeat(0))
+        if self.tail is None:
+            return explicit
+        return map(operator.add, explicit, self.tail.multiplicities(lo, hi))
 
     def count_table(self, upto):
         """The cached table, extended to cover min(upto, SERIES_TERMS, the
@@ -412,7 +417,7 @@ class LoopSystem:
         table = self._table
         upto = min(upto, self._cap)
         if upto > table.upto:
-            table = table.extended(self._fresh_counts(table.upto + 1, upto))
+            table = table.extended(list(self._fresh_counts(table.upto + 1, upto)))
             self._table = table
         return table
 
@@ -420,7 +425,7 @@ class LoopSystem:
         if length < 1:
             return 0
         if length > self._cap:
-            return self._fresh_counts(length, length)[0]
+            return next(self._fresh_counts(length, length))
         table = self._table
         if length > table.upto:
             # single lookups extend the table by doubling
@@ -430,22 +435,25 @@ class LoopSystem:
     def counts(self, upto):
         """[a_0, a_1, ..., a_upto] with a_0 = 0."""
         out = list(self.count_table(upto).exact[: upto + 1])
-        return out + self._fresh_counts(len(out), upto)
+        return out + list(self._fresh_counts(len(out), upto))
 
     def log_counts(self, lo, hi):
-        """(lengths, log a_l) of the nonzero lengths in [lo, hi], as arrays."""
+        """(lengths, log a_l) of the nonzero lengths in [lo, hi], as arrays.
+        Past the count table each log is taken as its count is made, so no
+        more than one big count is held at a time."""
         table = self.count_table(hi)
         i = int(np.searchsorted(table.lengths, lo, side="left"))
         j = table.prefix(hi)
         lengths, logs = table.lengths[i:j], table.logs[i:j]
         start = max(lo, table.upto + 1)
         if self.is_infinite:
-            rest = [(l, a) for l, a in enumerate(self._fresh_counts(start, hi), start) if a]
+            rest = enumerate(self._fresh_counts(start, hi), start)
         else:  # past the table a finite system has its explicit loops only
-            rest = [(l, a) for l, a in self.explicit_loops if start <= l <= hi]
+            rest = ((l, a) for l, a in self.explicit_loops if start <= l <= hi)
+        rest = [(l, _log_big(a)) for l, a in rest if a]
         if rest:
             lengths = np.concatenate([lengths, np.array([l for l, _ in rest], dtype=np.int64)])
-            logs = np.concatenate([logs, np.array([_log_big(a) for _, a in rest])])
+            logs = np.concatenate([logs, np.array([g for _, g in rest])])
         return lengths, logs
 
     def max_loop_length(self):

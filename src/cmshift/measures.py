@@ -1,8 +1,12 @@
 """Shift-invariant measures and weak-star limit diagnostics.
 
 Measures expose a common surface: `cylinder_mass(word)` for the mass of the
-cylinder [word] at the canonical symbols, `symbol_masses(q)` for the masses
-of the one-symbol cylinders [1]..[q] as one array (entry a-1 equal to
+cylinder [word] at the canonical symbols, `cylinder_masses(words)` for the
+masses of a breadth-first word list (every word's prefix word[:-1] listed
+before it, as `canonical_cylinders` lists them), each equal to
+`cylinder_mass` bit for bit and carried from its prefix's state instead of
+walked from the first symbol, `symbol_masses(q)` for the masses of the
+one-symbol cylinders [1]..[q] as one array (entry a-1 equal to
 `cylinder_mass((a,))` bit for bit), `entropy`, and `mass` (total mass, 1 for
 probability measures). Three concrete kinds:
 
@@ -23,6 +27,7 @@ measure by fitting a single scale factor.
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +91,15 @@ class MarkovMeasure:
             if p == 0.0:
                 return 0.0
         return float(p)
+
+    def cylinder_masses(self, words):
+        """cylinder_mass of each word of a breadth-first list: its prefix's
+        mass times one entry of P, the product cylinder_mass takes."""
+        out = []
+        for word, k in zip(words, prefix_index(words)):
+            p = self.pi[word[0] - 1] if k < 0 else out[k] and out[k] * self.P[word[-2] - 1, word[-1] - 1]
+            out.append(float(p))
+        return out
 
     def symbol_masses(self, q):
         out = np.zeros(q)
@@ -230,6 +244,9 @@ class LoopMarkovMeasure:
             return 0.0
         return p
 
+    def cylinder_masses(self, words):
+        return [self.cylinder_mass(word) for word in words]
+
     def symbol_masses(self, q):
         """[1] has mass 1/E; every interior id of a loop of length l has the
         mass of that loop, _per_loop(l) / E; ids past the loops have none.
@@ -348,6 +365,9 @@ class _PeriodicOrbitMeasure:
                 hits += 1
         return hits / n
 
+    def cylinder_masses(self, words):
+        return [self.cylinder_mass(word) for word in words]
+
     def symbol_masses(self, q):
         return np.bincount(self.orbit, minlength=q + 1)[1 : q + 1] / len(self.orbit)
 
@@ -369,6 +389,11 @@ class MixtureMeasure:
     def cylinder_mass(self, word):
         return math.fsum(c * m.cylinder_mass(word) for c, m in self.components)
 
+    def cylinder_masses(self, words):
+        parts = [m.cylinder_masses(words) for _, m in self.components]
+        weights = [c for c, _ in self.components]
+        return [math.fsum(map(operator.mul, weights, col)) for col in zip(*parts)]
+
     def symbol_masses(self, q):
         """The weighted sum, entrywise correctly rounded like cylinder_mass:
         a sum of at most two terms takes one rounding, so a plain add is
@@ -383,14 +408,29 @@ class MixtureMeasure:
 # the cylinder metric
 
 
+def prefix_index(words):
+    """The place of each word's prefix word[:-1] in a word list, -1 for a
+    one-symbol word; ValidationError when a prefix is not listed before its
+    word."""
+    at = {}
+    for i, word in enumerate(words):
+        at.setdefault(word, i)
+    out = [at.get(word[:-1], i) if len(word) > 1 else -1 for i, word in enumerate(words)]
+    if any(k >= i for i, k in enumerate(out)):
+        raise ValidationError("a word's prefix is not listed before it")
+    return out
+
+
 def rho_distance(mu, nu, graph, depth=3):
     """Weighted cylinder distance: the k-th canonical cylinder (1-indexed)
     contributes 2**-k of the mass difference. The weight not covered by the
-    enumeration is at most 2**-(number of cylinders)."""
+    enumeration is at most 2**-(number of cylinders). Both measures take
+    their masses in one `cylinder_masses` call over the enumeration."""
+    words = canonical_cylinders(graph, depth)
     total = 0.0
     weight = 0.5
-    for cyl in canonical_cylinders(graph, depth):
-        total += weight * abs(mu.cylinder_mass(cyl) - nu.cylinder_mass(cyl))
+    for a, b in zip(mu.cylinder_masses(words), nu.cylinder_masses(words)):
+        total += weight * abs(a - b)
         weight *= 0.5
     return total
 

@@ -22,6 +22,7 @@ from cmshift.graphs import (
     GeometricTail,
     LoopSystem,
     _log_big,
+    canonical_cylinders,
     strongly_connected_components,
     walk_view,
 )
@@ -383,6 +384,17 @@ def tarjan_pruned_system(ambient, supports, n, M):
     floor = (_log_big(math.prod(counts)) - (math.log(spread + 1) if spread else 0.0)) / period
     labels = tuple(label[key] for key in order)
     return graph, labels, tuple(starts), tuple(counts), floor, len(every)
+
+
+def per_word_rho_distance(mu, nu, graph, depth=3):
+    """measures.rho_distance as one cylinder_mass call a measure and word:
+    each canonical cylinder walked from its first symbol."""
+    total = 0.0
+    weight = 0.5
+    for cyl in canonical_cylinders(graph, depth):
+        total += weight * abs(mu.cylinder_mass(cyl) - nu.cylinder_mass(cyl))
+        weight *= 0.5
+    return total
 
 
 def pressure_sweep_graphs():

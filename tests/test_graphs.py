@@ -59,6 +59,25 @@ def test_finite_graph_symbol_cap_raises_before_allocating():
     assert graphs.FiniteGraph(graphs.MAX_SYMBOLS, [(1, 1)]).symbols == graphs.MAX_SYMBOLS
 
 
+def test_window_log_counts_past_the_table_hold_one_big_count_at_a_time():
+    # the last window of h-inf at MAX_WINDOWS: 30721 counts of up to 46080
+    # bits, about 250 MB when held together before their logs are taken
+    system = power_loops()
+    tracemalloc.start()
+    try:
+        lengths, logs = system.log_counts(15360, 46080)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert lengths.tolist() == list(range(15360, 46081))
+    # the same logs as one _log_big per exact count
+    for l in (15360, 15361, 30000, 46080):
+        assert logs[l - 15360] == graphs._log_big(2**l)
+    lengths, logs = system.log_counts(5000, 5200)
+    assert logs.tolist() == [graphs._log_big(system.multiplicity(l)) for l in range(5000, 5201)]
+
+
 def test_loop_multiplicities_renewal():
     g = renewal_shift()
     for length in (1, 2, 3, 10, 40):

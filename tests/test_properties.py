@@ -5,6 +5,7 @@ contracts checked here hold with equality or as theorems, not up to
 tolerance, except where floating point enters (stationarity, entropy).
 """
 
+import dataclasses
 import math
 import random
 from decimal import Decimal, localcontext
@@ -36,6 +37,7 @@ from properties import (
     escape_count_pinned,
     marked_preserving_permutation,
     per_id_cylinder_limit,
+    per_word_rho_distance,
     pressure_sweep_graphs,
     scalar_aitken_limit,
     scanned_weight_cutoff,
@@ -1131,12 +1133,13 @@ def test_covering_number_monotone_in_delta():
 # concatenated block systems
 
 
-def _block_system_draw(rng):
-    """An ambient graph on 2..5 symbols with the cycle 1 <-> 2, where edges
-    from symbols above 2 back into {1, 2} are rare, so some block ends
-    cannot reach the anchor; and one or two supports on its edges, most
-    keeping the cycle, whose other vertices are often sinks."""
-    k = rng.randint(2, 5)
+def _block_system_draw(rng, symbols=5, length=5, slots=3):
+    """An ambient graph on 2..symbols symbols with the cycle 1 <-> 2, where
+    edges from symbols above 2 back into {1, 2} are rare, so some block ends
+    cannot reach the anchor; one or two supports on its edges, most keeping
+    the cycle, whose other vertices are often sinks; a block length in
+    2..length and a slot count in 1..slots."""
+    k = rng.randint(2, symbols)
     edges = {(1, 2), (2, 1)}
     edges |= {
         (i, j)
@@ -1153,7 +1156,7 @@ def _block_system_draw(rng):
             if i <= m and j <= m and rng.random() < (0.9 if i + j == 3 else 0.6)
         ]
         supports.append(FiniteGraph(m, kept))
-    return FiniteGraph(k, sorted(edges)), supports, rng.randint(2, 5), rng.randint(1, 3)
+    return FiniteGraph(k, sorted(edges)), supports, rng.randint(2, length), rng.randint(1, slots)
 
 
 def test_concatenated_system_keeps_the_tarjan_component_of_the_first_start():
@@ -1174,16 +1177,133 @@ def test_concatenated_system_keeps_the_tarjan_component_of_the_first_start():
             with pytest.raises(ConnectorNotFound):
                 density.concatenated_system(ambient, supports, n, M)
             continue
-        got = density.concatenated_system(ambient, supports, n, M)
-        assert got.graph.symbols == graph.symbols
-        assert list(got.graph.edge_multiplicities().items()) == list(
-            graph.edge_multiplicities().items()
-        )
-        assert got.labels == labels
-        assert all(ambient.is_edge(labels[i - 1], labels[j - 1]) for i, j in graph.edge_multiplicities())
-        assert got.slot_starts == starts
-        assert got.block_counts == counts
-        assert got.entropy_floor == floor
+        _assert_matches_tarjan(ambient, supports, n, M, graph, labels, starts, counts, floor)
         built += 1
         cut += states > graph.symbols
     assert (built, cut) == (262, 55)
+
+
+def _assert_matches_tarjan(ambient, supports, n, M, graph, labels, starts, counts, floor):
+    got = density.concatenated_system(ambient, supports, n, M)
+    assert got.graph.symbols == graph.symbols
+    assert list(got.graph.edge_multiplicities().items()) == list(
+        graph.edge_multiplicities().items()
+    )
+    assert got.labels == labels
+    assert all(ambient.is_edge(labels[i - 1], labels[j - 1]) for i, j in graph.edge_multiplicities())
+    assert got.slot_starts == starts
+    assert got.block_counts == counts
+    assert got.entropy_floor == floor
+
+
+def test_concatenated_system_numbers_two_digit_slots_and_offsets_in_repr_order():
+    # repr puts ("b", 10, ...) before ("b", 2, ...) and ("b", 1, 12, ...)
+    # before ("b", 1, 2, ...): ambient symbols, block lengths and slot
+    # counts past 9 make the states' numbers differ from an order by the
+    # integer tuples, and the reference numbers them by repr
+    rng = random.Random(3101)
+    built = wide = 0
+    for _ in range(60):
+        ambient, supports, n, M = _block_system_draw(rng, symbols=12, length=13, slots=12)
+        try:
+            graph, labels, starts, counts, floor, _ = tarjan_pruned_system(ambient, supports, n, M)
+        except ConnectorNotFound:
+            with pytest.raises(ConnectorNotFound):
+                density.concatenated_system(ambient, supports, n, M)
+            continue
+        _assert_matches_tarjan(ambient, supports, n, M, graph, labels, starts, counts, floor)
+        built += 1
+        wide += n > 10 and M > 10
+    assert (built, wide) == (53, 3)
+
+
+@pytest.mark.parametrize("n", list(range(2, 41)) + [64, 128])
+def test_two_component_demo_matches_the_per_word_distance(n):
+    # every field of the demo against a build from the public pieces with
+    # the distance summed one cylinder_mass call a measure and word
+    ambient, gold = full_shift(2), golden_mean()
+    target = measures.MixtureMeasure(
+        [(0.5, measures.parry_measure(gold)), (0.5, measures.bernoulli_measure(ambient, (0.5, 0.5)))]
+    )
+    system = density.concatenated_system(ambient, [gold, ambient], n=n, M=4)
+    built = density.concatenated_measure(system)
+    for depth in range(1, 8) if n <= 40 else (6, 8):
+        rep = density.two_component_demo(n=n, M=4, depth=depth)
+        want = density.DensityReport(
+            rho=per_word_rho_distance(target, built, ambient, depth=depth),
+            depth=depth,
+            entropy_target=target.entropy,
+            entropy_built=built.entropy,
+            gap=abs(built.entropy - target.entropy),
+            n=n,
+            M=4,
+            block_counts=system.block_counts,
+            states=system.graph.symbols,
+        )
+        for field in dataclasses.fields(want):
+            assert getattr(rep, field.name) == getattr(want, field.name), field.name
+
+
+def _words(symbols, depth):
+    """Every word over 1..symbols of length 1..depth, shortest first."""
+    out = layer = [(a,) for a in range(1, symbols + 1)]
+    for _ in range(depth - 1):
+        layer = [w + (a,) for w in layer for a in range(1, symbols + 1)]
+        out = out + layer
+    return out
+
+
+def _assert_batch_masses_match(mu, words):
+    got = mu.cylinder_masses(words)
+    want = [mu.cylinder_mass(w) for w in words]
+    assert [x.hex() for x in got] == [float(x).hex() for x in want]
+    return want
+
+
+def test_batch_masses_match_cylinder_mass_bit_for_bit():
+    # every word over the symbols to a small depth: off-graph steps, and
+    # (on the labeled chains) a label that no state carries, give zero-mass
+    # words, and their extensions have a prefix whose mass is already 0
+    rng = random.Random(3102)
+    zeros = 0
+    for _ in range(12):
+        graph = random_strongly_connected_graph(rng, max_symbols=4)
+        chain = measures.parry_measure(graph)
+        zeros += _assert_batch_masses_match(chain, _words(graph.symbols, 4)).count(0.0)
+    for probs in ((0.5, 0.5), (0.2, 0.3, 0.5)):
+        product = measures.bernoulli_measure(full_shift(len(probs)), probs)
+        _assert_batch_masses_match(product, _words(len(probs), 5))
+    labeled = []
+    for _ in range(40):
+        ambient, supports, n, M = _block_system_draw(rng)
+        try:
+            system = density.concatenated_system(ambient, supports, n, M)
+        except ConnectorNotFound:
+            continue
+        built = density.concatenated_measure(system)
+        labeled.append(built)
+        zeros += _assert_batch_masses_match(built, _words(ambient.symbols + 1, 4)).count(0.0)
+    assert len(labeled) >= 20
+    gold = measures.parry_measure(golden_mean())
+    coin = measures.bernoulli_measure(full_shift(2), (0.5, 0.5))
+    wide = density.concatenated_measure(
+        density.concatenated_system(full_shift(2), [golden_mean(), full_shift(2)], n=9, M=4)
+    )
+    for parts in ([(0.5, gold), (0.5, coin)], [(0.25, gold), (0.5, coin), (0.25, wide)]):
+        _assert_batch_masses_match(measures.MixtureMeasure(parts), _words(2, 6))
+    for system in (renewal_shift(), power_loops()):
+        _assert_batch_masses_match(measures.loop_mme(system), _words(7, 4))
+        for length in (1, 2, 4):
+            orbit = measures.periodic_loop_measure(system, length)
+            _assert_batch_masses_match(orbit, _words(7, 4))
+    assert zeros > 100
+
+
+def test_batch_masses_need_each_prefix_listed_first():
+    chain = measures.parry_measure(golden_mean())
+    with pytest.raises(ValidationError):
+        chain.cylinder_masses([(1, 2), (1,)])
+    with pytest.raises(ValidationError):
+        chain.cylinder_masses([(1,), (1, 2, 1)])
+    words = [(2,), (1,), (2, 1), (1, 2), (2, 1, 1)]
+    assert chain.cylinder_masses(words) == [chain.cylinder_mass(w) for w in words]
